@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import bochner, envalg, weights
+from .gtrep import DimensionBudgetError
 from .report import VerificationReport
 
 SCHEMA = "kahlergrad/v1"
@@ -456,17 +457,24 @@ _TASK_FUNCS = {
 
 
 def _run_task(task) -> tuple:
+    """Run one task.  A term or dimension budget makes it not applicable;
+    any other exception becomes one failed item, so the batch goes on."""
     suite, arg, q_max, bound, budget = task
+    rep = VerificationReport()
     try:
         if suite == "weights":
-            out = _task_weights(arg, bound, q_max, budget)
+            rep = _task_weights(arg, bound, q_max, budget)
         else:
-            out = _TASK_FUNCS[suite](arg, q_max, budget)
-        return (task, out)
-    except envalg.BudgetExceededError as exc:
-        rep = VerificationReport()
+            rep = _TASK_FUNCS[suite](arg, q_max, budget)
+    except (envalg.BudgetExceededError, DimensionBudgetError) as exc:
         rep.skip(suite, {"arg": str(arg)}, f"budget exceeded: {exc}")
-        return (task, rep)
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        rep.check(suite, {"arg": str(arg)}, False,
+                  witness=f"{type(exc).__name__}: {exc}")
+    return (task, rep)
 
 
 def _verify_tasks(suites, ms, bound: int, q_max: int, budget) -> list:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import Matrix, gram_adjoint, lagrange_projector
+from .linalg import ZERO, Matrix, gram_adjoint, lagrange_projector
 from .report import VerificationReport
 from .weights import (
     ConformalWeightTable,
@@ -73,12 +73,23 @@ class CliffordSystem:
     eigenvalues: List[Fraction]
     projectors: List[Matrix]
     targets: List[Optional[TargetData]]
-    tensor_gen: Dict[Tuple[int, int], Matrix]
     _pp_cache: dict = field(default_factory=dict, repr=False)
+    _tensor_gen: Dict[Tuple[int, int], Matrix] = field(default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
         return self.rep.m
+
+    def tensor_generator(self, k: int, l: int) -> Matrix:
+        """Action of e_{kl} on the tensor space, built on first use."""
+        out = self._tensor_gen.get((k, l))
+        if out is None:
+            m, n = self.m, self.rep.dim
+            out = self.rep.gen[(k, l)].kron(Matrix.identity(m)) + Matrix.identity(n).kron(
+                _aux_generator(m, self.sign, k, l)
+            )
+            self._tensor_gen[(k, l)] = out
+        return out
 
     def p_map(self, i: int, k: int) -> Matrix:
         t = self.targets[i - 1]
@@ -130,15 +141,6 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
     N = n * m
     table = conformal_table(rep.rho, sign)
 
-    ident_n = Matrix.identity(n)
-    ident_m = Matrix.identity(m)
-    tensor_gen: Dict[Tuple[int, int], Matrix] = {}
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            tensor_gen[(k, l)] = rep.gen[(k, l)].kron(ident_m) + ident_n.kron(
-                _aux_generator(m, sign, k, l)
-            )
-
     chat = Matrix.zeros(N, N)
     for k in range(1, m + 1):
         for l in range(1, m + 1):
@@ -177,36 +179,35 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
                 f"projector rank {len(pivots)} != Weyl dimension {expected_dim} "
                 f"at i={i} for {rep.rho} sign {sign}"
             )
-        # orthogonalize the pivot columns against the tensor form
-        ortho: List[list] = []
+        # orthogonalize the pivot columns against the tensor form; a column
+        # is a dict {tensor index: nonzero entry}
+        ortho: List[dict] = []
         norms: List[Fraction] = []
         for c in pivots:
-            v = proj.column(c)
+            v = {a: row[c] for a, row in enumerate(proj.data) if row[c] is not ZERO}
             for u, nu in zip(ortho, norms):
-                coeff = sum(
-                    tensor_diag[a] * u[a] * v[a] for a in range(N) if u[a] and v[a]
-                ) / nu
+                coeff = sum(tensor_diag[a] * y * v[a] for a, y in u.items() if a in v) / nu
                 if coeff:
-                    v = [x - coeff * y for x, y in zip(v, u)]
-            nv = sum(tensor_diag[a] * x * x for a, x in enumerate(v) if x)
+                    for a, y in u.items():
+                        x = v[a] - coeff * y if a in v else -coeff * y
+                        if x:
+                            v[a] = x
+                        else:
+                            del v[a]
+            nv = sum(tensor_diag[a] * x * x for a, x in v.items())
             if nv <= 0:
                 raise AssertionError("pivot columns not independent")
             ortho.append(v)
             norms.append(nv)
         d = len(ortho)
-        basis = Matrix([[ortho[r][a] for r in range(d)] for a in range(N)])
-        coords = Matrix(
-            [
-                [ortho[r][a] * tensor_diag[a] / norms[r] for a in range(N)]
-                for r in range(d)
-            ]
-        )
-        pmaps = []
-        for k in range(1, m + 1):
-            pk = Matrix(
-                [[coords.data[r][a * m + (k - 1)] for a in range(n)] for r in range(d)]
-            )
-            pmaps.append(pk)
+        basis = Matrix.zeros(N, d)
+        coords = Matrix.zeros(d, N)
+        for r, (v, nv) in enumerate(zip(ortho, norms)):
+            crow = coords.data[r]
+            for a, x in v.items():
+                basis.data[a][r] = x
+                crow[a] = x * tensor_diag[a] / nv
+        pmaps = [coords.submatrix(range(d), range(k - 1, N, m)) for k in range(1, m + 1)]
         targets.append(
             TargetData(
                 index=i,
@@ -227,7 +228,6 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
         eigenvalues=eigenvalues,
         projectors=projectors,
         targets=targets,
-        tensor_gen=tensor_gen,
     )
 
 
@@ -236,7 +236,7 @@ def target_generator(sys: CliffordSystem, i: int, k: int, l: int) -> Matrix:
     t = sys.targets[i - 1]
     if t is None:
         raise ValueError(f"no component at i={i}")
-    return t.coords * sys.tensor_gen[(k, l)] * t.basis
+    return t.coords * sys.tensor_generator(k, l) * t.basis
 
 
 def derived_representation(sys: CliffordSystem, i: int, validate: bool = False) -> Representation:
@@ -419,8 +419,9 @@ def verify_cross_relations(
 ) -> VerificationReport:
     """Cross-sign relations: each shifted binomial power of one family is a
     Casimir-weighted combination of the other, with swapped basis indices.
-    Also reports the rank of the emitted relation family over the 2m symbol
-    slots (the family is linearly dependent beyond the component count)."""
+    Also checks the rank of the emitted relation family over the symbol
+    slots of the valid components: min(c, q_max + 1), with c the number of
+    valid components of each sign."""
     rep_ = plus.rep
     m, n = plus.m, rep_.dim
     rho = rep_.rho
@@ -477,11 +478,20 @@ def verify_cross_relations(
         m + i for i in range(m) if minus.table.valid[i]
     ]
     restricted = Matrix([[row[c] for c in valid_cols] for row in rows])
+    rank = restricted.rank()
+    # Both signs have c valid components (one plus the strict descents of
+    # rho).  On the valid plus columns the plus-side rows are the Vandermonde
+    # matrix ((w_{+i} - m)^q) for q <= q_max, whose nodes are distinct since
+    # the w_{+i} are, so the rank is at least min(c, q_max + 1).  The minus-
+    # side rows add nothing to it on every family scanned (m <= 4 at bound 2
+    # and m = 5 at bound 1, q_max <= 3), and this item checks that.
+    c = sum(plus.table.valid)
+    expected = min(c, q_max + 1)
     report.check(
         "cross-sign-rank",
-        {**base, "relations": len(rows), "symbols": len(valid_cols),
-         "rank": restricted.rank()},
-        True,
+        {**base, "relations": len(rows), "symbols": len(valid_cols), "rank": rank},
+        rank == expected,
+        witness=f"rank {rank}, expected min({c}, {q_max + 1}) = {expected}",
     )
     return report
 

@@ -41,9 +41,14 @@ __all__ = [
     "e_power_matrix",
     "casimir_matrix",
     "DEFAULT_DIMENSION_BUDGET",
+    "DimensionBudgetError",
 ]
 
 DEFAULT_DIMENSION_BUDGET = 4000
+
+
+class DimensionBudgetError(ValueError):
+    """Raised when a module's Weyl dimension exceeds the build budget."""
 
 
 @dataclass(frozen=True)
@@ -137,19 +142,20 @@ class Representation:
         expected = Fraction(sum(self.rho.entries))
         if any(x != expected for x in total.diagonal_entries()):
             raise AssertionError("weight grading: trace of diagonal action wrong")
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                for k in range(1, m + 1):
-                    for l in range(1, m + 1):
-                        lhs = (self.gen[(i, j)] * self.gen[(k, l)]
-                               - self.gen[(k, l)] * self.gen[(i, j)])
-                        rhs = Matrix.zeros(n, n)
-                        if j == k:
-                            rhs = rhs + self.gen[(i, l)]
-                        if l == i:
-                            rhs = rhs - self.gen[(k, j)]
-                        if lhs != rhs:
-                            raise AssertionError(f"commutation fails at {(i,j,k,l)}")
+        # [e_ij, e_kl] = d_jk e_il - d_li e_kj; both sides change sign when the
+        # pair is swapped and vanish when (i,j) = (k,l), so (i,j) < (k,l) suffices
+        units = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+        for a, (i, j) in enumerate(units):
+            for k, l in units[a + 1:]:
+                lhs = (self.gen[(i, j)] * self.gen[(k, l)]
+                       - self.gen[(k, l)] * self.gen[(i, j)])
+                rhs = Matrix.zeros(n, n)
+                if j == k:
+                    rhs = rhs + self.gen[(i, l)]
+                if l == i:
+                    rhs = rhs - self.gen[(k, j)]
+                if lhs != rhs:
+                    raise AssertionError(f"commutation fails at {(i,j,k,l)}")
         for k in range(1, m + 1):
             for l in range(1, m + 1):
                 if gram_adjoint(self.gen[(k, l)], self.gram, self.gram) != self.gen[(l, k)]:
@@ -257,7 +263,9 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
     m = rho.m
     dim = weyl_dimension(rho)
     if dim > dim_budget:
-        raise ValueError(f"dimension {dim} exceeds budget {dim_budget} for {rho}")
+        raise DimensionBudgetError(
+            f"dimension {dim} exceeds budget {dim_budget} for {rho}"
+        )
     pats = gt_patterns(rho)
     if len(pats) != dim:
         raise AssertionError(
@@ -313,13 +321,8 @@ def _block_matrix(rep: Representation, variant: str) -> Matrix:
     for k in range(m):
         for l in range(m):
             g = rep.gen[(k + 1, l + 1)] if variant == "plain" else rep.gen[(l + 1, k + 1)]
-            for a in range(n):
-                row = big.data[k * n + a]
-                grow = g.data[a]
-                off = l * n
-                for b in range(n):
-                    if grow[b]:
-                        row[off + b] = grow[b]
+            for row, grow in zip(big.data[k * n:(k + 1) * n], g.data):
+                row[l * n:(l + 1) * n] = grow
     return big
 
 
@@ -340,15 +343,12 @@ def e_power_matrix(rep: Representation, q: int, variant: str = "plain") -> Dict[
     base = power
     for _ in range(q - 1):
         power = power * base
-    sign = Fraction(-1) ** q if variant == "tilde" else Fraction(1)
+    negate = variant == "tilde" and q % 2 == 1
     out = {}
     for k in range(m):
         for l in range(m):
-            blk = [
-                [sign * power.data[k * n + a][l * n + b] for b in range(n)]
-                for a in range(n)
-            ]
-            out[(k + 1, l + 1)] = Matrix(blk)
+            blk = power.submatrix(range(k * n, (k + 1) * n), range(l * n, (l + 1) * n))
+            out[(k + 1, l + 1)] = -blk if negate else blk
     return out
 
 

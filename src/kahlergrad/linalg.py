@@ -1,10 +1,24 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra whose cost follows the nonzero entries.
 
 Everything downstream (weight tables, enveloping-algebra coefficients,
 representation matrices, spectral projectors) lives over the rationals, so
-this module deliberately offers no floating-point mode.  Matrices are dense
-row-major lists of :class:`fractions.Fraction`; equality is entrywise exact
-equality.
+this module deliberately offers no floating-point mode.  A matrix keeps its
+entries as one dense row-major list of lists of :class:`fractions.Fraction`
+(``Matrix.data``); equality is entrywise exact equality.
+
+The matrices met here are a few percent nonzero, so every kernel does
+Fraction arithmetic on nonzero entries only.  Zero convention: constructors
+and kernels store the shared object :data:`ZERO` for every zero entry, and
+kernels find the other entries with ``x is not ZERO``, which runs no Python
+code per entry.  A value written into ``.data`` from outside, a fresh
+``Fraction(0)`` included, is treated as stored: it costs arithmetic, never a
+wrong result.  The predicates (``==``, ``is_zero``, ``is_diagonal``, ...)
+still test the stored entries by value.
+
+:func:`lagrange_projector` interpolates each connected block of its input's
+off-diagonal nonzero pattern on its own and reassembles the result.  A
+polynomial in a block-diagonal matrix is block diagonal and the spectral
+projector is unique, so the result is exactly that of the whole matrix.
 """
 
 from __future__ import annotations
@@ -16,11 +30,15 @@ Rational = Fraction
 
 __all__ = [
     "Rational",
+    "ZERO",
     "Matrix",
     "SpectralCompletenessError",
     "gram_adjoint",
     "lagrange_projector",
 ]
+
+ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class SpectralCompletenessError(ValueError):
@@ -32,15 +50,23 @@ class SpectralCompletenessError(ValueError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    """``x`` as a Fraction, with every zero mapped to :data:`ZERO`."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    # the numerator slot is read without the Python-level Fraction.__bool__
+    return x if x._numerator else ZERO
+
+
+def _stored(row) -> list:
+    """(column, entry) pairs of the stored (non-``ZERO``) entries of one row."""
+    return [(j, x) for j, x in enumerate(row) if x is not ZERO]
 
 
 class Matrix:
-    """Immutable-by-convention dense rational matrix.
+    """Immutable-by-convention exact rational matrix.
 
-    The entry lists are owned by the instance; callers must not mutate them.
+    The entry lists are owned by the instance; callers must not mutate them
+    (the zero convention of the module docstring tells what a write costs).
     All arithmetic returns new matrices.
     """
 
@@ -61,19 +87,14 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
         m = cls.__new__(cls)
         m.rows, m.cols = rows, cols
-        m.data = [[z] * cols for _ in range(rows)]
+        m.data = [[ZERO] * cols for _ in range(rows)]
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls.zeros(n, n)
-        one = Fraction(1)
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls.diagonal([_ONE] * n)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
@@ -83,6 +104,13 @@ class Matrix:
             m.data[i][i] = x
         return m
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The entries at the given row and column indices, in that order."""
+        out = Matrix.__new__(Matrix)
+        out.rows, out.cols = len(rows), len(cols)
+        out.data = [[r[j] for j in cols] for r in map(self.data.__getitem__, rows)]
+        return out
+
     # -- basic protocol ----------------------------------------------------
 
     def __getitem__(self, ij) -> Fraction:
@@ -90,6 +118,7 @@ class Matrix:
         return self.data[i][j]
 
     def __eq__(self, other) -> bool:
+        # list equality tests identity first, so shared ZEROs cost nothing
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
@@ -107,31 +136,46 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.rows, self.cols
-        out.data = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return out
+        return self._combine(other, subtract=False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, subtract=True)
+
+    def _combine(self, other: "Matrix", subtract: bool) -> "Matrix":
         self._same_shape(other)
         out = Matrix.__new__(Matrix)
         out.rows, out.cols = self.rows, self.cols
-        out.data = [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
+        out.data = []
+        for ra, rb in zip(self.data, other.data):
+            row = ra[:]
+            for j, b in _stored(rb):
+                a = row[j]
+                if a is ZERO:
+                    row[j] = -b if subtract else b
+                else:
+                    c = a - b if subtract else a + b
+                    row[j] = c if c._numerator else ZERO
+            out.data.append(row)
         return out
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, s) -> "Matrix":
         s = _as_fraction(s)
+        if s is ZERO:
+            return Matrix.zeros(self.rows, self.cols)
         out = Matrix.__new__(Matrix)
         out.rows, out.cols = self.rows, self.cols
-        out.data = [[s * x for x in row] for row in self.data]
+        if s == 1:
+            out.data = [row[:] for row in self.data]
+            return out
+        out.data = []
+        for row in self.data:
+            new = [ZERO] * self.cols
+            for j, x in _stored(row):
+                new[j] = s * x
+            out.data.append(new)
         return out
 
     def __mul__(self, other):
@@ -149,15 +193,16 @@ class Matrix:
                 f"{other.rows}x{other.cols}"
             )
         out = Matrix.zeros(self.rows, other.cols)
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = out.data[i]
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bdata[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
+        brows = [_stored(row) for row in other.data]
+        for arow, orow in zip(self.data, out.data):
+            acc = {}
+            for k, a in _stored(arow):
+                for j, b in brows[k]:
+                    c = acc.get(j)
+                    acc[j] = a * b if c is None else c + a * b
+            for j, c in acc.items():
+                if c._numerator:
+                    orow[j] = c
         return out
 
     def transpose(self) -> "Matrix":
@@ -172,29 +217,28 @@ class Matrix:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
     def kron(self, other: "Matrix") -> "Matrix":
-        out = Matrix.zeros(self.rows * other.rows, self.cols * other.cols)
+        br, bc = other.rows, other.cols
+        out = Matrix.zeros(self.rows * br, self.cols * bc)
+        brows = [_stored(row) for row in other.data]
         for i, arow in enumerate(self.data):
-            for j, a in enumerate(arow):
-                if a:
-                    for k, brow in enumerate(other.data):
-                        orow = out.data[i * other.rows + k]
-                        off = j * other.cols
-                        for l, b in enumerate(brow):
-                            if b:
-                                orow[off + l] = a * b
+            for j, a in _stored(arow):
+                off = j * bc
+                for orow, bstored in zip(out.data[i * br:(i + 1) * br], brows):
+                    for l, b in bstored:
+                        orow[off + l] = a * b
         return out
 
     # -- predicates and reductions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(x for row in self.data for x in row if x is not ZERO)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_diagonal(self) -> bool:
-        return all(
-            not x for i, row in enumerate(self.data) for j, x in enumerate(row) if i != j
+        return not any(
+            x for i, row in enumerate(self.data) for j, x in _stored(row) if i != j
         )
 
     def diagonal_entries(self) -> list:
@@ -209,7 +253,7 @@ class Matrix:
         return all(x == d[0] for x in d)
 
     def nonzero_count(self) -> int:
-        return sum(1 for row in self.data for x in row if x)
+        return sum(1 for row in self.data for x in row if x is not ZERO and x)
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
@@ -219,24 +263,33 @@ class Matrix:
         for c in range(self.cols):
             piv = None
             for i in range(r, self.rows):
-                if a[i][c]:
+                x = a[i][c]
+                if x is not ZERO and x:
                     piv = i
                     break
             if piv is None:
                 continue
             a[r], a[piv] = a[piv], a[r]
-            inv = Fraction(1) / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    arow = a[r]
-                    a[i] = [x - f * y for x, y in zip(a[i], arow)]
+            prow = a[r]
+            inv = 1 / prow[c]
+            for j, x in _stored(prow):
+                prow[j] = x * inv
+            pstored = _stored(prow)
+            for i, row in enumerate(a):
+                if row[c] is ZERO or i == r:
+                    continue
+                f = -row[c]
+                for j, y in pstored:
+                    x = row[j]
+                    v = f * y if x is ZERO else x + f * y
+                    row[j] = v if v._numerator else ZERO
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return Matrix(a), pivots
+        out = Matrix.__new__(Matrix)
+        out.rows, out.cols, out.data = self.rows, self.cols, a
+        return out, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -274,17 +327,42 @@ def gram_adjoint(a: Matrix, gram_source: Matrix, gram_target: Matrix) -> Matrix:
             f"adjoint dimension mismatch: map is {a.rows}x{a.cols}, grams are "
             f"{gram_source.rows} (source) and {gram_target.rows} (target)"
         )
-    gs = gram_source.diagonal_entries()
-    gt = gram_target.diagonal_entries()
+    ginv = [1 / g for g in gram_source.diagonal_entries()]
     out = Matrix.zeros(a.cols, a.rows)
-    for x in range(a.cols):
-        ginv = Fraction(1) / gs[x]
-        row = out.data[x]
-        for y in range(a.rows):
-            v = a.data[y][x]
-            if v:
-                row[y] = ginv * v * gt[y]
+    for y, (row, g) in enumerate(zip(a.data, gram_target.diagonal_entries())):
+        for x, v in _stored(row):
+            out.data[x][y] = ginv[x] * v * g
     return out
+
+
+def _connected_blocks(a: Matrix) -> list:
+    """Index lists, each ascending, of the connected components of the graph
+    whose edges are the stored off-diagonal entries of ``a``."""
+    parent = list(range(a.rows))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(a.data):
+        for j, _ in _stored(row):
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    blocks = {}
+    for i in range(a.rows):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
+def _place(dst: Matrix, blk: Matrix, idx: list):
+    """Write the square block ``blk`` into ``dst`` at rows and columns ``idx``."""
+    for i, brow in zip(idx, blk.data):
+        drow = dst.data[i]
+        for c, x in _stored(brow):
+            drow[idx[c]] = x
 
 
 def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> Matrix:
@@ -295,6 +373,10 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
     ``eigenvalues[target_index]`` is then ``prod_{j != t} (a - lambda_j) /
     (lambda_t - lambda_j)``.  Completeness is always checked, so a wrong
     predicted spectrum fails loudly instead of producing a non-projector.
+
+    The interpolation runs on each connected block of the off-diagonal
+    nonzero pattern with the full eigenvalue list (a superset of a block's
+    spectrum is enough), and the projector and the residual are reassembled.
     """
     if not a.is_square():
         raise ValueError("lagrange_projector needs a square matrix")
@@ -303,16 +385,32 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
         raise ValueError(f"repeated eigenvalues in spectrum list: {lams}")
     if not 0 <= target_index < len(lams):
         raise ValueError("target_index out of range")
-    n = a.rows
-    ident = Matrix.identity(n)
-    proj = ident
+    coeff = _ONE
     for j, lam in enumerate(lams):
-        if j == target_index:
-            continue
-        factor = a - ident.scale(lam)
-        proj = proj.matmul(factor).scale(Fraction(1, 1) / (lams[target_index] - lam))
-    residual = proj.matmul(a - ident.scale(lams[target_index]))
-    if not residual.is_zero():
+        if j != target_index:
+            coeff /= lams[target_index] - lam
+    blocks = _connected_blocks(a)
+    # lambda times the identity, for each block size and eigenvalue
+    scalars = {b: [Matrix.diagonal([lam] * b) for lam in lams]
+               for b in {len(idx) for idx in blocks}}
+    proj = Matrix.zeros(a.rows, a.rows)
+    residues = []
+    for idx in blocks:
+        blk = a.submatrix(idx, idx)
+        factors = [blk - s for s in scalars[len(idx)]]
+        p = None
+        for j, factor in enumerate(factors):
+            if j != target_index:
+                p = factor if p is None else p.matmul(factor)
+        p = Matrix.identity(len(idx)) if p is None else p.scale(coeff)
+        _place(proj, p, idx)
+        res = p.matmul(factors[target_index])
+        if not res.is_zero():
+            residues.append((res, idx))
+    if residues:
+        residual = Matrix.zeros(a.rows, a.rows)
+        for res, idx in residues:
+            _place(residual, res, idx)
         raise SpectralCompletenessError(
             f"eigenvalue list {lams} is not spectrally complete "
             f"({residual.nonzero_count()} nonzero residual entries)",

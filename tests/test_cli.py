@@ -1,9 +1,11 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from kahlergrad import cli
 from kahlergrad.cli import dump_json
 
 CLI = [sys.executable, "-m", "kahlergrad"]
@@ -150,3 +152,34 @@ def test_json_round_trip_byte_identical(args):
     assert out.returncode == 0
     rendered = dump_json(json.loads(out.stdout)) + "\n"
     assert rendered == out.stdout
+
+
+def test_dimension_budget_task_is_not_applicable():
+    task = ("gtrep", (20, 0, -20), 0, 0, None)
+    got, rep = cli._run_task(task)
+    assert got == task
+    assert rep.counts() == {"pass": 0, "fail": 0, "not-applicable": 1}
+    assert "dimension 9261 exceeds budget" in rep.items[0].witness
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_task_does_not_abort_the_batch(monkeypatch, capsys, jobs):
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patched task only when forked")
+    real = cli._TASK_FUNCS["gtrep"]
+
+    def flaky(rho, q_max, budget):
+        if tuple(rho) == (1, 0):
+            raise RuntimeError("boom")
+        return real(rho, q_max, budget)
+
+    monkeypatch.setitem(cli._TASK_FUNCS, "gtrep", flaky)
+    code = cli.main(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1",
+                     "--q", "1", "--jobs", jobs, "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = [it for it in payload["items"] if it["status"] == "fail"]
+    assert failed == [{"tag": "gtrep", "params": {"arg": "(1, 0)"},
+                       "status": "fail", "witness": "RuntimeError: boom"}]
+    others = {it["params"]["rho"] for it in payload["items"] if it["status"] == "pass"}
+    assert len(others) == 5 and "(1,0)" not in others

@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from kahlergrad import clifford
 from kahlergrad.clifford import (
     build_system,
     derived_representation,
+    target_generator,
     verify_cross_relations,
     verify_equivariance,
     verify_adjoint_pairing,
@@ -74,6 +76,48 @@ def test_cross_relations_report_rank():
     ranks = [it for it in out.items if it.tag == "cross-sign-rank"]
     assert len(ranks) == 1
     assert int(ranks[0].params["rank"]) <= int(ranks[0].params["symbols"])
+
+
+def _rank_item(report):
+    (item,) = [it for it in report.items if it.tag == "cross-sign-rank"]
+    return item
+
+
+def test_cross_sign_rank_fails_on_a_corrupted_coefficient_row(monkeypatch):
+    rep = build_rep((1, 0, 0))
+    plus, minus = build_system(rep, "+"), build_system(rep, "-")
+    item = _rank_item(verify_cross_relations(plus, minus, q_max=3))
+    assert item.status == "pass" and item.params["rank"] == 2  # min(c=2, 3+1)
+    real = clifford.k_of_casimirs
+
+    def corrupted(q, rho, variant):
+        return real(q, rho, variant) + (1 if (q, variant) == (1, "plain") else 0)
+
+    monkeypatch.setattr(clifford, "k_of_casimirs", corrupted)
+    item = _rank_item(verify_cross_relations(plus, minus, q_max=3))
+    assert item.status == "fail" and item.params["rank"] == 4
+
+
+@pytest.mark.parametrize("rho", [(1, 0), (1, 0, 0), (2, 0, -1)])
+def test_target_generator_built_on_first_use(rho):
+    rep = build_rep(rho)
+    m, n = rep.m, rep.dim
+    for sign in "+-":
+        sys = build_system(rep, sign)
+        assert not sys._tensor_gen
+        for i, t in enumerate(sys.targets, 1):
+            if t is None:
+                continue
+            for k in range(1, m + 1):
+                for l in range(1, m + 1):
+                    aux = Matrix.zeros(m, m)
+                    if sign == "+":
+                        aux.data[k - 1][l - 1] = F(1)
+                    else:
+                        aux.data[l - 1][k - 1] = F(-1)
+                    tensor = (rep.gen[(k, l)].kron(Matrix.identity(m))
+                              + Matrix.identity(n).kron(aux))
+                    assert target_generator(sys, i, k, l) == t.coords * tensor * t.basis
 
 
 def test_exterior_annihilation_identity():

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from kahlergrad.envalg import PBWElement, casimir_element, e_power
 from kahlergrad.gtrep import (
+    DimensionBudgetError,
     GTPattern,
     build_rep,
     casimir_matrix,
@@ -137,5 +139,18 @@ def test_contragredient_matrix_scalars():
 
 
 def test_dimension_budget():
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(DimensionBudgetError, match="budget"):
         build_rep((9, 0, -9), dim_budget=10)
+
+
+def test_check_invariants_catches_every_single_entry_change():
+    # every generator entry of an 8-dimensional model changed by one, in turn
+    model = build_rep((1, 0, -1))
+    for key, g in model.gen.items():
+        for a in range(model.dim):
+            for b in range(model.dim):
+                changed = Matrix([row[:] for row in g.data])
+                changed.data[a][b] += 1
+                bad = replace(model, gen={**model.gen, key: changed})
+                with pytest.raises(AssertionError):
+                    bad.check_invariants()

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahlergrad.linalg import (
+    ZERO,
     Matrix,
     SpectralCompletenessError,
     gram_adjoint,
@@ -109,3 +111,230 @@ def test_matrix_basics():
     assert Matrix([[1, 2], [2, 4]]).rank() == 1
     with pytest.raises(ValueError):
         Matrix([[1], [2]]) * Matrix([[1], [2]])
+
+
+# ---------------------------------------------------------------------------
+# kernels against plain dense references
+# ---------------------------------------------------------------------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SPARSE_ENTRY = st.one_of(st.just(0), SMALL)
+
+
+def _dense(a):
+    return [list(row) for row in a.data]
+
+
+def _ref_mul(x, y):
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(len(y))), F(0)) for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def _ref_rref(rows):
+    a = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(a[0])):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a, pivots
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """A sparse rational matrix, some of whose entries are then overwritten
+    through ``.data`` with a fresh Fraction(0) or a nonzero value."""
+    r = draw(st.integers(1, 5)) if rows is None else rows
+    c = draw(st.integers(1, 5)) if cols is None else cols
+    a = Matrix(draw(st.lists(st.lists(SPARSE_ENTRY, min_size=c, max_size=c),
+                             min_size=r, max_size=r)))
+    for i, j, x in draw(st.lists(
+        st.tuples(st.integers(0, r - 1), st.integers(0, c - 1),
+                  st.one_of(st.just(0), SMALL.filter(bool))),
+        max_size=3,
+    )):
+        a.data[i][j] = F(x)  # a fresh object, never the shared ZERO
+    return a
+
+
+@st.composite
+def same_shape_pairs(draw):
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(sparse_matrices(r, c)), draw(sparse_matrices(r, c))
+
+
+@st.composite
+def product_pairs(draw):
+    r, k, c = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(sparse_matrices(r, k)), draw(sparse_matrices(k, c))
+
+
+def _follows_zero_convention(a):
+    return all(x is ZERO for row in a.data for x in row if x == 0)
+
+
+def test_constructors_store_the_shared_zero():
+    for a in (Matrix([[0, F(0)], [F(1, 2), 0]]), Matrix.zeros(2, 3),
+              Matrix.identity(3), Matrix.diagonal([0, 2, F(0)])):
+        assert _follows_zero_convention(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_shape_pairs(), SMALL)
+def test_elementwise_kernels_match_dense(pair, s):
+    a, b = pair
+    da, db = _dense(a), _dense(b)
+    assert (a + b).data == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+    assert (a - b).data == [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+    assert a.scale(s).data == [[s * x for x in row] for row in da]
+    assert (-a).data == [[-x for x in row] for row in da]
+    assert a.transpose().data == [list(col) for col in zip(*da)]
+    assert (a == b) == (da == db)
+    assert a.is_zero() == all(x == 0 for row in da for x in row)
+    assert a.nonzero_count() == sum(x != 0 for row in da for x in row)
+    assert a.is_diagonal() == all(
+        x == 0 for i, row in enumerate(da) for j, x in enumerate(row) if i != j
+    )
+    # the inputs are left as they were
+    assert _dense(a) == da and _dense(b) == db
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_pairs(), sparse_matrices())
+def test_products_match_dense(pair, c):
+    a, b = pair
+    assert a.matmul(b).data == _ref_mul(_dense(a), _dense(b))
+    assert a.kron(c).data == [
+        [x * y for x in ra for y in rc] for ra in _dense(a) for rc in _dense(c)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense(a):
+    red, pivots = a.rref()
+    ref, ref_pivots = _ref_rref(_dense(a))
+    assert red.data == ref and pivots == ref_pivots
+    assert a.rank() == len(ref_pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_gram_adjoint_matches_dense(a, data):
+    positive = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    gs = data.draw(st.lists(positive, min_size=a.cols, max_size=a.cols))
+    gt = data.draw(st.lists(positive, min_size=a.rows, max_size=a.rows))
+    out = gram_adjoint(a, Matrix.diagonal(gs), Matrix.diagonal(gt))
+    assert out.data == [
+        [a.data[y][x] * gt[y] / gs[x] for y in range(a.rows)] for x in range(a.cols)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_shape_pairs(), product_pairs())
+def test_kernels_keep_the_zero_convention(pair, prod):
+    # inputs written only by constructors give results that store ZERO
+    # for every zero entry
+    clean = [Matrix(_dense(m)) for m in pair + prod]
+    a, b, c, d = clean
+    for out in (a + b, a - b, a.scale(3), a.scale(0), c.matmul(d), a.kron(d),
+                a.rref()[0], a.transpose()):
+        assert _follows_zero_convention(out)
+
+
+def test_scalar_predicate_tests_values():
+    a = Matrix.identity(3).scale(F(1, 2))
+    assert a.is_scalar()
+    a.data[0][1] = F(0)
+    assert a.is_scalar() and a.is_diagonal()
+    a.data[2][2] = F(1, 3)
+    assert not a.is_scalar()
+
+
+# ---------------------------------------------------------------------------
+# block-wise Lagrange projection against whole-matrix interpolation
+# ---------------------------------------------------------------------------
+
+def _ref_projector(a, lams, t):
+    """Whole-matrix Lagrange interpolation on plain lists, and its residual."""
+    n = len(a)
+    eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    shift = lambda lam: [[a[i][j] - lam * eye[i][j] for j in range(n)] for i in range(n)]
+    p = eye
+    for j, lam in enumerate(lams):
+        if j != t:
+            p = [[x / (lams[t] - lam) for x in row] for row in _ref_mul(p, shift(lam))]
+    return p, _ref_mul(p, shift(lams[t]))
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """P (S_1 D_1 S_1^-1 (+) S_2 D_2 S_2^-1 (+) ...) P^T with unit upper
+    triangular integer S_b, so the spectrum is the set of diagonal entries."""
+    spectrum = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    dense = [[F(0)] * n for _ in range(n)]
+    used = set()
+    off = 0
+    for b in sizes:
+        d = Matrix.diagonal([draw(st.sampled_from(spectrum)) for _ in range(b)])
+        used.update(d.diagonal_entries())
+        nil = Matrix([[draw(st.integers(-2, 2)) if j > i else 0 for j in range(b)]
+                      for i in range(b)])
+        s = Matrix.identity(b) + nil
+        sinv = Matrix.identity(b)
+        power = Matrix.identity(b)
+        for k in range(1, b):
+            power = power * nil
+            sinv = sinv + power.scale((-1) ** k)
+        blk = s * d * sinv
+        for i in range(b):
+            dense[off + i][off:off + b] = blk.data[i]
+        off += b
+    perm = draw(st.permutations(range(n)))
+    a = Matrix([[dense[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2)):
+        if a.data[i][j] == 0:
+            a.data[i][j] = F(0)  # a fresh zero joins two blocks; same result
+    extra = draw(st.lists(st.integers(5, 7), max_size=1))
+    return a, [F(x) for x in spectrum + extra], used
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal(), st.data())
+def test_block_projector_matches_whole_matrix(case, data):
+    a, lams, _ = case
+    t = data.draw(st.integers(0, len(lams) - 1))
+    ref, residual = _ref_projector(_dense(a), lams, t)
+    assert all(x == 0 for row in residual for x in row)
+    assert lagrange_projector(a, lams, t).data == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal(), st.data())
+def test_block_projector_residual_with_moved_eigenvalue(case, data):
+    a, lams, eigenvalues = case
+    moved = data.draw(st.sampled_from([i for i, lam in enumerate(lams) if lam in eigenvalues]))
+    wrong = list(lams)
+    wrong[moved] += F(1, 2)
+    t = data.draw(st.integers(0, len(lams) - 1))
+    _, residual = _ref_projector(_dense(a), wrong, t)
+    count = sum(x != 0 for row in residual for x in row)
+    assert count > 0
+    with pytest.raises(SpectralCompletenessError) as err:
+        lagrange_projector(a, wrong, t)
+    assert f"({count} nonzero residual entries)" in str(err.value)
+    assert err.value.residual.data == residual
