@@ -180,7 +180,8 @@ def weitzenboeck(rho) -> BochnerIdentity:
             plus.append(Fraction(2 * (top - rho.entries[i - 1] + i - 1), span))
         else:
             plus.append(Fraction(0))
-    assert all(c >= 0 for c in minus) and all(c >= 0 for c in plus)
+    if any(c < 0 for c in minus + plus):
+        raise AssertionError(f"negative Weitzenboeck coefficient for {rho}: {minus}, {plus}")
     curv = [
         CurvatureTerm("nabla*nabla", Fraction(1)),
         CurvatureTerm("R^1", Fraction(2, span)),
@@ -228,7 +229,8 @@ class EigenvalueBound:
     witness_p: int
 
     def __post_init__(self):
-        assert self.bound_coefficient > 1
+        if not self.bound_coefficient > 1:
+            raise AssertionError(f"bound coefficient {self.bound_coefficient} is not > 1")
 
 
 def kirchberg_bound(m: int) -> EigenvalueBound:
@@ -243,7 +245,8 @@ def kirchberg_bound(m: int) -> EigenvalueBound:
         if best is None or val < best:
             best, witness = val, p
     closed = Fraction(m, m - 1) if m % 2 == 0 else Fraction(m + 1, m)
-    assert best == closed, (m, best, closed)
+    if best != closed:
+        raise AssertionError(f"bound {best} at m={m} differs from the closed form {closed}")
     return EigenvalueBound(m=m, bound_coefficient=best, witness_p=witness)
 
 

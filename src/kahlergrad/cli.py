@@ -107,6 +107,8 @@ def cmd_weights(args) -> int:
 def cmd_casimir(args) -> int:
     rho = parse_weight(args.rho)
     q_max = args.q if args.q is not None else 2 * rho.m
+    if q_max < 0:
+        raise InputError(f"--q must be >= 0, got {q_max}")
     rows = [
         {
             "q": q,
@@ -497,15 +499,16 @@ def _parse_m_range(text: str) -> list:
     """'3' -> [3]; '2-4' -> [2, 3, 4]."""
     try:
         if "-" in text.lstrip("-"):
-            lo, hi = text.split("-", 1)
-            ms = list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split("-", 1))
         else:
-            ms = [int(text)]
+            lo = hi = int(text)
     except ValueError:
         raise InputError(f"--m must be an integer or a range like 2-4, got {text!r}")
-    if not ms or min(ms) < 1:
+    if lo > hi:
+        raise InputError(f"--m range {text!r} is empty: {lo} > {hi}")
+    if lo < 1:
         raise InputError("--m values must be >= 1")
-    return ms
+    return list(range(lo, hi + 1))
 
 
 def cmd_verify(args) -> int:

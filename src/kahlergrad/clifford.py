@@ -38,7 +38,7 @@ from .weights import (
     weyl_dimension,
 )
 from .envalg import k_of_casimirs
-from .gtrep import Representation, e_power_matrix
+from .gtrep import Representation, e_power_matrices
 
 __all__ = [
     "TargetData",
@@ -307,8 +307,7 @@ def verify_relations(
 
     variant = "tilde" if sys.sign == "+" else "plain"
     # degrees up to m-1 are also needed by the Vandermonde-solved form
-    powers = {q: e_power_matrix(rep_, q, variant)
-              for q in range(max(q_max, m - 1) + 1)}
+    powers = e_power_matrices(rep_, max(q_max, m - 1), variant)
 
     for q in range(q_max + 1):
         for k in range(1, m + 1):

@@ -7,17 +7,24 @@ within one fixed order.  Rewriting uses the commutation rule
 
     e_{ij} e_{kl} = e_{kl} e_{ij} + delta_{jk} e_{il} - delta_{li} e_{kj}.
 
+Words are built from one table of the m^2 generator pairs, so a normal form
+holds at most m^2 distinct generator tuples however many terms it has.
+
 On top of the raw algebra this module builds the degree-q elements e_{kl}^q
 and their involution images, the Casimir traces c_q, the generating-function
 polynomials K_n, and a symbolic verifier for the binomial relations tying the
-two families together.
+two families together.  The degree-q elements come from recursion on the
+degree, e^q_kl = sum_i e^(q-1)_ki e_il, one row at a time, rather than from
+normal-ordering each of the m^(q-1) index-path words.  The verifier builds the
+four families e_kl, e_lk, ~e_kl, ~e_lk of one unordered pair {k, l} once, runs
+every check of (k,l) and (l,k) on them and drops them before the next pair.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import product
+from operator import gt
 from math import comb, factorial
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -90,7 +97,7 @@ class PBWElement:
         self.m = m
         self.terms = {w: c for w, c in terms.items() if c}
         for w in self.terms:
-            if any(w[i] > w[i + 1] for i in range(len(w) - 1)):
+            if any(map(gt, w, w[1:])):
                 raise ValueError(f"monomial {w} is not normal ordered")
 
     # -- constructors ------------------------------------------------------
@@ -147,7 +154,8 @@ class PBWElement:
         self._same_rank(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
+            old = terms.get(w)
+            terms[w] = c if old is None else old + c
         return PBWElement(self.m, terms)
 
     def __sub__(self, other: "PBWElement") -> "PBWElement":
@@ -160,16 +168,19 @@ class PBWElement:
         s = Fraction(s)
         if not s:
             return PBWElement.zero(self.m)
+        if s == 1:
+            return self
         return PBWElement(self.m, {w: s * c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, PBWElement):
             return self.scale(other)
         self._same_rank(other)
+        gens = _generators(self.m)
         out: Dict[Monomial, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _accumulate(out, w1 + w2, c1 * c2, self.m)
+                _accumulate(out, w1 + w2, c1 * c2, gens)
         return PBWElement(self.m, out)
 
     def __rmul__(self, other):
@@ -177,11 +188,12 @@ class PBWElement:
 
     def involution(self) -> "PBWElement":
         """Transpose each generator, keep the order, weigh by (-1)^degree."""
+        gens = _generators(self.m)
         out: Dict[Monomial, Fraction] = {}
         for w, c in self.terms.items():
             sign = -c if len(w) % 2 else c
-            word = tuple((l, k) for k, l in w)
-            _accumulate(out, word, sign, self.m)
+            word = tuple(gens[l][k] for k, l in w)
+            _accumulate(out, word, sign, gens)
         return PBWElement(self.m, out)
 
     def _same_rank(self, other: "PBWElement"):
@@ -189,29 +201,45 @@ class PBWElement:
             raise ValueError(f"rank mismatch: {self.m} vs {other.m}")
 
 
-def _accumulate(out: Dict[Monomial, Fraction], word, coeff: Fraction, m: int):
-    """Normal-order one word into ``out`` by adjacent-swap rewriting."""
+def _generators(m: int):
+    """The m^2 generator pairs, gens[k][l] = (k, l) for 1 <= k, l <= m.
+
+    Words built from one table share these objects, so a normal form holds
+    at most m^2 distinct generator tuples however many terms it has.
+    """
+    return [()] + [[()] + [(k, l) for l in range(1, m + 1)] for k in range(1, m + 1)]
+
+
+def _accumulate(out: Dict[Monomial, Fraction], word, coeff: Fraction, gens):
+    """Normal-order one word into ``out`` by adjacent-swap rewriting.
+
+    A swap reuses the two generator objects; a commutator term takes its
+    generator from the table ``gens`` of `_generators`.
+    """
     stack = [(list(word), coeff)]
     while stack:
         w, c = stack.pop()
-        swapped = False
         for i in range(len(w) - 1):
-            if w[i] > w[i + 1]:
-                (a, b), (k, l) = w[i], w[i + 1]
-                stack.append((w[:i] + [(k, l), (a, b)] + w[i + 2:], c))
+            x, y = w[i], w[i + 1]
+            if x > y:
+                (a, b), (k, l) = x, y
+                stack.append((w[:i] + [y, x] + w[i + 2:], c))
                 if b == k:
-                    stack.append((w[:i] + [(a, l)] + w[i + 2:], c))
+                    stack.append((w[:i] + [gens[a][l]] + w[i + 2:], c))
                 if l == a:
-                    stack.append((w[:i] + [(k, b)] + w[i + 2:], -c))
-                swapped = True
+                    stack.append((w[:i] + [gens[k][b]] + w[i + 2:], -c))
                 break
-        if not swapped:
+        else:
             key = tuple(w)
-            new = out.get(key, Fraction(0)) + c
-            if new:
-                out[key] = new
-            elif key in out:
-                del out[key]
+            old = out.get(key)
+            if old is None:
+                out[key] = c
+            else:
+                new = old + c
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
 
 
 def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
@@ -219,9 +247,36 @@ def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
     for k, l in word:
         _check_index(k, m)
         _check_index(l, m)
+    gens = _generators(m)
     out: Dict[Monomial, Fraction] = {}
-    _accumulate(out, tuple(word), Fraction(coeff), m)
+    _accumulate(out, tuple(gens[k][l] for k, l in word), Fraction(coeff), gens)
     return PBWElement(m, out)
+
+
+def _path_sum(k: int, l: int, q: int, m: int, tilde: bool) -> PBWElement:
+    """e^q_kl, or its involution image when ``tilde``, for q >= 1, by
+    recursion on the degree:
+
+        e^p_kj = sum_i e^(p-1)_ki e_ij,    ~e^p_kj = -sum_i ~e^(p-1)_ki e_ji.
+
+    Row k is built one degree at a time, each step right-multiplying normal
+    forms by a single generator; the last degree is built at column l only.
+    This equals the sum over index paths because normal forms are unique.
+    """
+    gens = _generators(m)
+    unit = Fraction(-1 if tilde else 1)
+    row = {j: {(gens[j][k] if tilde else gens[k][j],): unit} for j in range(1, m + 1)}
+    for p in range(2, q + 1):
+        step = {}
+        for j in (range(1, m + 1) if p < q else (l,)):
+            out: Dict[Monomial, Fraction] = {}
+            for i in range(1, m + 1):
+                g = gens[j][i] if tilde else gens[i][j]
+                for w, c in row[i].items():
+                    _accumulate(out, w + (g,), -c if tilde else c, gens)
+            step[j] = out
+        row = step
+    return PBWElement(m, row[l])
 
 
 def e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
@@ -233,17 +288,11 @@ def e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBW
     if q == 0:
         return PBWElement.one(m) if k == l else PBWElement.zero(m)
     _guard(m ** (q - 1), budget, f"e_power({k},{l},{q}) at rank {m}")
-    out: Dict[Monomial, Fraction] = {}
-    one = Fraction(1)
-    for mid in product(range(1, m + 1), repeat=q - 1):
-        seq = (k,) + mid + (l,)
-        word = tuple((seq[i], seq[i + 1]) for i in range(q))
-        _accumulate(out, word, one, m)
-    return PBWElement(m, out)
+    return _path_sum(k, l, q, m, tilde=False)
 
 
 def tilde_e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
-    """Involution image of e_power, built directly from its defining sum:
+    """Involution image of e_power, from its defining sum
     (-1)^q sum e_{i_1 k} e_{i_2 i_1} ... e_{l i_{q-1}}."""
     _check_index(k, m)
     _check_index(l, m)
@@ -252,13 +301,7 @@ def tilde_e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) 
     if q == 0:
         return PBWElement.one(m) if k == l else PBWElement.zero(m)
     _guard(m ** (q - 1), budget, f"tilde_e_power({k},{l},{q}) at rank {m}")
-    out: Dict[Monomial, Fraction] = {}
-    sign = Fraction(-1) ** q
-    for mid in product(range(1, m + 1), repeat=q - 1):
-        seq = (k,) + mid + (l,)
-        word = tuple((seq[i + 1], seq[i]) for i in range(q))
-        _accumulate(out, word, sign, m)
-    return PBWElement(m, out)
+    return _path_sum(k, l, q, m, tilde=True)
 
 
 def casimir_element(q: int, m: int, variant: str = "plain",
@@ -367,81 +410,102 @@ def k_central(n: int, m: int, variant: str = "plain",
 # Symbolic verification of the binomial relations between the two families
 # ---------------------------------------------------------------------------
 
-def _binomial_side(k, l, q, m, family, budget):
-    """sum_p C(q,p) (-m)^{q-p} family(k,l,p)."""
-    total = PBWElement.zero(m)
+def _binom(q, p, m) -> Fraction:
+    """C(q,p) (-m)^(q-p)."""
+    return Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
+
+
+def _binomial_diff(q, m, family, dual, ks):
+    """sum_p C(q,p) (-m)^(q-p) family[p] - (-1)^q sum_p ks[q-p] * dual[p]."""
+    lhs = PBWElement.zero(m)
+    rhs = PBWElement.zero(m)
     for p in range(q + 1):
-        coeff = Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
-        total = total + family(k, l, p, m, budget).scale(coeff)
-    return total
+        lhs = lhs + family[p].scale(_binom(q, p, m))
+        rhs = rhs + ks[q - p] * dual[p]
+    return lhs - rhs.scale(Fraction(-1) ** q)
+
+
+def _trace_diff(q, m, casimirs, k_next):
+    """sum_p C(q,p) (-m)^(q-p) casimirs[p] - (-1)^q k_next."""
+    lhs = PBWElement.zero(m)
+    for p in range(q + 1):
+        lhs = lhs + casimirs[p].scale(_binom(q, p, m))
+    return lhs - k_next.scale(Fraction(-1) ** q)
 
 
 def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) -> VerificationReport:
     """Machine check of the degree-q relations between the e and tilde-e
     families, their trace forms, and the solved expressions, all as exact
     normal-form identities.
+
+    The index pairs are taken unordered: the four families e_kl, e_lk,
+    ~e_kl and ~e_lk of degree p <= q_max serve every check of both (k,l) and
+    (l,k), so each element is built once and dropped with its pair.  The
+    Casimir elements are summed from the diagonal pairs.  The items are then
+    reported degree by degree, in the fixed order of the tags.
     """
     if m < 1 or q_max < 0:
         raise ValueError("need m >= 1 and q_max >= 0")
-    rep = VerificationReport()
-    sign = lambda q: Fraction(-1) ** q
-
     kc = {n: k_central(n, m, "plain", budget) for n in range(q_max + 2)}
     kct = {n: k_central(n, m, "tilde", budget) for n in range(q_max + 2)}
+    degrees = range(q_max + 1)
+    # solved[q][p] = sum_{s=p}^{q} C(q,s) (-m)^(q-s) K_{s-p}, the coefficient
+    # of e^p_lk in the solved form of ~e^q_kl
+    solved = [[sum((kc[s - p].scale(_binom(q, s, m)) for s in range(p, q + 1)),
+                   PBWElement.zero(m)) for p in range(q + 1)] for q in degrees]
+    cas = [PBWElement.zero(m)] * (q_max + 1)
+    cas_t = [PBWElement.zero(m)] * (q_max + 1)
+    witness = {}    # (tag, q, k, l) -> None when the difference is zero, else its repr
 
-    for q in range(q_max + 1):
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                lhs = _binomial_side(k, l, q, m, tilde_e_power, budget)
-                rhs = PBWElement.zero(m)
-                for p in range(q + 1):
-                    rhs = rhs + kc[q - p] * e_power(l, k, p, m, budget)
-                diff = lhs - rhs.scale(sign(q))
-                rep.check("binomial-tilde-to-plain", {"m": m, "q": q, "k": k, "l": l},
-                          diff.is_zero(), witness=repr(diff))
+    def record(key, diff):
+        witness[key] = None if diff.is_zero() else repr(diff)
 
-                lhs = _binomial_side(k, l, q, m, e_power, budget)
-                rhs = PBWElement.zero(m)
-                for p in range(q + 1):
-                    rhs = rhs + kct[q - p] * tilde_e_power(l, k, p, m, budget)
-                diff = lhs - rhs.scale(sign(q))
-                rep.check("binomial-plain-to-tilde", {"m": m, "q": q, "k": k, "l": l},
-                          diff.is_zero(), witness=repr(diff))
+    for k in range(1, m + 1):
+        for l in range(k, m + 1):
+            plain, tilde = {}, {}
+            for a, b in [(k, l)] if k == l else [(k, l), (l, k)]:
+                plain[a, b] = [e_power(a, b, p, m, budget) for p in degrees]
+                tilde[a, b] = [tilde_e_power(a, b, p, m, budget) for p in degrees]
+            for a, b in plain:
+                for q in degrees:
+                    record(("binomial-tilde-to-plain", q, a, b),
+                           _binomial_diff(q, m, tilde[a, b], plain[b, a], kc))
+                    record(("binomial-plain-to-tilde", q, a, b),
+                           _binomial_diff(q, m, plain[a, b], tilde[b, a], kct))
+                    rhs = PBWElement.zero(m)
+                    for p in range(q + 1):
+                        rhs = rhs + solved[q][p] * plain[b, a][p]
+                    record(("solved-tilde-elements", q, a, b),
+                           tilde[a, b][q] - rhs.scale(Fraction(-1) ** q))
+            if k == l:
+                cas = [c + e for c, e in zip(cas, plain[k, k])]
+                cas_t = [c + e for c, e in zip(cas_t, tilde[k, k])]
 
-        # trace forms relating the two Casimir families
-        lhs = PBWElement.zero(m)
-        for p in range(q + 1):
-            coeff = Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
-            lhs = lhs + casimir_element(p, m, "tilde", budget).scale(coeff)
-        diff = lhs - kc[q + 1].scale(sign(q))
-        rep.check("casimir-binomial-tilde", {"m": m, "q": q}, diff.is_zero(), witness=repr(diff))
-
-        lhs = PBWElement.zero(m)
-        for p in range(q + 1):
-            coeff = Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
-            lhs = lhs + casimir_element(p, m, "plain", budget).scale(coeff)
-        diff = lhs - kct[q + 1].scale(sign(q))
-        rep.check("casimir-binomial-plain", {"m": m, "q": q}, diff.is_zero(), witness=repr(diff))
-
-        # solved forms: tilde elements as combinations of the plain family
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                rhs = PBWElement.zero(m)
-                for p in range(q + 1):
-                    co = PBWElement.zero(m)
-                    for s in range(p, q + 1):
-                        cs = Fraction(comb(q, s)) * Fraction(-m) ** (q - s)
-                        co = co + kc[s - p].scale(cs)
-                    rhs = rhs + co * e_power(l, k, p, m, budget)
-                diff = tilde_e_power(k, l, q, m, budget) - rhs.scale(sign(q))
-                rep.check("solved-tilde-elements", {"m": m, "q": q, "k": k, "l": l},
-                          diff.is_zero(), witness=repr(diff))
-
+    for q in degrees:
+        record(("casimir-binomial-tilde", q), _trace_diff(q, m, cas_t, kc[q + 1]))
+        record(("casimir-binomial-plain", q), _trace_diff(q, m, cas, kct[q + 1]))
         rhs = PBWElement.zero(m)
         for p in range(q + 1):
-            coeff = Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
-            rhs = rhs + kc[p + 1].scale(coeff)
-        diff = casimir_element(q, m, "tilde", budget) - rhs.scale(sign(q))
-        rep.check("solved-tilde-casimir", {"m": m, "q": q}, diff.is_zero(), witness=repr(diff))
+            rhs = rhs + kc[p + 1].scale(_binom(q, p, m))
+        record(("solved-tilde-casimir", q), cas_t[q] - rhs.scale(Fraction(-1) ** q))
 
+    rep = VerificationReport()
+    pairs = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
+
+    def emit(tag, q, k=None, l=None):
+        if k is None:
+            params, w = {"m": m, "q": q}, witness[tag, q]
+        else:
+            params, w = {"m": m, "q": q, "k": k, "l": l}, witness[tag, q, k, l]
+        rep.check(tag, params, w is None, witness=w)
+
+    for q in degrees:
+        for k, l in pairs:
+            emit("binomial-tilde-to-plain", q, k, l)
+            emit("binomial-plain-to-tilde", q, k, l)
+        emit("casimir-binomial-tilde", q)
+        emit("casimir-binomial-plain", q)
+        for k, l in pairs:
+            emit("solved-tilde-elements", q, k, l)
+        emit("solved-tilde-casimir", q)
     return rep

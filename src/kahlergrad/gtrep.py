@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import Matrix, gram_adjoint
 from .envalg import PBWElement
@@ -38,6 +38,7 @@ __all__ = [
     "build_rep",
     "invariant_gram",
     "evaluate",
+    "e_power_matrices",
     "e_power_matrix",
     "casimir_matrix",
     "DEFAULT_DIMENSION_BUDGET",
@@ -326,30 +327,49 @@ def _block_matrix(rep: Representation, variant: str) -> Matrix:
     return big
 
 
-def e_power_matrix(rep: Representation, q: int, variant: str = "plain") -> Dict[Tuple[int, int], Matrix]:
-    """Matrices of all e_{kl}^q (or tilde) at once, via block powers."""
-    if q < 0:
+def _block_powers(rep: Representation, q_max: int, variant: str):
+    """Yield the powers P^0 .. P^q_max of the block matrix P of `_block_matrix`,
+    multiplying up from one P; None stands for P^0."""
+    if q_max < 0:
         raise ValueError("q must be nonnegative")
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
+    yield None
+    if q_max:
+        base = power = _block_matrix(rep, variant)
+        yield power
+        for _ in range(q_max - 1):
+            power = power * base
+            yield power
+
+
+def _power_blocks(rep: Representation, q: int, power: Optional[Matrix],
+                  variant: str) -> Dict[Tuple[int, int], Matrix]:
+    """The (k,l) blocks of the q-th block power, signed for the tilde family."""
     m, n = rep.m, rep.dim
-    if q == 0:
-        out = {}
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                out[(k, l)] = Matrix.identity(n) if k == l else Matrix.zeros(n, n)
-        return out
-    power = _block_matrix(rep, variant)
-    base = power
-    for _ in range(q - 1):
-        power = power * base
     negate = variant == "tilde" and q % 2 == 1
     out = {}
     for k in range(m):
         for l in range(m):
-            blk = power.submatrix(range(k * n, (k + 1) * n), range(l * n, (l + 1) * n))
+            if power is None:
+                blk = Matrix.identity(n) if k == l else Matrix.zeros(n, n)
+            else:
+                blk = power.submatrix(range(k * n, (k + 1) * n), range(l * n, (l + 1) * n))
             out[(k + 1, l + 1)] = -blk if negate else blk
     return out
+
+
+def e_power_matrix(rep: Representation, q: int, variant: str = "plain") -> Dict[Tuple[int, int], Matrix]:
+    """Matrices of all e_{kl}^q (or tilde) at once, via block powers."""
+    *_, power = _block_powers(rep, q, variant)
+    return _power_blocks(rep, q, power, variant)
+
+
+def e_power_matrices(rep: Representation, q_max: int,
+                     variant: str = "plain") -> List[Dict[Tuple[int, int], Matrix]]:
+    """`e_power_matrix` of every degree 0..q_max, from one run of block powers."""
+    return [_power_blocks(rep, q, power, variant)
+            for q, power in enumerate(_block_powers(rep, q_max, variant))]
 
 
 def casimir_matrix(rep: Representation, q: int, variant: str = "plain") -> Matrix:

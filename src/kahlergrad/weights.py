@@ -123,7 +123,7 @@ def conformal_table(rho, sign: str) -> ConformalWeightTable:
     """Conformal weights, gamma constants and shift validity for one sign.
 
     gamma is always the product formula; its vanishing at non-dominant shifts
-    is a theorem, not a special case, and is asserted here.
+    is a theorem, not a special case, and is checked here.
     """
     rho = HighestWeight.coerce(rho)
     w = _conformal_w(rho, sign)
@@ -132,8 +132,11 @@ def conformal_table(rho, sign: str) -> ConformalWeightTable:
     gamma = _gamma(w)
     valid = tuple(shift(rho, sign, i) is not None for i in range(1, rho.m + 1))
     for g, ok in zip(gamma, valid):
-        assert (g == 0) == (not ok), (rho, sign, w, gamma, valid)
-    assert sum(gamma) == rho.m
+        if (g == 0) != (not ok):
+            raise AssertionError(
+                f"gamma of {rho} ({sign}) does not vanish exactly at the invalid shifts: gamma {gamma}, valid {valid}")
+    if sum(gamma) != rho.m:
+        raise AssertionError(f"gamma constants of {rho} sum to {sum(gamma)}, not {rho.m}")
     return ConformalWeightTable(rho, sign, tuple(w), tuple(gamma), valid)
 
 

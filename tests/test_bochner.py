@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import kahlergrad
 from kahlergrad.bochner import (
+    EigenvalueBound,
     bochner_identity,
     constant_curvature_scalar,
     cpm_holomorphic_eigenvalue,
@@ -105,6 +110,29 @@ def test_cpm_eigenvalue():
     assert cpm_holomorphic_eigenvalue((1, 0), 2, 1) == F(3, 4)
     with pytest.raises(ValueError):
         cpm_holomorphic_eigenvalue((1, 0, 0), 2, 1)  # (1,-1,0) not decreasing
+
+
+def test_eigenvalue_bound_rejects_coefficient_at_most_one():
+    with pytest.raises(AssertionError):
+        EigenvalueBound(2, F(1), 0)
+
+
+def test_eigenvalue_bound_check_survives_optimized_mode():
+    # python -O strips assert statements; the check must still raise
+    code = (
+        "from kahlergrad.bochner import EigenvalueBound\n"
+        "assert False\n"
+        "try:\n"
+        "    EigenvalueBound(2, 0, 0)\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(kahlergrad.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised\n"
 
 
 def test_kirchberg_examples():

@@ -99,6 +99,20 @@ def test_verify_unknown_suite_exits_2():
     assert run("verify", "--suite", "nonsense").returncode == 2
 
 
+def test_casimir_negative_degree_exits_2():
+    out = run("casimir", "1,0", "--q", "-3")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "--q must be >= 0" in out.stderr
+
+
+def test_verify_reversed_m_range_exits_2():
+    out = run("verify", "--m", "3-2")
+    assert out.returncode == 2
+    assert "--m range '3-2' is empty" in out.stderr
+    assert "must be >= 1" not in out.stderr
+
+
 def test_verify_jobs_parallel():
     out = run(
         "verify", "--m", "2", "--bound", "1", "--q", "1",

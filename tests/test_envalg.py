@@ -210,6 +210,65 @@ def test_budget_guard():
     assert not e_power(1, 1, 3, 3, budget=100).is_zero()
 
 
+def _path_sum_oracle(k, l, q, m, tilde):
+    """The defining sum over index paths, one word at a time."""
+    total = PBWElement.zero(m)
+    for mid in product(range(1, m + 1), repeat=q - 1):
+        seq = (k,) + mid + (l,)
+        if tilde:
+            word = [(seq[i + 1], seq[i]) for i in range(q)]
+            total = total + pbw_normalize(word, m, F(-1) ** q)
+        else:
+            total = total + pbw_normalize([(seq[i], seq[i + 1]) for i in range(q)], m)
+    return total
+
+
+@pytest.mark.parametrize("m,q_max", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_degree_recursion_matches_path_sums(m, q_max):
+    for q in range(1, q_max + 1):
+        for k, l in product(range(1, m + 1), repeat=2):
+            assert e_power(k, l, q, m) == _path_sum_oracle(k, l, q, m, False), (k, l, q)
+            assert tilde_e_power(k, l, q, m) == _path_sum_oracle(k, l, q, m, True), (k, l, q)
+
+
+def test_normal_forms_share_generator_tuples():
+    m = 3
+    for build in (e_power, tilde_e_power):
+        x = build(1, 2, 4, m)
+        assert x.degree() == 4
+        ids = {id(g) for w in x.terms for g in w}
+        assert len(ids) <= m * m
+
+
+def test_binomial_report_order():
+    # the loop nest the report follows: degree outermost, then the tags
+    expected = []
+    m, q_max = 3, 3
+    pairs = list(product(range(1, m + 1), repeat=2))
+    for q in range(q_max + 1):
+        for k, l in pairs:
+            for tag in ("binomial-tilde-to-plain", "binomial-plain-to-tilde"):
+                expected.append((tag, {"m": m, "q": q, "k": k, "l": l}))
+        for tag in ("casimir-binomial-tilde", "casimir-binomial-plain"):
+            expected.append((tag, {"m": m, "q": q}))
+        for k, l in pairs:
+            expected.append(("solved-tilde-elements", {"m": m, "q": q, "k": k, "l": l}))
+        expected.append(("solved-tilde-casimir", {"m": m, "q": q}))
+    rep = verify_binomial_relations(m, q_max)
+    got = [(it.tag, it.params) for it in rep.items]
+    assert got == expected
+    assert [list(p) for _, p in got] == [list(p) for _, p in expected]
+    assert rep.passed
+
+
+def test_binomial_budget_message():
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_binomial_relations(3, 4, budget=20)
+    assert str(exc.value) == (
+        "e_power(1,1,4) at rank 3 needs 27 words, exceeding the term budget 20"
+    )
+
+
 def test_budget_from_environment(monkeypatch):
     from kahlergrad.envalg import term_budget
 

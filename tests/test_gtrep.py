@@ -9,6 +9,7 @@ from kahlergrad.gtrep import (
     GTPattern,
     build_rep,
     casimir_matrix,
+    e_power_matrices,
     e_power_matrix,
     evaluate,
     gt_patterns,
@@ -92,6 +93,17 @@ def test_evaluate_matches_block_powers():
                     from kahlergrad.envalg import tilde_e_power
 
                     assert tblocks[(k, l)] == evaluate(rep, tilde_e_power(k, l, q, m))
+
+
+def test_block_power_series_matches_single_degrees():
+    rep = build_rep((1, 0, -1))
+    for variant in ("plain", "tilde"):
+        series = e_power_matrices(rep, 3, variant)
+        assert series == [e_power_matrix(rep, q, variant) for q in range(4)]
+    with pytest.raises(ValueError):
+        e_power_matrices(rep, -1)
+    with pytest.raises(ValueError):
+        e_power_matrix(rep, 2, "other")
 
 
 def test_matrix_level_composition():
