@@ -378,7 +378,7 @@ def _task_weights(m: int, bound: int, q_max: int, budget) -> VerificationReport:
 
 
 def _task_gtrep(rho_entries, q_max: int, budget) -> VerificationReport:
-    from .gtrep import build_rep, casimir_matrix
+    from .gtrep import build_rep, casimir_matrices
     from .linalg import Matrix
 
     rep = VerificationReport()
@@ -390,16 +390,19 @@ def _task_gtrep(rho_entries, q_max: int, budget) -> VerificationReport:
         rep.check("build-rep", base, False, witness=str(exc))
         return rep
     rep.check("build-rep", base, True)
+    # casimir-2-closed-form needs c_2 even when q_max < 2
+    casimirs = {variant: casimir_matrices(model, max(q_max, 2), variant)
+                for variant in ("plain", "tilde")}
     for q in range(q_max + 1):
         for variant in ("plain", "tilde"):
-            mat = casimir_matrix(model, q, variant)
+            mat = casimirs[variant][q]
             expected = weights.casimir_eigenvalue(rho, q, variant)
             ok = mat.is_scalar() and (
                 mat.diagonal_entries()[0] == expected if model.dim else True
             )
             rep.check("casimir-matrix", {**base, "q": q, "variant": variant}, ok,
                       witness=f"expected scalar {expected}")
-    c2 = casimir_matrix(model, 2, "plain")
+    c2 = casimirs["plain"][2]
     rep.check(
         "casimir-2-closed-form", base,
         c2 == Matrix.identity(model.dim).scale(weights.casimir_quadratic_closed_form(rho)),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import ZERO, Matrix, gram_adjoint, lagrange_projector
+from .linalg import ZERO, Matrix, gram_adjoint, lagrange_projector, linear_combination
 from .report import VerificationReport
 from .weights import (
     ConformalWeightTable,
@@ -74,6 +74,7 @@ class CliffordSystem:
     projectors: List[Matrix]
     targets: List[Optional[TargetData]]
     _pp_cache: dict = field(default_factory=dict, repr=False)
+    _adj_cache: dict = field(default_factory=dict, repr=False)
     _tensor_gen: Dict[Tuple[int, int], Matrix] = field(default_factory=dict, repr=False)
 
     @property
@@ -97,6 +98,15 @@ class CliffordSystem:
             raise ValueError(f"no component at i={i} (shift not dominant)")
         return t.pmaps[k - 1]
 
+    def p_adjoint(self, i: int, k: int) -> Matrix:
+        """p_i(basis_k)^*, built once per (i, k); the component must exist."""
+        out = self._adj_cache.get((i, k))
+        if out is None:
+            t = self.targets[i - 1]
+            out = gram_adjoint(t.pmaps[k - 1], self.rep.gram, t.gram)
+            self._adj_cache[(i, k)] = out
+        return out
+
     def p_star_p(self, i: int, k: int, l: int) -> Matrix:
         """p_i(basis_k)^* p_i(basis_l) on the source module; zero matrix when
         the component vanishes."""
@@ -109,8 +119,7 @@ class CliffordSystem:
         if t is None:
             out = Matrix.zeros(n, n)
         else:
-            pk_star = gram_adjoint(t.pmaps[k - 1], self.rep.gram, t.gram)
-            out = pk_star * t.pmaps[l - 1]
+            out = self.p_adjoint(i, k) * t.pmaps[l - 1]
         self._pp_cache[key] = out
         return out
 
@@ -141,18 +150,14 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
     N = n * m
     table = conformal_table(rep.rho, sign)
 
-    chat = Matrix.zeros(N, N)
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            chat = chat + rep.gen[(k, l)].kron(_aux_generator(m, sign, l, k)).scale(2)
+    chat = linear_combination(
+        [(2, rep.gen[(k, l)].kron(_aux_generator(m, sign, l, k)))
+         for k in range(1, m + 1) for l in range(1, m + 1)], N, N)
 
     eigenvalues = [Fraction(-2 * w) for w in table.w]
     projectors = [lagrange_projector(chat, eigenvalues, t) for t in range(m)]
 
-    total = Matrix.zeros(N, N)
-    for p in projectors:
-        total = total + p
-    if total != Matrix.identity(N):
+    if linear_combination([(1, p) for p in projectors], N, N) != Matrix.identity(N):
         raise AssertionError("projectors do not resolve the identity")
 
     # tensor Gram form: source form on the module factor, unit form on the
@@ -260,16 +265,38 @@ def derived_representation(sys: CliffordSystem, i: int, validate: bool = False) 
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _elementary_symmetric(values: List[Fraction], j: int) -> Fraction:
+def _elementary_symmetric(values: List[Fraction]) -> List[Fraction]:
+    """The elementary symmetric polynomials e_0 .. e_len of ``values``."""
     e = [Fraction(1)] + [Fraction(0)] * len(values)
     for v in values:
         for deg in range(len(values), 0, -1):
             e[deg] += v * e[deg - 1]
-    return e[j]
+    return e
 
 
-def _diff_witness(diff: Matrix) -> str:
-    return f"{diff.nonzero_count()} nonzero entries in difference"
+def _check_zero(report: VerificationReport, tag: str, params: dict, diff: Matrix):
+    """One item that passes when ``diff`` vanishes; only a failure counts the
+    nonzero entries, for its witness."""
+    if diff.is_zero():
+        report.check(tag, params, True)
+    else:
+        report.check(tag, params, False,
+                     witness=f"{diff.nonzero_count()} nonzero entries in difference")
+
+
+def _projection_formula_diff(sys: CliffordSystem, i: int, l: int) -> Matrix:
+    """P_i E_l - sum_k E_k p_i(basis_k)^* p_i(basis_l), E_k = _embed_column(m, k, n),
+    without the products: right-multiplying by E_l selects the columns
+    l-1, l-1+m, ... of P_i, and left-multiplying by E_k puts row a at row
+    a*m + k-1."""
+    m, n = sys.m, sys.rep.dim
+    N = n * m
+    selected = sys.projectors[i - 1].submatrix(range(N), range(l - 1, N, m))
+    placed = Matrix.zeros(N, n)
+    for k in range(1, m + 1):
+        # rows shared with the cached p*p, which the difference only reads
+        placed.data[k - 1::m] = sys.p_star_p(i, k, l).data
+    return selected - placed
 
 
 def verify_relations(
@@ -289,87 +316,72 @@ def verify_relations(
     rho = rep_.rho
     report = VerificationReport()
     base = {"rho": str(rho), "sign": sys.sign}
-    ws = sys.table.w
+    ws = [Fraction(w) for w in sys.table.w]
     gammas = sys.table.gamma
-    ident = Matrix.identity(n)
+    valid = [i for i in range(1, m + 1) if sys.targets[i - 1] is not None]
+    units = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
 
     for i in range(1, m + 1):
         proj = sys.projectors[i - 1]
         report.check("projector-idempotent", {**base, "i": i},
                      proj * proj == proj)
         expected = weyl_dimension(shift(rho, sys.sign, i)) if sys.table.valid[i - 1] else 0
+        # the rank build_system found with its one rref: the component's
+        # dimension, or 0 where it checked that the projector vanishes
+        t = sys.targets[i - 1]
         report.check("projector-rank", {**base, "i": i, "expected": expected},
-                     proj.rank() == expected)
+                     (t.dim if t else 0) == expected)
         for j in range(i + 1, m + 1):
-            prod = proj * sys.projectors[j - 1]
-            report.check("projector-orthogonal", {**base, "i": i, "j": j},
-                         prod.is_zero(), witness=_diff_witness(prod))
+            _check_zero(report, "projector-orthogonal", {**base, "i": i, "j": j},
+                        proj * sys.projectors[j - 1])
 
     variant = "tilde" if sys.sign == "+" else "plain"
     # degrees up to m-1 are also needed by the Vandermonde-solved form
     powers = e_power_matrices(rep_, max(q_max, m - 1), variant)
 
     for q in range(q_max + 1):
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                acc = Matrix.zeros(n, n)
-                for i in range(1, m + 1):
-                    if sys.targets[i - 1] is None:
-                        continue
-                    wq = Fraction(ws[i - 1]) ** q if q else Fraction(1)
-                    acc = acc + sys.p_star_p(i, k, l).scale(wq)
-                diff = acc - powers[q][(k, l)]
-                tag = "completeness" if q == 0 else "moment-identity"
-                report.check(tag, {**base, "q": q, "k": k, "l": l},
-                             diff.is_zero(), witness=_diff_witness(diff))
+        tag = "completeness" if q == 0 else "moment-identity"
+        for k, l in units:
+            terms = [(ws[i - 1] ** q, sys.p_star_p(i, k, l)) for i in valid]
+            terms.append((-1, powers[q][(k, l)]))
+            _check_zero(report, tag, {**base, "q": q, "k": k, "l": l},
+                        linear_combination(terms, n, n))
 
     # intertwining: the maps shuffle the source action into the weight factor
-    for i in range(1, m + 1):
+    for i in valid:
         t = sys.targets[i - 1]
-        if t is None:
-            continue
         for k in range(1, m + 1):
-            lhs = t.pmaps[k - 1].scale(Fraction(ws[i - 1]))
-            rhs = Matrix.zeros(t.dim, n)
+            terms = [(ws[i - 1], t.pmaps[k - 1])]
             for l in range(1, m + 1):
                 if sys.sign == "+":
-                    rhs = rhs - t.pmaps[l - 1] * rep_.gen[(k, l)]
+                    terms.append((1, t.pmaps[l - 1] * rep_.gen[(k, l)]))
                 else:
-                    rhs = rhs + t.pmaps[l - 1] * rep_.gen[(l, k)]
-            diff = lhs - rhs
-            report.check("intertwining", {**base, "i": i, "k": k},
-                         diff.is_zero(), witness=_diff_witness(diff))
+                    terms.append((-1, t.pmaps[l - 1] * rep_.gen[(l, k)]))
+            _check_zero(report, "intertwining", {**base, "i": i, "k": k},
+                        linear_combination(terms, t.dim, n))
 
     # Vandermonde-solved form: p_i^* p_i as a combination of degrees < m
-    wlist = [Fraction(w) for w in ws]
-    for i in range(1, m + 1):
-        if sys.targets[i - 1] is None:
-            continue
-        others = [w for j, w in enumerate(wlist) if j != i - 1]
+    for i in valid:
+        others = [w for j, w in enumerate(ws) if j != i - 1]
         denom = Fraction(1)
         for w in others:
-            denom *= wlist[i - 1] - w
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                acc = Matrix.zeros(n, n)
-                for j in range(1, m + 1):
-                    coeff = (Fraction(-1) ** (m - j)) * _elementary_symmetric(
-                        others, m - j
-                    ) / denom
-                    if coeff:
-                        acc = acc + powers[j - 1][(k, l)].scale(coeff)
-                diff = sys.p_star_p(i, k, l) - acc
-                report.check("vandermonde-solved", {**base, "i": i, "k": k, "l": l},
-                             diff.is_zero(), witness=_diff_witness(diff))
+            denom *= ws[i - 1] - w
+        esym = _elementary_symmetric(others)
+        # minus the coefficient of degree j - 1
+        coeffs = [(-1) ** (m - j + 1) * esym[m - j] / denom for j in range(1, m + 1)]
+        for k, l in units:
+            terms = [(1, sys.p_star_p(i, k, l))]
+            terms += [(c, powers[j][(k, l)]) for j, c in enumerate(coeffs)]
+            _check_zero(report, "vandermonde-solved", {**base, "i": i, "k": k, "l": l},
+                        linear_combination(terms, n, n))
 
     # trace constants
+    ident = Matrix.identity(n)
     for i in range(1, m + 1):
-        acc = Matrix.zeros(n, n)
-        for k in range(1, m + 1):
-            acc = acc + sys.p_star_p(i, k, k)
-        diff = acc - ident.scale(gammas[i - 1])
-        report.check("gamma-trace", {**base, "i": i, "gamma": gammas[i - 1]},
-                     diff.is_zero(), witness=_diff_witness(diff))
+        terms = [(1, sys.p_star_p(i, k, k)) for k in range(1, m + 1)]
+        terms.append((-gammas[i - 1], ident))
+        _check_zero(report, "gamma-trace", {**base, "i": i, "gamma": gammas[i - 1]},
+                    linear_combination(terms, n, n))
 
     # completeness on each component
     for i in range(1, m + 1):
@@ -377,27 +389,16 @@ def verify_relations(
         if t is None:
             report.skip("target-completeness", {**base, "i": i}, "component vanishes")
             continue
-        acc = Matrix.zeros(t.dim, t.dim)
-        for k in range(1, m + 1):
-            pk = t.pmaps[k - 1]
-            acc = acc + pk * gram_adjoint(pk, rep_.gram, t.gram)
-        diff = acc - Matrix.identity(t.dim)
-        report.check("target-completeness", {**base, "i": i},
-                     diff.is_zero(), witness=_diff_witness(diff))
+        terms = [(1, t.pmaps[k - 1] * sys.p_adjoint(i, k)) for k in range(1, m + 1)]
+        terms.append((-1, Matrix.identity(t.dim)))
+        _check_zero(report, "target-completeness", {**base, "i": i},
+                    linear_combination(terms, t.dim, t.dim))
 
     # projection formula on the tensor space
-    for i in range(1, m + 1):
-        if sys.targets[i - 1] is None:
-            continue
-        proj = sys.projectors[i - 1]
+    for i in valid:
         for l in range(1, m + 1):
-            lhs = proj * _embed_column(m, l, n)
-            rhs = Matrix.zeros(n * m, n)
-            for k in range(1, m + 1):
-                rhs = rhs + _embed_column(m, k, n) * sys.p_star_p(i, k, l)
-            diff = lhs - rhs
-            report.check("projection-formula", {**base, "i": i, "l": l},
-                         diff.is_zero(), witness=_diff_witness(diff))
+            _check_zero(report, "projection-formula", {**base, "i": i, "l": l},
+                        _projection_formula_diff(sys, i, l))
 
     if paired is not None:
         plus = sys if sys.sign == "+" else paired
@@ -426,8 +427,6 @@ def verify_cross_relations(
     rho = rep_.rho
     report = VerificationReport()
     base = {"rho": str(rho)}
-    wp = [Fraction(w) for w in plus.table.w]
-    wm = [Fraction(w) for w in minus.table.w]
 
     kc = {qq: k_of_casimirs(qq, rho, "plain") for qq in range(q_max + 1)}
     kct = {qq: k_of_casimirs(qq, rho, "tilde") for qq in range(q_max + 1)}
@@ -435,43 +434,22 @@ def verify_cross_relations(
     rows = []
     for q in range(q_max + 1):
         sgn = Fraction(-1) ** q
-        # plus side shifted by -m against the minus family
-        coeff_plus = [(wp[i] - m) ** q if q else Fraction(1) for i in range(m)]
-        coeff_minus = [
-            sgn * sum(kc[q - p] * (wm[i] ** p if p else 1) for p in range(q + 1))
-            for i in range(m)
-        ]
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                lhs = Matrix.zeros(n, n)
-                for i in range(1, m + 1):
-                    lhs = lhs + plus.p_star_p(i, k, l).scale(coeff_plus[i - 1])
-                rhs = Matrix.zeros(n, n)
-                for i in range(1, m + 1):
-                    rhs = rhs + minus.p_star_p(i, l, k).scale(coeff_minus[i - 1])
-                diff = lhs - rhs
-                report.check("cross-sign-plus", {**base, "q": q, "k": k, "l": l},
-                             diff.is_zero(), witness=_diff_witness(diff))
-        rows.append(coeff_plus + [-c for c in coeff_minus])
-
-        # minus side shifted by -m against the plus family
-        coeff_minus2 = [(wm[i] - m) ** q if q else Fraction(1) for i in range(m)]
-        coeff_plus2 = [
-            sgn * sum(kct[q - p] * (wp[i] ** p if p else 1) for p in range(q + 1))
-            for i in range(m)
-        ]
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                lhs = Matrix.zeros(n, n)
-                for i in range(1, m + 1):
-                    lhs = lhs + minus.p_star_p(i, k, l).scale(coeff_minus2[i - 1])
-                rhs = Matrix.zeros(n, n)
-                for i in range(1, m + 1):
-                    rhs = rhs + plus.p_star_p(i, l, k).scale(coeff_plus2[i - 1])
-                diff = lhs - rhs
-                report.check("cross-sign-minus", {**base, "q": q, "k": k, "l": l},
-                             diff.is_zero(), witness=_diff_witness(diff))
-        rows.append([-c for c in coeff_plus2] + coeff_minus2)
+        # each side shifted by -m against the other family
+        for tag, left, right, kq in (("cross-sign-plus", plus, minus, kc),
+                                     ("cross-sign-minus", minus, plus, kct)):
+            shifted = [(Fraction(w) - m) ** q for w in left.table.w]
+            weighted = [
+                sgn * sum(kq[q - p] * Fraction(w) ** p for p in range(q + 1))
+                for w in right.table.w
+            ]
+            for k in range(1, m + 1):
+                for l in range(1, m + 1):
+                    terms = [(c, left.p_star_p(i, k, l)) for i, c in enumerate(shifted, 1)]
+                    terms += [(-c, right.p_star_p(i, l, k)) for i, c in enumerate(weighted, 1)]
+                    _check_zero(report, tag, {**base, "q": q, "k": k, "l": l},
+                                linear_combination(terms, n, n))
+            coeffs = {left.sign: shifted, right.sign: [-c for c in weighted]}
+            rows.append(coeffs["+"] + coeffs["-"])
 
     valid_cols = [i for i in range(m) if plus.table.valid[i]] + [
         m + i for i in range(m) if minus.table.valid[i]
@@ -511,18 +489,15 @@ def verify_equivariance(sys: CliffordSystem) -> VerificationReport:
         for s in range(1, m + 1):
             for u in range(1, m + 1):
                 for k in range(1, m + 1):
-                    lhs = tg[(s, u)] * t.pmaps[k - 1] - t.pmaps[k - 1] * rep_.gen[(s, u)]
-                    rhs = Matrix.zeros(t.dim, rep_.dim)
+                    pk = t.pmaps[k - 1]
+                    terms = [(1, tg[(s, u)] * pk), (-1, pk * rep_.gen[(s, u)])]
                     if sys.sign == "+" and u == k:
-                        rhs = t.pmaps[s - 1]
+                        terms.append((-1, t.pmaps[s - 1]))
                     if sys.sign == "-" and s == k:
-                        rhs = t.pmaps[u - 1].scale(-1)
-                    diff = lhs - rhs
-                    report.check(
-                        "equivariance",
-                        {**base, "i": i, "s": s, "u": u, "k": k},
-                        diff.is_zero(), witness=_diff_witness(diff),
-                    )
+                        terms.append((1, t.pmaps[u - 1]))
+                    _check_zero(report, "equivariance",
+                                {**base, "i": i, "s": s, "u": u, "k": k},
+                                linear_combination(terms, t.dim, rep_.dim))
     return report
 
 
@@ -574,28 +549,25 @@ def verify_adjoint_pairing(
     P_star = [gram_adjoint(pk, g_rho, g_sigma) for pk in P]
     M = [t_minus.pmaps[k] for k in range(m)]
 
-    T = Matrix.zeros(t_minus.dim, sys_plus.rep.dim)
-    for k in range(m):
-        T = T + M[k] * P[k]
-    T = T.scale(Fraction(1) / gamma)
+    n = sys_plus.rep.dim
+    inv_gamma = Fraction(1) / gamma
+    T = linear_combination([(inv_gamma, M[k] * P[k]) for k in range(m)], t_minus.dim, n)
 
     for k in range(m):
-        diff = M[k] - T * P_star[k]
-        report.check("raise-lower-proportionality", {**base, "k": k + 1},
-                     diff.is_zero(), witness=_diff_witness(diff))
+        _check_zero(report, "raise-lower-proportionality", {**base, "k": k + 1},
+                    M[k] - T * P_star[k])
 
     T_star = gram_adjoint(T, g_rho, t_minus.gram)
-    diff = T_star * T - Matrix.identity(sys_plus.rep.dim).scale(Fraction(1) / gamma)
-    report.check("raise-lower-ratio-squared",
-                 {**base, "ratio_squared": Fraction(1) / gamma},
-                 diff.is_zero(), witness=_diff_witness(diff))
+    _check_zero(report, "raise-lower-ratio-squared", {**base, "ratio_squared": inv_gamma},
+                linear_combination([(1, T_star * T), (-inv_gamma, Matrix.identity(n))], n, n))
 
     M_star = [gram_adjoint(mk, g_sigma, t_minus.gram) for mk in M]
     for k in range(m):
         for l in range(m):
-            diff = M_star[k] * M[l] - (P[k] * P_star[l]).scale(Fraction(1) / gamma)
-            report.check("raise-lower-squared", {**base, "k": k + 1, "l": l + 1},
-                         diff.is_zero(), witness=_diff_witness(diff))
+            _check_zero(report, "raise-lower-squared", {**base, "k": k + 1, "l": l + 1},
+                        linear_combination([(1, M_star[k] * M[l]),
+                                            (-inv_gamma, P[k] * P_star[l])],
+                                           t_plus.dim, t_plus.dim))
     return report
 
 
@@ -638,65 +610,47 @@ def verify_spinor_model(m: int) -> VerificationReport:
 
         n = rep_.dim
         ident = Matrix.identity(n)
-        plain_units = {
-            (k, l): rep_.gen[(k, l)] for k in range(1, m + 1) for l in range(1, m + 1)
-        }
+        units = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
 
         # bilinear Clifford relation (creation/annihilation squared scalings)
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                acc = Matrix.zeros(n, n)
-                if p <= m - 1:
-                    acc = acc + plus.p_star_p(p + 1, k, l).scale(p + 1)
-                if p >= 1:
-                    acc = acc + minus.p_star_p(p, l, k).scale(m - p + 1)
-                target = ident if k == l else Matrix.zeros(n, n)
-                diff = acc - target
-                report.check("clifford-anticommutation", {**base, "k": k, "l": l},
-                             diff.is_zero(), witness=_diff_witness(diff))
+        for k, l in units:
+            terms = [(-1, ident)] if k == l else []
+            if p <= m - 1:
+                terms.append((p + 1, plus.p_star_p(p + 1, k, l)))
+            if p >= 1:
+                terms.append((m - p + 1, minus.p_star_p(p, l, k)))
+            _check_zero(report, "clifford-anticommutation", {**base, "k": k, "l": l},
+                        linear_combination(terms, n, n))
 
         # the matrix units through the annihilation pair
         if p >= 1:
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    diff = minus.p_star_p(p, k, l).scale(m - p + 1) - plain_units[(k, l)]
-                    report.check("unit-action", {**base, "k": k, "l": l},
-                                 diff.is_zero(), witness=_diff_witness(diff))
+            for k, l in units:
+                _check_zero(report, "unit-action", {**base, "k": k, "l": l},
+                            linear_combination([(m - p + 1, minus.p_star_p(p, k, l)),
+                                                (-1, rep_.gen[(k, l)])], n, n))
 
         # degree-1 trace identity with the closed-form weights
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                acc = Matrix.zeros(n, n)
-                for i in range(1, m + 1):
-                    if plus.table.valid[i - 1]:
-                        acc = acc + plus.p_star_p(i, k, l).scale(Fraction(wp[i - 1]))
-                diff = acc + plain_units[(l, k)]
-                report.check("spinor-moment-identity-q1", {**base, "k": k, "l": l},
-                             diff.is_zero(), witness=_diff_witness(diff))
+        for k, l in units:
+            terms = [(wp[i - 1], plus.p_star_p(i, k, l))
+                     for i in range(1, m + 1) if plus.table.valid[i - 1]]
+            terms.append((1, rep_.gen[(l, k)]))
+            _check_zero(report, "spinor-moment-identity-q1", {**base, "k": k, "l": l},
+                        linear_combination(terms, n, n))
 
         # completeness (both signs) and the projection formula
         for sysx in (plus, minus):
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    acc = Matrix.zeros(n, n)
-                    for i in range(1, m + 1):
-                        acc = acc + sysx.p_star_p(i, k, l)
-                    target = ident if k == l else Matrix.zeros(n, n)
-                    diff = acc - target
-                    report.check("spinor-completeness",
-                                 {**base, "sign": sysx.sign, "k": k, "l": l},
-                                 diff.is_zero(), witness=_diff_witness(diff))
+            for k, l in units:
+                terms = [(1, sysx.p_star_p(i, k, l)) for i in range(1, m + 1)]
+                if k == l:
+                    terms.append((-1, ident))
+                _check_zero(report, "spinor-completeness",
+                            {**base, "sign": sysx.sign, "k": k, "l": l},
+                            linear_combination(terms, n, n))
             for i in range(1, m + 1):
                 if sysx.targets[i - 1] is None:
                     continue
-                proj = sysx.projectors[i - 1]
                 for l in range(1, m + 1):
-                    lhs = proj * _embed_column(m, l, n)
-                    rhs = Matrix.zeros(n * m, n)
-                    for k in range(1, m + 1):
-                        rhs = rhs + _embed_column(m, k, n) * sysx.p_star_p(i, k, l)
-                    diff = lhs - rhs
-                    report.check("spinor-projection-formula",
-                                 {**base, "sign": sysx.sign, "i": i, "l": l},
-                                 diff.is_zero(), witness=_diff_witness(diff))
+                    _check_zero(report, "spinor-projection-formula",
+                                {**base, "sign": sysx.sign, "i": i, "l": l},
+                                _projection_formula_diff(sysx, i, l))
     return report

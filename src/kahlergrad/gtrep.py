@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import Matrix, gram_adjoint
+from .linalg import Matrix, gram_adjoint, linear_combination
 from .envalg import PBWElement
 from .weights import HighestWeight, weyl_dimension
 
@@ -41,6 +41,7 @@ __all__ = [
     "e_power_matrices",
     "e_power_matrix",
     "casimir_matrix",
+    "casimir_matrices",
     "DEFAULT_DIMENSION_BUDGET",
     "DimensionBudgetError",
 ]
@@ -137,9 +138,7 @@ class Representation:
         for k in range(1, m + 1):
             if not self.gen[(k, k)].is_diagonal():
                 raise AssertionError(f"gen[{k},{k}] not diagonal")
-        total = Matrix.zeros(n, n)
-        for k in range(1, m + 1):
-            total = total + self.gen[(k, k)]
+        total = linear_combination([(1, self.gen[(k, k)]) for k in range(1, m + 1)], n, n)
         expected = Fraction(sum(self.rho.entries))
         if any(x != expected for x in total.diagonal_entries()):
             raise AssertionError("weight grading: trace of diagonal action wrong")
@@ -148,14 +147,13 @@ class Representation:
         units = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
         for a, (i, j) in enumerate(units):
             for k, l in units[a + 1:]:
-                lhs = (self.gen[(i, j)] * self.gen[(k, l)]
-                       - self.gen[(k, l)] * self.gen[(i, j)])
-                rhs = Matrix.zeros(n, n)
+                terms = [(1, self.gen[(i, j)] * self.gen[(k, l)]),
+                         (-1, self.gen[(k, l)] * self.gen[(i, j)])]
                 if j == k:
-                    rhs = rhs + self.gen[(i, l)]
+                    terms.append((-1, self.gen[(i, l)]))
                 if l == i:
-                    rhs = rhs - self.gen[(k, j)]
-                if lhs != rhs:
+                    terms.append((1, self.gen[(k, j)]))
+                if not linear_combination(terms, n, n).is_zero():
                     raise AssertionError(f"commutation fails at {(i,j,k,l)}")
         for k in range(1, m + 1):
             for l in range(1, m + 1):
@@ -298,7 +296,7 @@ def evaluate(rep: Representation, x: PBWElement) -> Matrix:
     if x.m != rep.m:
         raise ValueError(f"rank mismatch: element has m={x.m}, module m={rep.m}")
     n = rep.dim
-    total = Matrix.zeros(n, n)
+    terms = []
     cache: Dict[tuple, Matrix] = {(): Matrix.identity(n)}
     for word, coeff in x.terms.items():
         # monomials share sorted prefixes heavily; cache prefix products
@@ -309,8 +307,8 @@ def evaluate(rep: Representation, x: PBWElement) -> Matrix:
         for j in range(k, len(word)):
             mat = mat * rep.gen[word[j]]
             cache[word[: j + 1]] = mat
-        total = total + mat.scale(coeff)
-    return total
+        terms.append((coeff, mat))
+    return linear_combination(terms, n, n)
 
 
 def _block_matrix(rep: Representation, variant: str) -> Matrix:
@@ -372,10 +370,14 @@ def e_power_matrices(rep: Representation, q_max: int,
             for q, power in enumerate(_block_powers(rep, q_max, variant))]
 
 
+def casimir_matrices(rep: Representation, q_max: int, variant: str = "plain") -> List[Matrix]:
+    """Matrices of c_0 .. c_q_max (plain) or of their involution images
+    (tilde), the traces of one run of block powers."""
+    n = rep.dim
+    return [linear_combination([(1, blocks[(k, k)]) for k in range(1, rep.m + 1)], n, n)
+            for blocks in e_power_matrices(rep, q_max, variant)]
+
+
 def casimir_matrix(rep: Representation, q: int, variant: str = "plain") -> Matrix:
     """Matrix of c_q (plain) or of its involution image (tilde)."""
-    blocks = e_power_matrix(rep, q, variant)
-    total = Matrix.zeros(rep.dim, rep.dim)
-    for k in range(1, rep.m + 1):
-        total = total + blocks[(k, k)]
-    return total
+    return casimir_matrices(rep, q, variant)[q]

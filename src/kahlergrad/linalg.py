@@ -7,13 +7,21 @@ entries as one dense row-major list of lists of :class:`fractions.Fraction`
 (``Matrix.data``); equality is entrywise exact equality.
 
 The matrices met here are a few percent nonzero, so every kernel does
-Fraction arithmetic on nonzero entries only.  Zero convention: constructors
-and kernels store the shared object :data:`ZERO` for every zero entry, and
+arithmetic on nonzero entries only.  Zero convention: constructors and
+kernels store the shared object :data:`ZERO` for every zero entry, and
 kernels find the other entries with ``x is not ZERO``, which runs no Python
 code per entry.  A value written into ``.data`` from outside, a fresh
 ``Fraction(0)`` included, is treated as stored: it costs arithmetic, never a
 wrong result.  The predicates (``==``, ``is_zero``, ``is_diagonal``, ...)
 still test the stored entries by value.
+
+Sums are accumulated in Python ints over a common denominator and turned
+into one Fraction per nonzero result entry.  ``matmul`` brings the stored
+entries of its right operand over one denominator once per call and those of
+each left row over that row's own.  :func:`linear_combination` sums c * A
+over many terms in one pass, each output row over its common denominator;
+``+``, ``-`` and ``scale`` are its one- and two-term cases.  The values are
+the same exact rationals as with Fraction arithmetic.
 
 :func:`lagrange_projector` interpolates each connected block of its input's
 off-diagonal nonzero pattern on its own and reassembles the result.  A
@@ -24,6 +32,7 @@ projector is unique, so the result is exactly that of the whole matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -35,6 +44,7 @@ __all__ = [
     "SpectralCompletenessError",
     "gram_adjoint",
     "lagrange_projector",
+    "linear_combination",
 ]
 
 ZERO = Fraction(0)
@@ -60,6 +70,15 @@ def _as_fraction(x) -> Fraction:
 def _stored(row) -> list:
     """(column, entry) pairs of the stored (non-``ZERO``) entries of one row."""
     return [(j, x) for j, x in enumerate(row) if x is not ZERO]
+
+
+def _integer_rows(data) -> tuple:
+    """The stored entries of every row as (column, integer) pairs over one
+    common denominator D, and D."""
+    rows = [_stored(row) for row in data]
+    d = lcm(*{x._denominator for row in rows for _, x in row})
+    return [[(j, x._numerator * (d // x._denominator)) for j, x in row]
+            for row in rows], d
 
 
 class Matrix:
@@ -136,47 +155,16 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, subtract=False)
+        return linear_combination([(_ONE, self), (_ONE, other)], self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, subtract=True)
-
-    def _combine(self, other: "Matrix", subtract: bool) -> "Matrix":
-        self._same_shape(other)
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.rows, self.cols
-        out.data = []
-        for ra, rb in zip(self.data, other.data):
-            row = ra[:]
-            for j, b in _stored(rb):
-                a = row[j]
-                if a is ZERO:
-                    row[j] = -b if subtract else b
-                else:
-                    c = a - b if subtract else a + b
-                    row[j] = c if c._numerator else ZERO
-            out.data.append(row)
-        return out
+        return linear_combination([(_ONE, self), (-1, other)], self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, s) -> "Matrix":
-        s = _as_fraction(s)
-        if s is ZERO:
-            return Matrix.zeros(self.rows, self.cols)
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.rows, self.cols
-        if s == 1:
-            out.data = [row[:] for row in self.data]
-            return out
-        out.data = []
-        for row in self.data:
-            new = [ZERO] * self.cols
-            for j, x in _stored(row):
-                new[j] = s * x
-            out.data.append(new)
-        return out
+        return linear_combination([(s, self)], self.rows, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -193,16 +181,21 @@ class Matrix:
                 f"{other.rows}x{other.cols}"
             )
         out = Matrix.zeros(self.rows, other.cols)
-        brows = [_stored(row) for row in other.data]
+        brows, db = _integer_rows(other.data)
         for arow, orow in zip(self.data, out.data):
+            stored = _stored(arow)
+            if not stored:
+                continue
+            da = lcm(*{a._denominator for _, a in stored})
             acc = {}
-            for k, a in _stored(arow):
+            for k, a in stored:
+                ai = a._numerator * (da // a._denominator)
                 for j, b in brows[k]:
-                    c = acc.get(j)
-                    acc[j] = a * b if c is None else c + a * b
-            for j, c in acc.items():
-                if c._numerator:
-                    orow[j] = c
+                    acc[j] = acc.get(j, 0) + ai * b
+            d = da * db
+            for j, v in acc.items():
+                if v:
+                    orow[j] = Fraction(v, d)
         return out
 
     def transpose(self) -> "Matrix":
@@ -297,12 +290,6 @@ class Matrix:
     def column(self, j: int) -> list:
         return [row[j] for row in self.data]
 
-    def _same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
 
 def _check_gram(g: Matrix, name: str):
     if not g.is_square():
@@ -327,11 +314,14 @@ def gram_adjoint(a: Matrix, gram_source: Matrix, gram_target: Matrix) -> Matrix:
             f"adjoint dimension mismatch: map is {a.rows}x{a.cols}, grams are "
             f"{gram_source.rows} (source) and {gram_target.rows} (target)"
         )
-    ginv = [1 / g for g in gram_source.diagonal_entries()]
+    gs = gram_source.diagonal_entries()
     out = Matrix.zeros(a.cols, a.rows)
     for y, (row, g) in enumerate(zip(a.data, gram_target.diagonal_entries())):
         for x, v in _stored(row):
-            out.data[x][y] = ginv[x] * v * g
+            if v._numerator:
+                s = gs[x]
+                out.data[x][y] = Fraction(v._numerator * g._numerator * s._denominator,
+                                          v._denominator * g._denominator * s._numerator)
     return out
 
 
@@ -417,3 +407,44 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
             residual=residual,
         )
     return proj
+
+
+def linear_combination(terms, rows: int, cols: int) -> Matrix:
+    """The sum of c * A over the (c, A) pairs of ``terms``, each A rows x cols.
+
+    One pass over each A's stored entries: every output row is summed in
+    Python ints over that row's common denominator.  Zero coefficients are
+    skipped and coefficient-1 terms are added without a multiplication.
+    """
+    parts = []
+    for c, a in terms:
+        if a.rows != rows or a.cols != cols:
+            raise ValueError(
+                f"dimension mismatch: {a.rows}x{a.cols} term in a {rows}x{cols} sum"
+            )
+        c = _as_fraction(c)
+        if c is not ZERO:
+            parts.append((c._numerator, c._denominator, a.data))
+    out = Matrix.zeros(rows, cols)
+    for r, orow in enumerate(out.data):
+        row_terms = []
+        for cn, cd, data in parts:
+            stored = _stored(data[r])
+            if stored:
+                row_terms.append((cn, cd, stored))
+        if not row_terms:
+            continue
+        d = lcm(*{cd * x._denominator for _, cd, stored in row_terms for _, x in stored})
+        acc = {}
+        for cn, cd, stored in row_terms:
+            if cn == 1 and cd == 1:
+                for j, x in stored:
+                    acc[j] = acc.get(j, 0) + x._numerator * (d // x._denominator)
+            else:
+                f = d // cd
+                for j, x in stored:
+                    acc[j] = acc.get(j, 0) + cn * x._numerator * (f // x._denominator)
+        for j, v in acc.items():
+            if v:
+                orow[j] = Fraction(v, d)
+    return out

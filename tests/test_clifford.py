@@ -13,7 +13,8 @@ from kahlergrad.clifford import (
     verify_relations,
     verify_spinor_model,
 )
-from kahlergrad.gtrep import build_rep
+from kahlergrad.envalg import k_of_casimirs
+from kahlergrad.gtrep import build_rep, e_power_matrices
 from kahlergrad.linalg import Matrix
 from kahlergrad.weights import HighestWeight, weyl_dimension
 
@@ -199,3 +200,146 @@ def test_build_system_rejects_bad_sign():
     rep = build_rep((1, 0))
     with pytest.raises(ValueError):
         build_system(rep, "x")
+
+
+# ---------------------------------------------------------------------------
+# failing items and their witnesses, against dense references
+# ---------------------------------------------------------------------------
+
+def _dense(a):
+    return [list(row) for row in a.data]
+
+
+def _dmul(x, y):
+    return [[sum((x[i][t] * y[t][j] for t in range(len(y))), F(0))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def _dsum(terms):
+    """sum of c * a over (c, a) pairs of dense matrices of one shape."""
+    rows, cols = len(terms[0][1]), len(terms[0][1][0])
+    return [[sum((F(c) * a[i][j] for c, a in terms), F(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def _witness(dense):
+    return f"{sum(x != 0 for row in dense for x in row)} nonzero entries in difference"
+
+
+def _dense_p_star_p(sys, i, k, l):
+    """p_i(k)^* p_i(l) from the maps and the two Gram forms, entry by entry."""
+    n = sys.rep.dim
+    t = sys.targets[i - 1]
+    if t is None:
+        return [[F(0)] * n for _ in range(n)]
+    gs, gt = sys.rep.gram.diagonal_entries(), t.gram.diagonal_entries()
+    pk, pl = _dense(t.pmaps[k - 1]), _dense(t.pmaps[l - 1])
+    adjoint = [[pk[y][x] * gt[y] / gs[x] for y in range(t.dim)] for x in range(n)]
+    return _dmul(adjoint, pl)
+
+
+def _lagrange_coefficients(ws, i):
+    """Coefficients of x^0 .. x^(m-1) in prod_{j != i} (x - w_j) / (w_i - w_j)."""
+    poly = [F(1)]
+    for j, w in enumerate(ws):
+        if j != i - 1:
+            shifted = [F(0)] + poly
+            poly = [a - w * b for a, b in zip(shifted, poly + [F(0)])]
+            poly = [c / (ws[i - 1] - w) for c in poly]
+    return poly
+
+
+def _expected_differences(plus, minus, q_max):
+    """Dense difference of each item of the five tags below, by (tag, params)."""
+    rep = plus.rep
+    m, n = rep.m, rep.dim
+    rho = rep.rho
+    units = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
+    wp = [F(w) for w in plus.table.w]
+    wm = [F(w) for w in minus.table.w]
+    powers = e_power_matrices(rep, max(q_max, m - 1), "tilde")
+    psp = {(s.sign, i, k, l): _dense_p_star_p(s, i, k, l)
+           for s in (plus, minus) for i in range(1, m + 1) for k, l in units}
+    out = {}
+    for q in range(1, q_max + 1):
+        for k, l in units:
+            out[("moment-identity", q, k, l)] = _dsum(
+                [(wp[i - 1] ** q, psp[("+", i, k, l)]) for i in range(1, m + 1)]
+                + [(-1, _dense(powers[q][(k, l)]))])
+    for i in range(1, m + 1):
+        coeffs = _lagrange_coefficients(wp, i)
+        for k, l in units:
+            out[("vandermonde-solved", i, k, l)] = _dsum(
+                [(1, psp[("+", i, k, l)])]
+                + [(-c, _dense(powers[d][(k, l)])) for d, c in enumerate(coeffs)])
+    for q in range(q_max + 1):
+        for tag, left, wl, right, wr, variant in (
+            ("cross-sign-plus", plus, wp, minus, wm, "plain"),
+            ("cross-sign-minus", minus, wm, plus, wp, "tilde"),
+        ):
+            kq = [k_of_casimirs(p, rho, variant) for p in range(q + 1)]
+            for k, l in units:
+                lhs = [((wl[i - 1] - m) ** q, psp[(left.sign, i, k, l)]) for i in range(1, m + 1)]
+                rhs = [(-(-1) ** q * sum(kq[q - p] * wr[i - 1] ** p for p in range(q + 1)),
+                        psp[(right.sign, i, l, k)]) for i in range(1, m + 1)]
+                out[(tag, q, k, l)] = _dsum(lhs + rhs)
+    for i in range(1, m + 1):
+        proj = _dense(plus.projectors[i - 1])
+        for l in range(1, m + 1):
+            out[("projection-formula", i, l)] = _dsum(
+                [(1, _dmul(proj, _dense(clifford._embed_column(m, l, n))))]
+                + [(-1, _dmul(_dense(clifford._embed_column(m, k, n)), psp[("+", i, k, l)]))
+                   for k in range(1, m + 1)])
+    return out
+
+
+CHECKED_TAGS = {
+    "moment-identity": ("q", "k", "l"),
+    "vandermonde-solved": ("i", "k", "l"),
+    "cross-sign-plus": ("q", "k", "l"),
+    "cross-sign-minus": ("q", "k", "l"),
+    "projection-formula": ("i", "l"),
+}
+
+
+def test_corrupted_map_fails_with_dense_witnesses():
+    rep = build_rep((1, 0, -1))
+    plus, minus = build_system(rep, "+"), build_system(rep, "-")
+    assert all(plus.targets) and all(minus.targets)
+    pmap = plus.targets[0].pmaps[0]
+    pmap.data[0][0] = pmap.data[0][0] + 1  # a fresh object, as a caller would write
+    out = verify_relations(plus, q_max=2, paired=minus, cross_q_max=2)
+    expected = _expected_differences(plus, minus, 2)
+
+    failed = set()
+    for it in out.items:
+        if it.status == "pass":
+            assert it.witness is None
+        if it.tag not in CHECKED_TAGS:
+            continue
+        diff = expected[(it.tag, *(it.params[p] for p in CHECKED_TAGS[it.tag]))]
+        zero = all(x == 0 for row in diff for x in row)
+        assert (it.status == "pass") == zero, it.describe()
+        if not zero:
+            assert it.witness == _witness(diff), it.describe()
+            failed.add(it.tag)
+    assert failed == set(CHECKED_TAGS)
+    # the projectors themselves were not touched
+    assert all(it.status == "pass" for it in out.items
+               if it.tag.startswith("projector-"))
+
+
+@pytest.mark.parametrize("rho", [(1, 0, 0), (2, 0, -1)])
+def test_projection_formula_selection_equals_products(rho):
+    rep = build_rep(rho)
+    m, n = rep.m, rep.dim
+    for sign in "+-":
+        sys = build_system(rep, sign)
+        for i, t in enumerate(sys.targets, 1):
+            if t is None:
+                continue
+            for l in range(1, m + 1):
+                product = sys.projectors[i - 1] * clifford._embed_column(m, l, n)
+                for k in range(1, m + 1):
+                    product = product - clifford._embed_column(m, k, n) * sys.p_star_p(i, k, l)
+                assert clifford._projection_formula_diff(sys, i, l) == product

@@ -9,6 +9,7 @@ from kahlergrad.linalg import (
     SpectralCompletenessError,
     gram_adjoint,
     lagrange_projector,
+    linear_combination,
 )
 
 
@@ -151,13 +152,22 @@ def _ref_rref(rows):
     return a, pivots
 
 
+# pairwise coprime and large denominators, numerators of either sign
+WIDE = st.one_of(SMALL, st.builds(
+    F, st.integers(-10**20, 10**20),
+    st.sampled_from([7, 11, 13, 2**31 - 1, 10**9 + 7, 3**40]),
+))
+WIDE_ENTRY = st.one_of(st.just(0), WIDE)
+COEFF = st.one_of(st.sampled_from([0, 1, -1]), WIDE)
+
+
 @st.composite
-def sparse_matrices(draw, rows=None, cols=None):
+def sparse_matrices(draw, rows=None, cols=None, entries=SPARSE_ENTRY):
     """A sparse rational matrix, some of whose entries are then overwritten
     through ``.data`` with a fresh Fraction(0) or a nonzero value."""
     r = draw(st.integers(1, 5)) if rows is None else rows
     c = draw(st.integers(1, 5)) if cols is None else cols
-    a = Matrix(draw(st.lists(st.lists(SPARSE_ENTRY, min_size=c, max_size=c),
+    a = Matrix(draw(st.lists(st.lists(entries, min_size=c, max_size=c),
                              min_size=r, max_size=r)))
     for i, j, x in draw(st.lists(
         st.tuples(st.integers(0, r - 1), st.integers(0, c - 1),
@@ -175,9 +185,17 @@ def same_shape_pairs(draw):
 
 
 @st.composite
-def product_pairs(draw):
+def product_pairs(draw, entries=SPARSE_ENTRY):
     r, k, c = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    return draw(sparse_matrices(r, k)), draw(sparse_matrices(k, c))
+    return draw(sparse_matrices(r, k, entries)), draw(sparse_matrices(k, c, entries))
+
+
+@st.composite
+def combinations(draw):
+    """(terms, rows, cols): up to five (coefficient, matrix) pairs of one shape."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    terms = draw(st.lists(st.tuples(COEFF, sparse_matrices(r, c, WIDE_ENTRY)), max_size=5))
+    return terms, r, c
 
 
 def _follows_zero_convention(a):
@@ -251,6 +269,55 @@ def test_kernels_keep_the_zero_convention(pair, prod):
     for out in (a + b, a - b, a.scale(3), a.scale(0), c.matmul(d), a.kron(d),
                 a.rref()[0], a.transpose()):
         assert _follows_zero_convention(out)
+
+
+def _ref_combination(terms, rows, cols):
+    out = [[F(0)] * cols for _ in range(rows)]
+    for c, a in terms:
+        for i in range(rows):
+            for j in range(cols):
+                out[i][j] += F(c) * a.data[i][j]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pairs(WIDE_ENTRY))
+def test_integer_matmul_matches_dense(pair):
+    a, b = pair
+    before = _dense(a), _dense(b)
+    out = a.matmul(b)
+    assert out.data == _ref_mul(*before)
+    # overwritten inputs, fresh Fraction(0)s included, still give ZERO zeros
+    assert _follows_zero_convention(out)
+    assert (_dense(a), _dense(b)) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(combinations())
+def test_linear_combination_matches_dense(case):
+    terms, r, c = case
+    before = [_dense(a) for _, a in terms]
+    out = linear_combination(terms, r, c)
+    assert (out.rows, out.cols) == (r, c)
+    assert out.data == _ref_combination(terms, r, c)
+    assert _follows_zero_convention(out)
+    assert [_dense(a) for _, a in terms] == before
+
+
+def test_linear_combination_edge_cases():
+    assert linear_combination([], 2, 3).data == [[ZERO] * 3] * 2
+    a = Matrix([[F(1, 3), 0], [F(-2, 7), F(5)]])
+    assert linear_combination([(1, a), (-1, a)], 2, 2).data == [[ZERO] * 2] * 2
+    assert linear_combination([(0, a), (1, a)], 2, 2) == a
+    assert linear_combination([(F(3, 2), a)], 2, 2) == a.scale(F(3, 2))
+    # every term's shape is checked, even under a zero coefficient
+    for terms in ([(1, a), (1, Matrix.zeros(2, 3))], [(0, Matrix.zeros(3, 2))]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            linear_combination(terms, 2, 2)
+    with pytest.raises(ValueError):
+        a + Matrix.zeros(2, 1)
+    with pytest.raises(ValueError):
+        a.matmul(Matrix.zeros(3, 2))
 
 
 def test_scalar_predicate_tests_values():
