@@ -1,7 +1,7 @@
 """Exact-arithmetic Clifford homomorphisms and Bochner identity coefficients
 for irreducible U(m) modules."""
 
-from .linalg import Matrix, Rational, gram_adjoint, lagrange_projector
+from .linalg import Matrix, gram_adjoint, lagrange_projector
 from .weights import (
     HighestWeight,
     casimir_eigenvalue,

@@ -185,30 +185,31 @@ _TOKEN_LATEX = {
 }
 
 
-def _identity_latex(ident: bochner.BochnerIdentity) -> str:
+def _identity_sides(ident: bochner.BochnerIdentity) -> tuple:
+    """The (coefficient, term) pairs of each side: the nonzero D_t^* D_t with
+    t the sign and index, e.g. "-1", then every curvature token."""
+    lhs = [(c, f"{sign}{i}")
+           for sign, coeffs in (("-", ident.minus_coeffs), ("+", ident.plus_coeffs))
+           for i, c in enumerate(coeffs, start=1) if c]
+    return lhs, [(t.coeff, t.token) for t in ident.curvature]
+
+
+def _latex_sum(terms) -> str:
+    """Signed sum of (coefficient, LaTeX term) pairs, unit coefficients left out."""
     parts = []
-    for sign, coeffs in (("-", ident.minus_coeffs), ("+", ident.plus_coeffs)):
-        for i, c in enumerate(coeffs, start=1):
-            if not c:
-                continue
-            lead = "" if not parts and c > 0 else ("+" if c > 0 else "-")
-            mag = abs(c)
-            cs = "" if mag == 1 else _coeff_latex(mag) + "\\,"
-            parts.append(f"{lead}{cs}D_{{{sign}{i}}}^{{*}}D_{{{sign}{i}}}")
-    lhs = " ".join(parts) if parts else "0"
-    rparts = []
-    for t in ident.curvature:
-        c = t.coeff
-        lead = "" if not rparts and c > 0 else ("+" if c > 0 else "-")
+    for c, tex in terms:
+        lead = "" if not parts and c > 0 else ("+" if c > 0 else "-")
         mag = abs(c)
-        if t.token.startswith("R^"):
-            tok = f"R^{{{t.token[2:]}}}"
-        else:
-            tok = _TOKEN_LATEX[t.token]
         cs = "" if mag == 1 else _coeff_latex(mag) + "\\,"
-        rparts.append(f"{lead}{cs}{tok}")
-    rhs = " ".join(rparts) if rparts else "0"
-    return f"{lhs} = {rhs}"
+        parts.append(f"{lead}{cs}{tex}")
+    return " ".join(parts) if parts else "0"
+
+
+def _identity_latex(ident: bochner.BochnerIdentity) -> str:
+    lhs, rhs = _identity_sides(ident)
+    lhs = [(c, f"D_{{{t}}}^{{*}}D_{{{t}}}") for c, t in lhs]
+    rhs = [(c, f"R^{{{t[2:]}}}" if t.startswith("R^") else _TOKEN_LATEX[t]) for c, t in rhs]
+    return f"{_latex_sum(lhs)} = {_latex_sum(rhs)}"
 
 
 def _latex_document(rho, idents) -> str:
@@ -228,23 +229,16 @@ def _latex_document(rho, idents) -> str:
 
 
 def _identity_text(ident: bochner.BochnerIdentity) -> str:
-    parts = []
-    for sign, coeffs in (("-", ident.minus_coeffs), ("+", ident.plus_coeffs)):
-        for i, c in enumerate(coeffs, start=1):
-            if c:
-                parts.append(f"({c})*D[{sign}{i}]*D[{sign}{i}]")
-    lhs = " + ".join(parts) if parts else "0"
-    rhs = " + ".join(f"({t.coeff})*{t.token}" for t in ident.curvature) or "0"
-    return f"{ident.label}:  {lhs} = {rhs}"
+    lhs, rhs = _identity_sides(ident)
+    left = " + ".join(f"({c})*D[{t}]*D[{t}]" for c, t in lhs) or "0"
+    right = " + ".join(f"({c})*{token}" for c, token in rhs) or "0"
+    return f"{ident.label}:  {left} = {right}"
 
 
 def cmd_identity(args) -> int:
     rho = parse_weight(args.rho)
     if args.weitzenboeck:
-        try:
-            idents = [bochner.weitzenboeck(rho)]
-        except ValueError as exc:
-            raise InputError(str(exc))
+        idents = [bochner.weitzenboeck(rho)]
         mode = "weitzenboeck"
     else:
         q = args.q if args.q is not None else 0
@@ -265,10 +259,7 @@ def cmd_identity(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
-    try:
-        bound = bochner.kirchberg_bound(args.m)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    bound = bochner.kirchberg_bound(args.m)
     payload = {
         "schema": SCHEMA,
         "kind": "dirac-eigenvalue-bound",
@@ -319,10 +310,7 @@ def cmd_spinor_table(args) -> int:
 def cmd_cpm(args) -> int:
     rho = parse_weight(args.rho)
     r = Fraction(args.r)
-    try:
-        value = bochner.cpm_holomorphic_eigenvalue(rho, args.i, r)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    value = bochner.cpm_holomorphic_eigenvalue(rho, args.i, r)
     payload = {
         "schema": SCHEMA,
         "kind": "cpm-eigenvalue",
@@ -415,14 +403,15 @@ def _task_envalg(m: int, q_max: int, budget) -> VerificationReport:
 
 
 def _task_clifford(rho_entries, q_max: int, budget) -> VerificationReport:
-    from .clifford import build_system, verify_relations
+    from .clifford import build_system, verify_cross_relations, verify_relations
     from .gtrep import build_rep
 
     rho = weights.HighestWeight(rho_entries)
     model = build_rep(rho)
     plus = build_system(model, "+")
     minus = build_system(model, "-")
-    rep = verify_relations(plus, q_max, paired=minus, cross_q_max=min(q_max, 2))
+    rep = verify_relations(plus, q_max)
+    rep.extend(verify_cross_relations(plus, minus, min(q_max, 2)))
     rep.extend(verify_relations(minus, q_max))
     return rep
 
@@ -526,9 +515,12 @@ def cmd_verify(args) -> int:
     ms = _parse_m_range(args.m)
     if args.bound < 0 or args.q < 0:
         raise InputError("need --bound >= 0 and --q >= 0")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.budget is not None and args.budget < 0:
+        raise InputError(f"--budget must be >= 0, got {args.budget}")
     tasks = _verify_tasks(suites, ms, args.bound, args.q, args.budget)
     total = VerificationReport()
-    results = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_task, tasks))
@@ -630,10 +622,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -92,12 +92,6 @@ class CliffordSystem:
             self._tensor_gen[(k, l)] = out
         return out
 
-    def p_map(self, i: int, k: int) -> Matrix:
-        t = self.targets[i - 1]
-        if t is None:
-            raise ValueError(f"no component at i={i} (shift not dominant)")
-        return t.pmaps[k - 1]
-
     def p_adjoint(self, i: int, k: int) -> Matrix:
         """p_i(basis_k)^*, built once per (i, k); the component must exist."""
         out = self._adj_cache.get((i, k))
@@ -132,14 +126,6 @@ def _aux_generator(m: int, sign: str, k: int, l: int) -> Matrix:
         out.data[k - 1][l - 1] = Fraction(1)
     else:
         out.data[l - 1][k - 1] = Fraction(-1)
-    return out
-
-
-def _embed_column(m: int, k: int, n: int) -> Matrix:
-    """Matrix of phi |-> phi (x) basis_k, with tensor index a*m + (k-1)."""
-    out = Matrix.zeros(n * m, n)
-    for a in range(n):
-        out.data[a * m + (k - 1)][a] = Fraction(1)
     return out
 
 
@@ -244,21 +230,18 @@ def target_generator(sys: CliffordSystem, i: int, k: int, l: int) -> Matrix:
     return t.coords * sys.tensor_generator(k, l) * t.basis
 
 
-def derived_representation(sys: CliffordSystem, i: int, validate: bool = False) -> Representation:
+def derived_representation(sys: CliffordSystem, i: int) -> Representation:
     """The component at i packaged as a standalone matrix model, so that a
-    further system can be built on top of it with consistent bases."""
-    t = sys.targets[i - 1]
-    if t is None:
-        raise ValueError(f"no component at i={i}")
+    further system can be built on top of it with consistent bases.  Its
+    invariants are not checked here; call `check_invariants` for that."""
+    # target_generator raises when there is no component at i
     gen = {
         (k, l): target_generator(sys, i, k, l)
         for k in range(1, sys.m + 1)
         for l in range(1, sys.m + 1)
     }
-    rep = Representation(rho=t.weight, dim=t.dim, basis=None, gen=gen, gram=t.gram)
-    if validate:
-        rep.check_invariants()
-    return rep
+    t = sys.targets[i - 1]
+    return Representation(rho=t.weight, dim=t.dim, basis=None, gen=gen, gram=t.gram)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +268,10 @@ def _check_zero(report: VerificationReport, tag: str, params: dict, diff: Matrix
 
 
 def _projection_formula_diff(sys: CliffordSystem, i: int, l: int) -> Matrix:
-    """P_i E_l - sum_k E_k p_i(basis_k)^* p_i(basis_l), E_k = _embed_column(m, k, n),
-    without the products: right-multiplying by E_l selects the columns
-    l-1, l-1+m, ... of P_i, and left-multiplying by E_k puts row a at row
-    a*m + k-1."""
+    """P_i E_l - sum_k E_k p_i(basis_k)^* p_i(basis_l), with E_k the N x n
+    matrix of phi |-> phi (x) basis_k (tensor index a*m + k-1), without the
+    products: right-multiplying by E_l selects the columns l-1, l-1+m, ...
+    of P_i, and left-multiplying by E_k puts row a at row a*m + k-1."""
     m, n = sys.m, sys.rep.dim
     N = n * m
     selected = sys.projectors[i - 1].submatrix(range(N), range(l - 1, N, m))
@@ -299,17 +282,40 @@ def _projection_formula_diff(sys: CliffordSystem, i: int, l: int) -> Matrix:
     return selected - placed
 
 
-def verify_relations(
-    sys: CliffordSystem,
-    q_max: int,
-    paired: Optional[CliffordSystem] = None,
-    cross_q_max: Optional[int] = None,
-) -> VerificationReport:
+def _check_projection_formula(report: VerificationReport, tag: str, params: dict,
+                              sys: CliffordSystem):
+    """One item per valid i and per l: the projection formula on the tensor space."""
+    for i in range(1, sys.m + 1):
+        if sys.targets[i - 1] is not None:
+            for l in range(1, sys.m + 1):
+                _check_zero(report, tag, {**params, "i": i, "l": l},
+                            _projection_formula_diff(sys, i, l))
+
+
+def _check_moments(report: VerificationReport, tag: str, params: dict,
+                   sys: CliffordSystem, q: int, power: Dict[Tuple[int, int], Matrix]):
+    """One item per (k, l): sum_i w_i^q p_i(basis_k)^* p_i(basis_l) over the
+    valid i equals power[(k, l)], the (k, l) block of degree q of the family
+    paired with the system's sign (tilde for +, plain for -).  At q = 0 this
+    is completeness."""
+    m, n = sys.m, sys.rep.dim
+    coeffs = [(i, Fraction(w) ** q) for i, w in enumerate(sys.table.w, 1)
+              if sys.targets[i - 1] is not None]
+    for k in range(1, m + 1):
+        for l in range(1, m + 1):
+            terms = [(c, sys.p_star_p(i, k, l)) for i, c in coeffs]
+            terms.append((-1, power[(k, l)]))
+            _check_zero(report, tag, {**params, "k": k, "l": l},
+                        linear_combination(terms, n, n))
+
+
+def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
     """Exact matrix checks of the algebraic identities satisfied by one
     system: completeness, the degree-q trace identities against the
     enveloping-algebra elements, the Vandermonde-solved form, the gamma
-    trace constants, the target-side completeness, the projection formula,
-    and (given the opposite-sign system) the cross-sign relations.
+    trace constants, the target-side completeness and the projection
+    formula.  The cross-sign relations, which need both systems, are
+    `verify_cross_relations`.
     """
     rep_ = sys.rep
     m, n = sys.m, rep_.dim
@@ -340,12 +346,8 @@ def verify_relations(
     powers = e_power_matrices(rep_, max(q_max, m - 1), variant)
 
     for q in range(q_max + 1):
-        tag = "completeness" if q == 0 else "moment-identity"
-        for k, l in units:
-            terms = [(ws[i - 1] ** q, sys.p_star_p(i, k, l)) for i in valid]
-            terms.append((-1, powers[q][(k, l)]))
-            _check_zero(report, tag, {**base, "q": q, "k": k, "l": l},
-                        linear_combination(terms, n, n))
+        _check_moments(report, "completeness" if q == 0 else "moment-identity",
+                       {**base, "q": q}, sys, q, powers[q])
 
     # intertwining: the maps shuffle the source action into the weight factor
     for i in valid:
@@ -394,23 +396,7 @@ def verify_relations(
         _check_zero(report, "target-completeness", {**base, "i": i},
                     linear_combination(terms, t.dim, t.dim))
 
-    # projection formula on the tensor space
-    for i in valid:
-        for l in range(1, m + 1):
-            _check_zero(report, "projection-formula", {**base, "i": i, "l": l},
-                        _projection_formula_diff(sys, i, l))
-
-    if paired is not None:
-        plus = sys if sys.sign == "+" else paired
-        minus = sys if sys.sign == "-" else paired
-        if plus.sign != "+" or minus.sign != "-" or plus.rep is not minus.rep:
-            raise ValueError("paired systems must have opposite signs on one module")
-        report.extend(
-            verify_cross_relations(
-                plus, minus, q_max if cross_q_max is None else cross_q_max
-            )
-        )
-
+    _check_projection_formula(report, "projection-formula", base, sys)
     return report
 
 
@@ -422,6 +408,8 @@ def verify_cross_relations(
     Also checks the rank of the emitted relation family over the symbol
     slots of the valid components: min(c, q_max + 1), with c the number of
     valid components of each sign."""
+    if plus.sign != "+" or minus.sign != "-" or plus.rep is not minus.rep:
+        raise ValueError("cross relations need the plus and the minus system of one module")
     rep_ = plus.rep
     m, n = plus.m, rep_.dim
     rho = rep_.rho
@@ -630,27 +618,12 @@ def verify_spinor_model(m: int) -> VerificationReport:
                                                 (-1, rep_.gen[(k, l)])], n, n))
 
         # degree-1 trace identity with the closed-form weights
-        for k, l in units:
-            terms = [(wp[i - 1], plus.p_star_p(i, k, l))
-                     for i in range(1, m + 1) if plus.table.valid[i - 1]]
-            terms.append((1, rep_.gen[(l, k)]))
-            _check_zero(report, "spinor-moment-identity-q1", {**base, "k": k, "l": l},
-                        linear_combination(terms, n, n))
+        degree0, degree1 = e_power_matrices(rep_, 1, "tilde")
+        _check_moments(report, "spinor-moment-identity-q1", base, plus, 1, degree1)
 
         # completeness (both signs) and the projection formula
         for sysx in (plus, minus):
-            for k, l in units:
-                terms = [(1, sysx.p_star_p(i, k, l)) for i in range(1, m + 1)]
-                if k == l:
-                    terms.append((-1, ident))
-                _check_zero(report, "spinor-completeness",
-                            {**base, "sign": sysx.sign, "k": k, "l": l},
-                            linear_combination(terms, n, n))
-            for i in range(1, m + 1):
-                if sysx.targets[i - 1] is None:
-                    continue
-                for l in range(1, m + 1):
-                    _check_zero(report, "spinor-projection-formula",
-                                {**base, "sign": sysx.sign, "i": i, "l": l},
-                                _projection_formula_diff(sysx, i, l))
+            params = {**base, "sign": sysx.sign}
+            _check_moments(report, "spinor-completeness", params, sysx, 0, degree0)
+            _check_projection_formula(report, "spinor-projection-formula", params, sysx)
     return report

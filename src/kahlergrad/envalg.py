@@ -18,6 +18,7 @@ degree, e^q_kl = sum_i e^(q-1)_ki e_il, one row at a time, rather than from
 normal-ordering each of the m^(q-1) index-path words.  The verifier builds the
 four families e_kl, e_lk, ~e_kl, ~e_lk of one unordered pair {k, l} once, runs
 every check of (k,l) and (l,k) on them and drops them before the next pair.
+The diagonal families sum to the Casimir elements, the K_n follow by recursion.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ class PBWElement:
             and self.m == other.m
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -253,9 +251,9 @@ def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
     return PBWElement(m, out)
 
 
-def _path_sum(k: int, l: int, q: int, m: int, tilde: bool) -> PBWElement:
-    """e^q_kl, or its involution image when ``tilde``, for q >= 1, by
-    recursion on the degree:
+def _path_sum(k: int, l: int, q: int, m: int, budget: Optional[int], tilde: bool) -> PBWElement:
+    """e^q_kl, or its involution image when ``tilde``, with the index, degree
+    and budget checks of both builders; for q >= 1 by recursion on the degree:
 
         e^p_kj = sum_i e^(p-1)_ki e_ij,    ~e^p_kj = -sum_i ~e^(p-1)_ki e_ji.
 
@@ -263,6 +261,14 @@ def _path_sum(k: int, l: int, q: int, m: int, tilde: bool) -> PBWElement:
     forms by a single generator; the last degree is built at column l only.
     This equals the sum over index paths because normal forms are unique.
     """
+    _check_index(k, m)
+    _check_index(l, m)
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    if q == 0:
+        return PBWElement.one(m) if k == l else PBWElement.zero(m)
+    name = "tilde_e_power" if tilde else "e_power"
+    _guard(m ** (q - 1), budget, f"{name}({k},{l},{q}) at rank {m}")
     gens = _generators(m)
     unit = Fraction(-1 if tilde else 1)
     row = {j: {(gens[j][k] if tilde else gens[k][j],): unit} for j in range(1, m + 1)}
@@ -281,27 +287,13 @@ def _path_sum(k: int, l: int, q: int, m: int, tilde: bool) -> PBWElement:
 
 def e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
     """Degree-q element: sum over index paths e_{k i_1} e_{i_1 i_2} ... e_{i_{q-1} l}."""
-    _check_index(k, m)
-    _check_index(l, m)
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if q == 0:
-        return PBWElement.one(m) if k == l else PBWElement.zero(m)
-    _guard(m ** (q - 1), budget, f"e_power({k},{l},{q}) at rank {m}")
-    return _path_sum(k, l, q, m, tilde=False)
+    return _path_sum(k, l, q, m, budget, tilde=False)
 
 
 def tilde_e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
     """Involution image of e_power, from its defining sum
     (-1)^q sum e_{i_1 k} e_{i_2 i_1} ... e_{l i_{q-1}}."""
-    _check_index(k, m)
-    _check_index(l, m)
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if q == 0:
-        return PBWElement.one(m) if k == l else PBWElement.zero(m)
-    _guard(m ** (q - 1), budget, f"tilde_e_power({k},{l},{q}) at rank {m}")
-    return _path_sum(k, l, q, m, tilde=True)
+    return _path_sum(k, l, q, m, budget, tilde=True)
 
 
 def casimir_element(q: int, m: int, variant: str = "plain",
@@ -379,31 +371,26 @@ def k_of_casimirs(n: int, rho, variant: str = "plain") -> Fraction:
     return k_eval(n, [-c for c in cs])
 
 
+def _k_series(casimirs, m: int) -> list:
+    """K_0 .. K_n of -c as central elements, n = len(casimirs), from the
+    Casimir elements c_0 .. c_{n-1} by k_eval's recursion
+    K_q = sum_{p<q} K_p c_{q-p-1}."""
+    ks = [PBWElement.one(m)]
+    for q in range(1, len(casimirs) + 1):
+        total = PBWElement.zero(m)
+        for p in range(q):
+            total = total + ks[p] * casimirs[q - p - 1]
+        ks.append(total)
+    return ks
+
+
 def k_central(n: int, m: int, variant: str = "plain",
               budget: Optional[int] = None) -> PBWElement:
-    """K_n(-c) as a central element of the algebra itself (products of the
-    Casimir elements with positive multinomial coefficients)."""
-    if n == 0:
-        return PBWElement.one(m)
-    cached = {}
-
-    def cas(p):
-        if p not in cached:
-            cached[p] = casimir_element(p, m, variant, budget)
-        return cached[p]
-
-    total = PBWElement.zero(m)
-    for d in k_multi_indices(n):
-        s = sum(d.values())
-        coeff = Fraction(factorial(s))
-        for cnt in d.values():
-            coeff /= factorial(cnt)
-        el = PBWElement.scalar(m, coeff)
-        for p, cnt in sorted(d.items()):
-            for _ in range(cnt):
-                el = el * cas(p - 1)
-        total = total + el
-    return total
+    """K_n(-c) as a central element of the algebra itself, by the recursion
+    of `_k_series` on the Casimir elements c_0 .. c_{n-1}."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _k_series([casimir_element(p, m, variant, budget) for p in range(n)], m)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +402,20 @@ def _binom(q, p, m) -> Fraction:
     return Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
 
 
+def _binomial_sum(q, m, family) -> PBWElement:
+    """sum_p C(q,p) (-m)^(q-p) family[p]."""
+    total = PBWElement.zero(m)
+    for p in range(q + 1):
+        total = total + family[p].scale(_binom(q, p, m))
+    return total
+
+
 def _binomial_diff(q, m, family, dual, ks):
-    """sum_p C(q,p) (-m)^(q-p) family[p] - (-1)^q sum_p ks[q-p] * dual[p]."""
-    lhs = PBWElement.zero(m)
+    """_binomial_sum of family - (-1)^q sum_p ks[q-p] * dual[p]."""
     rhs = PBWElement.zero(m)
     for p in range(q + 1):
-        lhs = lhs + family[p].scale(_binom(q, p, m))
         rhs = rhs + ks[q - p] * dual[p]
-    return lhs - rhs.scale(Fraction(-1) ** q)
-
-
-def _trace_diff(q, m, casimirs, k_next):
-    """sum_p C(q,p) (-m)^(q-p) casimirs[p] - (-1)^q k_next."""
-    lhs = PBWElement.zero(m)
-    for p in range(q + 1):
-        lhs = lhs + casimirs[p].scale(_binom(q, p, m))
-    return lhs - k_next.scale(Fraction(-1) ** q)
+    return _binomial_sum(q, m, family) - rhs.scale(Fraction(-1) ** q)
 
 
 def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) -> VerificationReport:
@@ -440,54 +425,60 @@ def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) 
 
     The index pairs are taken unordered: the four families e_kl, e_lk,
     ~e_kl and ~e_lk of degree p <= q_max serve every check of both (k,l) and
-    (l,k), so each element is built once and dropped with its pair.  The
-    Casimir elements are summed from the diagonal pairs.  The items are then
-    reported degree by degree, in the fixed order of the tags.
+    (l,k), so each element is built once.  The diagonal families come first:
+    they sum to the Casimir elements, which give K_0 .. K_{q_max+1}, and go
+    before the off-diagonal pairs.  The items are then reported degree by
+    degree, in the fixed order of the tags.
     """
     if m < 1 or q_max < 0:
         raise ValueError("need m >= 1 and q_max >= 0")
-    kc = {n: k_central(n, m, "plain", budget) for n in range(q_max + 2)}
-    kct = {n: k_central(n, m, "tilde", budget) for n in range(q_max + 2)}
     degrees = range(q_max + 1)
+
+    def families(a, b):
+        return ([e_power(a, b, p, m, budget) for p in degrees],
+                [tilde_e_power(a, b, p, m, budget) for p in degrees])
+
+    diagonal = [families(k, k) for k in range(1, m + 1)]
+    cas = [sum((plain[p] for plain, _ in diagonal), PBWElement.zero(m)) for p in degrees]
+    cas_t = [sum((tilde[p] for _, tilde in diagonal), PBWElement.zero(m)) for p in degrees]
+    kc, kct = _k_series(cas, m), _k_series(cas_t, m)
     # solved[q][p] = sum_{s=p}^{q} C(q,s) (-m)^(q-s) K_{s-p}, the coefficient
     # of e^p_lk in the solved form of ~e^q_kl
     solved = [[sum((kc[s - p].scale(_binom(q, s, m)) for s in range(p, q + 1)),
                    PBWElement.zero(m)) for p in range(q + 1)] for q in degrees]
-    cas = [PBWElement.zero(m)] * (q_max + 1)
-    cas_t = [PBWElement.zero(m)] * (q_max + 1)
     witness = {}    # (tag, q, k, l) -> None when the difference is zero, else its repr
 
     def record(key, diff):
         witness[key] = None if diff.is_zero() else repr(diff)
 
+    def check(fam):
+        """Every check of each (a, b) in fam, which maps (a, b) and (b, a) to
+        their plain and tilde families."""
+        for (a, b), (plain, tilde) in fam.items():
+            plain_ba, tilde_ba = fam[b, a]
+            for q in degrees:
+                record(("binomial-tilde-to-plain", q, a, b),
+                       _binomial_diff(q, m, tilde, plain_ba, kc))
+                record(("binomial-plain-to-tilde", q, a, b),
+                       _binomial_diff(q, m, plain, tilde_ba, kct))
+                rhs = PBWElement.zero(m)
+                for p in range(q + 1):
+                    rhs = rhs + solved[q][p] * plain_ba[p]
+                record(("solved-tilde-elements", q, a, b),
+                       tilde[q] - rhs.scale(Fraction(-1) ** q))
+
+    for k, fam in enumerate(diagonal, 1):
+        check({(k, k): fam})
+    del diagonal
     for k in range(1, m + 1):
-        for l in range(k, m + 1):
-            plain, tilde = {}, {}
-            for a, b in [(k, l)] if k == l else [(k, l), (l, k)]:
-                plain[a, b] = [e_power(a, b, p, m, budget) for p in degrees]
-                tilde[a, b] = [tilde_e_power(a, b, p, m, budget) for p in degrees]
-            for a, b in plain:
-                for q in degrees:
-                    record(("binomial-tilde-to-plain", q, a, b),
-                           _binomial_diff(q, m, tilde[a, b], plain[b, a], kc))
-                    record(("binomial-plain-to-tilde", q, a, b),
-                           _binomial_diff(q, m, plain[a, b], tilde[b, a], kct))
-                    rhs = PBWElement.zero(m)
-                    for p in range(q + 1):
-                        rhs = rhs + solved[q][p] * plain[b, a][p]
-                    record(("solved-tilde-elements", q, a, b),
-                           tilde[a, b][q] - rhs.scale(Fraction(-1) ** q))
-            if k == l:
-                cas = [c + e for c, e in zip(cas, plain[k, k])]
-                cas_t = [c + e for c, e in zip(cas_t, tilde[k, k])]
+        for l in range(k + 1, m + 1):
+            check({(k, l): families(k, l), (l, k): families(l, k)})
 
     for q in degrees:
-        record(("casimir-binomial-tilde", q), _trace_diff(q, m, cas_t, kc[q + 1]))
-        record(("casimir-binomial-plain", q), _trace_diff(q, m, cas, kct[q + 1]))
-        rhs = PBWElement.zero(m)
-        for p in range(q + 1):
-            rhs = rhs + kc[p + 1].scale(_binom(q, p, m))
-        record(("solved-tilde-casimir", q), cas_t[q] - rhs.scale(Fraction(-1) ** q))
+        sign = Fraction(-1) ** q
+        record(("casimir-binomial-tilde", q), _binomial_sum(q, m, cas_t) - kc[q + 1].scale(sign))
+        record(("casimir-binomial-plain", q), _binomial_sum(q, m, cas) - kct[q + 1].scale(sign))
+        record(("solved-tilde-casimir", q), cas_t[q] - _binomial_sum(q, m, kc[1:]).scale(sign))
 
     rep = VerificationReport()
     pairs = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]

@@ -35,10 +35,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "ZERO",
     "Matrix",
     "SpectralCompletenessError",
@@ -145,9 +142,6 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
         body = "; ".join(",".join(str(x) for x in row) for row in self.data)
         return f"Matrix[{self.rows}x{self.cols}]({body})"
@@ -197,17 +191,6 @@ class Matrix:
                 if v:
                     orow[j] = Fraction(v, d)
         return out
-
-    def transpose(self) -> "Matrix":
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = self.cols, self.rows
-        out.data = [list(col) for col in zip(*self.data)]
-        return out
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
     def kron(self, other: "Matrix") -> "Matrix":
         br, bc = other.rows, other.cols
@@ -286,9 +269,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.data]
 
 
 def _check_gram(g: Matrix, name: str):

@@ -92,12 +92,6 @@ class ConformalWeightTable:
     gamma: tuple        # Fractions
     valid: tuple        # bools: is rho +- mu_i dominant
 
-    def as_rows(self):
-        return [
-            (i + 1, self.w[i], self.gamma[i], self.valid[i])
-            for i in range(len(self.w))
-        ]
-
 
 def _conformal_w(rho: HighestWeight, sign: str) -> list:
     m = rho.m

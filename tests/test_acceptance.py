@@ -13,7 +13,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from kahlergrad.clifford import build_system, verify_relations, verify_spinor_model
+from kahlergrad.clifford import (
+    build_system,
+    verify_cross_relations,
+    verify_relations,
+    verify_spinor_model,
+)
 from kahlergrad.envalg import casimir_element, verify_binomial_relations
 from kahlergrad.gtrep import build_rep, evaluate
 from kahlergrad.bochner import kirchberg_bound
@@ -121,7 +126,8 @@ def test_criterion_4_clifford_suite():
                 rep = build_rep(rho)
                 plus = build_system(rep, "+")
                 minus = build_system(rep, "-")
-                out = verify_relations(plus, q_max=m, paired=minus, cross_q_max=2)
+                out = verify_relations(plus, q_max=m)
+                out.extend(verify_cross_relations(plus, minus, q_max=2))
                 out.extend(verify_relations(minus, q_max=m))
                 assert out.passed, (
                     str(rho),

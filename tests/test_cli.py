@@ -113,6 +113,26 @@ def test_verify_reversed_m_range_exits_2():
     assert "must be >= 1" not in out.stderr
 
 
+def test_verify_jobs_below_one_exits_2(capsys):
+    for jobs in ("0", "-3"):
+        assert cli.main(["verify", "--suite", "weights", "--jobs", jobs]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: --jobs must be >= 1, got {jobs}" in out.err
+
+
+def test_verify_negative_budget_exits_2(capsys):
+    for budget in ("-1", "-5"):
+        assert cli.main(["verify", "--suite", "envalg", "--budget", budget]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: --budget must be >= 0, got {budget}" in out.err
+    # a zero budget is valid: every expansion is over it, so not applicable
+    assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1",
+                     "--budget", "0"]) == 0
+    assert "not applicable" in capsys.readouterr().out
+
+
 def test_verify_jobs_parallel():
     out = run(
         "verify", "--m", "2", "--bound", "1", "--q", "1",

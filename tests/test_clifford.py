@@ -62,7 +62,8 @@ def test_verify_relations_small():
     rep = build_rep((1, 0))
     plus = build_system(rep, "+")
     minus = build_system(rep, "-")
-    out = verify_relations(plus, q_max=2, paired=minus, cross_q_max=2)
+    out = verify_relations(plus, q_max=2)
+    out.extend(verify_cross_relations(plus, minus, q_max=2))
     assert out.passed, [it.describe() for it in out.failures()]
     out = verify_relations(minus, q_max=2)
     assert out.passed, [it.describe() for it in out.failures()]
@@ -77,6 +78,15 @@ def test_cross_relations_report_rank():
     ranks = [it for it in out.items if it.tag == "cross-sign-rank"]
     assert len(ranks) == 1
     assert int(ranks[0].params["rank"]) <= int(ranks[0].params["symbols"])
+
+
+def test_cross_relations_reject_mismatched_systems():
+    rep = build_rep((1, 0))
+    plus, minus = build_system(rep, "+"), build_system(rep, "-")
+    minus_elsewhere = build_system(build_rep((1, 0)), "-")  # an equal module, another build
+    for first, second in ((minus, plus), (plus, plus), (plus, minus_elsewhere)):
+        with pytest.raises(ValueError, match="plus and the minus system of one module"):
+            verify_cross_relations(first, second, q_max=1)
 
 
 def _rank_item(report):
@@ -144,7 +154,8 @@ def test_adjoint_pairing_trivial_module():
     m = 2
     rep = build_rep((0, 0))
     plus = build_system(rep, "+")
-    raised = derived_representation(plus, 1, validate=True)
+    raised = derived_representation(plus, 1)
+    raised.check_invariants()  # raises on violation
     assert raised.rho == HighestWeight((1, 0))
     minus_on_target = build_system(raised, "-")
     out = verify_adjoint_pairing(plus, minus_on_target, 1)
@@ -186,8 +197,11 @@ def test_adjoint_pairing_rejects_mismatched_system():
 def test_derived_representation_is_a_module():
     rep = build_rep((1, 0, 0))
     plus = build_system(rep, "+")
-    raised = derived_representation(plus, 2, validate=True)  # (1,1,0)
+    raised = derived_representation(plus, 2)  # (1,1,0)
+    raised.check_invariants()  # raises on violation
     assert raised.dim == weyl_dimension((1, 1, 0))
+    with pytest.raises(ValueError, match="no component at i=3"):
+        derived_representation(plus, 3)  # (1,0,1) is not dominant
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -208,6 +222,14 @@ def test_build_system_rejects_bad_sign():
 
 def _dense(a):
     return [list(row) for row in a.data]
+
+
+def _embed_column(m, k, n):
+    """Matrix of phi |-> phi (x) basis_k, with tensor index a*m + (k-1)."""
+    out = Matrix.zeros(n * m, n)
+    for a in range(n):
+        out.data[a * m + (k - 1)][a] = F(1)
+    return out
 
 
 def _dmul(x, y):
@@ -287,8 +309,8 @@ def _expected_differences(plus, minus, q_max):
         proj = _dense(plus.projectors[i - 1])
         for l in range(1, m + 1):
             out[("projection-formula", i, l)] = _dsum(
-                [(1, _dmul(proj, _dense(clifford._embed_column(m, l, n))))]
-                + [(-1, _dmul(_dense(clifford._embed_column(m, k, n)), psp[("+", i, k, l)]))
+                [(1, _dmul(proj, _dense(_embed_column(m, l, n))))]
+                + [(-1, _dmul(_dense(_embed_column(m, k, n)), psp[("+", i, k, l)]))
                    for k in range(1, m + 1)])
     return out
 
@@ -308,7 +330,8 @@ def test_corrupted_map_fails_with_dense_witnesses():
     assert all(plus.targets) and all(minus.targets)
     pmap = plus.targets[0].pmaps[0]
     pmap.data[0][0] = pmap.data[0][0] + 1  # a fresh object, as a caller would write
-    out = verify_relations(plus, q_max=2, paired=minus, cross_q_max=2)
+    out = verify_relations(plus, q_max=2)
+    out.extend(verify_cross_relations(plus, minus, q_max=2))
     expected = _expected_differences(plus, minus, 2)
 
     failed = set()
@@ -339,7 +362,7 @@ def test_projection_formula_selection_equals_products(rho):
             if t is None:
                 continue
             for l in range(1, m + 1):
-                product = sys.projectors[i - 1] * clifford._embed_column(m, l, n)
+                product = sys.projectors[i - 1] * _embed_column(m, l, n)
                 for k in range(1, m + 1):
-                    product = product - clifford._embed_column(m, k, n) * sys.p_star_p(i, k, l)
+                    product = product - _embed_column(m, k, n) * sys.p_star_p(i, k, l)
                 assert clifford._projection_formula_diff(sys, i, l) == product

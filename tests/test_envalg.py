@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from kahlergrad.envalg import (
     k_central,
     k_eval,
     k_eval_table,
+    k_multi_indices,
     k_of_casimirs,
     pbw_normalize,
     tilde_e_power,
@@ -176,6 +178,28 @@ def test_k_central_small():
         + casimir_element(2, m)
     )
     assert k_central(3, m) == expected
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_k_central_matches_multinomial_formula(m, variant):
+    # K_n(-c) = sum over the multiplicities i_p with sum_p p*i_p = n of
+    # s!/prod_p i_p! * prod_p c_{p-1}^(i_p), s = sum_p i_p, written out here
+    # from casimir_element products alone
+    cas = [casimir_element(p, m, variant) for p in range(4)]
+    for n in range(5):
+        expected = PBWElement.zero(m)
+        for d in k_multi_indices(n):
+            coeff = F(factorial(sum(d.values())))
+            term = PBWElement.one(m)
+            for p, cnt in d.items():
+                coeff /= factorial(cnt)
+                for _ in range(cnt):
+                    term = term * cas[p - 1]
+            expected = expected + term.scale(coeff)
+        assert k_central(n, m, variant) == expected
+    with pytest.raises(ValueError):
+        k_central(-1, m, variant)
 
 
 def test_k_of_casimirs_matches_scalars():

@@ -69,6 +69,31 @@ def test_invariant_gram_solver():
     assert all(x > 0 for x in gram.diagonal_entries())
 
 
+@pytest.mark.parametrize("rho", [(2, 1, 0), (1, 0, 0, -1)])
+def test_check_invariants_catches_a_doubled_gram_entry(rho):
+    # the unitarity loop of check_invariants is the one full adjoint check
+    model = build_rep(rho)
+    diag = model.gram.diagonal_entries()
+    for x in range(model.dim):
+        doubled = diag[:x] + [2 * diag[x]] + diag[x + 1:]
+        bad = replace(model, gram=Matrix.diagonal(doubled))
+        with pytest.raises(AssertionError, match="unitarity"):
+            bad.check_invariants()
+
+
+@pytest.mark.parametrize("zeroed", ["raising", "lowering"])
+def test_invariant_gram_rejects_a_one_sided_edge(zeroed):
+    # the walk's first edge: E_21 lowers the highest-weight vector 0 to x,
+    # and x is reached by no other edge
+    model = build_rep((2, 1, 0))
+    x = next(x for x in range(model.dim) if model.gen[(2, 1)][x, 0])
+    key, a, b = ((1, 2), 0, x) if zeroed == "raising" else ((2, 1), x, 0)
+    changed = Matrix([row[:] for row in model.gen[key].data])
+    changed.data[a][b] = F(0)
+    with pytest.raises(ValueError, match="one-sided" if zeroed == "raising" else "connected"):
+        invariant_gram(model.m, {**model.gen, key: changed})
+
+
 def test_evaluate_examples():
     rep = build_rep((1, 0))
     assert evaluate(rep, casimir_element(2, 2)) == Matrix.identity(2).scale(2)
