@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import ZERO, Matrix, gram_adjoint, lagrange_projector, linear_combination
+from .linalg import Matrix, gram_adjoint, lagrange_projector, linear_combination
 from .report import VerificationReport
 from .weights import (
     ConformalWeightTable,
@@ -92,11 +92,17 @@ class CliffordSystem:
             self._tensor_gen[(k, l)] = out
         return out
 
+    def target(self, i: int) -> Optional[TargetData]:
+        """The component at i, None where it vanishes; i must lie in 1..m."""
+        if not 1 <= i <= self.m:
+            raise ValueError(f"component index i={i} outside 1..{self.m}")
+        return self.targets[i - 1]
+
     def p_adjoint(self, i: int, k: int) -> Matrix:
         """p_i(basis_k)^*, built once per (i, k); the component must exist."""
         out = self._adj_cache.get((i, k))
         if out is None:
-            t = self.targets[i - 1]
+            t = self.target(i)
             out = gram_adjoint(t.pmaps[k - 1], self.rep.gram, t.gram)
             self._adj_cache[(i, k)] = out
         return out
@@ -108,7 +114,7 @@ class CliffordSystem:
         cached = self._pp_cache.get(key)
         if cached is not None:
             return cached
-        t = self.targets[i - 1]
+        t = self.target(i)
         n = self.rep.dim
         if t is None:
             out = Matrix.zeros(n, n)
@@ -123,9 +129,9 @@ def _aux_generator(m: int, sign: str, k: int, l: int) -> Matrix:
     its contragredient (X |-> -X^T on the conjugate basis) for sign -."""
     out = Matrix.zeros(m, m)
     if sign == "+":
-        out.data[k - 1][l - 1] = Fraction(1)
+        out[k - 1, l - 1] = 1
     else:
-        out.data[l - 1][k - 1] = Fraction(-1)
+        out[l - 1, k - 1] = -1
     return out
 
 
@@ -172,10 +178,13 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
             )
         # orthogonalize the pivot columns against the tensor form; a column
         # is a dict {tensor index: nonzero entry}
+        columns = {c: {} for c in pivots}
+        for a, c, x in proj.nonzero_entries():
+            if c in columns:
+                columns[c][a] = x
         ortho: List[dict] = []
         norms: List[Fraction] = []
-        for c in pivots:
-            v = {a: row[c] for a, row in enumerate(proj.data) if row[c] is not ZERO}
+        for v in columns.values():
             for u, nu in zip(ortho, norms):
                 coeff = sum(tensor_diag[a] * y * v[a] for a, y in u.items() if a in v) / nu
                 if coeff:
@@ -194,10 +203,9 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
         basis = Matrix.zeros(N, d)
         coords = Matrix.zeros(d, N)
         for r, (v, nv) in enumerate(zip(ortho, norms)):
-            crow = coords.data[r]
             for a, x in v.items():
-                basis.data[a][r] = x
-                crow[a] = x * tensor_diag[a] / nv
+                basis[a, r] = x
+                coords[r, a] = x * tensor_diag[a] / nv
         pmaps = [coords.submatrix(range(d), range(k - 1, N, m)) for k in range(1, m + 1)]
         targets.append(
             TargetData(
@@ -224,7 +232,7 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
 
 def target_generator(sys: CliffordSystem, i: int, k: int, l: int) -> Matrix:
     """Action of e_{kl} on the component at i, in the component basis."""
-    t = sys.targets[i - 1]
+    t = sys.target(i)
     if t is None:
         raise ValueError(f"no component at i={i}")
     return t.coords * sys.tensor_generator(k, l) * t.basis
@@ -240,7 +248,7 @@ def derived_representation(sys: CliffordSystem, i: int) -> Representation:
         for k in range(1, sys.m + 1)
         for l in range(1, sys.m + 1)
     }
-    t = sys.targets[i - 1]
+    t = sys.target(i)
     return Representation(rho=t.weight, dim=t.dim, basis=None, gen=gen, gram=t.gram)
 
 
@@ -257,39 +265,29 @@ def _elementary_symmetric(values: List[Fraction]) -> List[Fraction]:
     return e
 
 
-def _check_zero(report: VerificationReport, tag: str, params: dict, diff: Matrix):
-    """One item that passes when ``diff`` vanishes; only a failure counts the
-    nonzero entries, for its witness."""
-    if diff.is_zero():
-        report.check(tag, params, True)
-    else:
-        report.check(tag, params, False,
-                     witness=f"{diff.nonzero_count()} nonzero entries in difference")
-
-
-def _projection_formula_diff(sys: CliffordSystem, i: int, l: int) -> Matrix:
-    """P_i E_l - sum_k E_k p_i(basis_k)^* p_i(basis_l), with E_k the N x n
-    matrix of phi |-> phi (x) basis_k (tensor index a*m + k-1), without the
-    products: right-multiplying by E_l selects the columns l-1, l-1+m, ...
-    of P_i, and left-multiplying by E_k puts row a at row a*m + k-1."""
-    m, n = sys.m, sys.rep.dim
-    N = n * m
-    selected = sys.projectors[i - 1].submatrix(range(N), range(l - 1, N, m))
-    placed = Matrix.zeros(N, n)
-    for k in range(1, m + 1):
-        # rows shared with the cached p*p, which the difference only reads
-        placed.data[k - 1::m] = sys.p_star_p(i, k, l).data
-    return selected - placed
+def _check_zero(report: VerificationReport, tag: str, params: dict, *diffs: Matrix):
+    """One item that passes when every matrix of ``diffs`` vanishes; a
+    failure's witness counts their nonzero entries."""
+    count = sum(diff.nonzero_count() for diff in diffs)
+    report.check(tag, params, not count, witness=f"{count} nonzero entries in difference")
 
 
 def _check_projection_formula(report: VerificationReport, tag: str, params: dict,
                               sys: CliffordSystem):
-    """One item per valid i and per l: the projection formula on the tensor space."""
-    for i in range(1, sys.m + 1):
+    """One item per valid i and per l: P_i E_l = sum_k E_k p_i(basis_k)^*
+    p_i(basis_l), with E_k the N x n matrix of phi |-> phi (x) basis_k (tensor
+    index a*m + k-1), by row blocks: block k (rows k-1, k-1+m, ...) is P_i at
+    the columns l-1, l-1+m, ... on the left and the k-th term on the right."""
+    m = sys.m
+    N = m * sys.rep.dim
+    for i in range(1, m + 1):
         if sys.targets[i - 1] is not None:
-            for l in range(1, sys.m + 1):
+            proj = sys.projectors[i - 1]
+            for l in range(1, m + 1):
+                cols = range(l - 1, N, m)
                 _check_zero(report, tag, {**params, "i": i, "l": l},
-                            _projection_formula_diff(sys, i, l))
+                            *[proj.submatrix(range(k - 1, N, m), cols) - sys.p_star_p(i, k, l)
+                              for k in range(1, m + 1)])
 
 
 def _check_moments(report: VerificationReport, tag: str, params: dict,
@@ -525,17 +523,14 @@ def verify_adjoint_pairing(
     t_minus = sys_minus_on_target.targets[i - 1]
     if t_minus is None or t_minus.weight != rho:
         raise ValueError("minus system does not descend back to the source module")
-    if sys_minus_on_target.rep.dim != t_plus.dim:
+    if sys_minus_on_target.rep.gram != t_plus.gram:
         raise ValueError("bases are not shared: build the minus system on the "
                          "derived representation of the plus target")
 
     gamma = sys_plus.table.gamma[i - 1]
-    g_rho = sys_plus.rep.gram
-    g_sigma = t_plus.gram
-
-    P = [t_plus.pmaps[k] for k in range(m)]
-    P_star = [gram_adjoint(pk, g_rho, g_sigma) for pk in P]
-    M = [t_minus.pmaps[k] for k in range(m)]
+    P, M = t_plus.pmaps, t_minus.pmaps
+    P_star = [sys_plus.p_adjoint(i, k) for k in range(1, m + 1)]
+    M_star = [sys_minus_on_target.p_adjoint(i, k) for k in range(1, m + 1)]
 
     n = sys_plus.rep.dim
     inv_gamma = Fraction(1) / gamma
@@ -545,11 +540,10 @@ def verify_adjoint_pairing(
         _check_zero(report, "raise-lower-proportionality", {**base, "k": k + 1},
                     M[k] - T * P_star[k])
 
-    T_star = gram_adjoint(T, g_rho, t_minus.gram)
+    T_star = gram_adjoint(T, sys_plus.rep.gram, t_minus.gram)
     _check_zero(report, "raise-lower-ratio-squared", {**base, "ratio_squared": inv_gamma},
                 linear_combination([(1, T_star * T), (-inv_gamma, Matrix.identity(n))], n, n))
 
-    M_star = [gram_adjoint(mk, g_sigma, t_minus.gram) for mk in M]
     for k in range(m):
         for l in range(m):
             _check_zero(report, "raise-lower-squared", {**base, "k": k + 1, "l": l + 1},

@@ -183,7 +183,7 @@ def _ladder(pats, index, k, step):
             if not _interlaces(rows):
                 continue
             target = tuple(tuple(r) for r in rows)
-            mat.data[index[target]][c] += num / den
+            mat[index[target], c] += num / den
     return mat
 
 
@@ -198,9 +198,7 @@ def invariant_gram(m: int, gen: Dict[Tuple[int, int], Matrix]) -> Matrix:
     generator is checked once, by `Representation.check_invariants`.
     """
     n = gen[(1, 1)].rows
-    weights = []
-    for b in range(n):
-        weights.append(tuple(gen[(k, k)].data[b][b] for k in range(1, m + 1)))
+    weights = list(zip(*(gen[(k, k)].diagonal_entries() for k in range(1, m + 1))))
     hw = max(range(n), key=lambda b: weights[b])
     G: list = [None] * n
     G[hw] = Fraction(1)
@@ -212,13 +210,13 @@ def invariant_gram(m: int, gen: Dict[Tuple[int, int], Matrix]) -> Matrix:
                 A = gen[(k, k + 1)]
                 B = gen[(k + 1, k)]
                 for x in range(n):
-                    if B.data[x][y] and G[x] is None:
-                        if not A.data[y][x]:
+                    if G[x] is None and B[x, y]:
+                        if not A[y, x]:
                             raise ValueError(
                                 "inconsistent adjoint system: one-sided edge "
                                 f"{y}->{x} at k={k}"
                             )
-                        G[x] = G[y] * A.data[y][x] / B.data[x][y]
+                        G[x] = G[y] * A[y, x] / B[x, y]
                         nxt.append(x)
         frontier = nxt
     if any(g is None for g in G):
@@ -292,8 +290,8 @@ def _block_matrix(rep: Representation, variant: str) -> Matrix:
     for k in range(m):
         for l in range(m):
             g = rep.gen[(k + 1, l + 1)] if variant == "plain" else rep.gen[(l + 1, k + 1)]
-            for row, grow in zip(big.data[k * n:(k + 1) * n], g.data):
-                row[l * n:(l + 1) * n] = grow
+            for a, b, x in g.nonzero_entries():
+                big[k * n + a, l * n + b] = x
     return big
 
 

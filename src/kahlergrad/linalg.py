@@ -2,18 +2,18 @@
 
 Everything downstream (weight tables, enveloping-algebra coefficients,
 representation matrices, spectral projectors) lives over the rationals, so
-this module deliberately offers no floating-point mode.  A matrix keeps its
-entries as one dense row-major list of lists of :class:`fractions.Fraction`
-(``Matrix.data``); equality is entrywise exact equality.
+this module deliberately offers no floating-point mode.
 
-The matrices met here are a few percent nonzero, so every kernel does
-arithmetic on nonzero entries only.  Zero convention: constructors and
-kernels store the shared object :data:`ZERO` for every zero entry, and
-kernels find the other entries with ``x is not ZERO``, which runs no Python
-code per entry.  A value written into ``.data`` from outside, a fresh
-``Fraction(0)`` included, is treated as stored: it costs arithmetic, never a
-wrong result.  The predicates (``==``, ``is_zero``, ``is_diagonal``, ...)
-still test the stored entries by value.
+Each row of a :class:`Matrix` is a dict {column: Fraction} of its nonzero
+entries, and a stored entry is never zero: constructors and kernels store
+nonzero results only, and ``m[i, j] = x``, the one entry writer, deletes the
+entry when x is zero.  So ``==``, ``is_zero``, ``is_diagonal`` and
+``nonzero_count`` are tests on the storage, and every kernel iterates the
+stored entries.  The layout is private to this module: other code reads with
+``m[i, j]`` and ``nonzero_entries()`` and writes with ``m[i, j] = x``.
+``Matrix.data`` is a dense view built on that reader and writer, for code
+that indexes rows: ``m.data[i][j]`` reads or writes one entry, and a row
+iterates over all its entries.
 
 Sums are accumulated in Python ints over a common denominator and turned
 into one Fraction per nonzero result entry.  ``matmul`` brings the stored
@@ -21,7 +21,8 @@ entries of its right operand over one denominator once per call and those of
 each left row over that row's own.  :func:`linear_combination` sums c * A
 over many terms in one pass, each output row over its common denominator;
 ``+``, ``-`` and ``scale`` are its one- and two-term cases.  The values are
-the same exact rationals as with Fraction arithmetic.
+the same exact rationals as with Fraction arithmetic, and no result depends
+on the order in which a row's entries are stored.
 
 :func:`lagrange_projector` interpolates each connected block of its input's
 off-diagonal nonzero pattern on its own and reassembles the result.  A
@@ -32,7 +33,9 @@ projector is unique, so the result is exactly that of the whole matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import index
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -56,48 +59,23 @@ class SpectralCompletenessError(ValueError):
         self.residual = residual
 
 
-def _as_fraction(x) -> Fraction:
-    """``x`` as a Fraction, with every zero mapped to :data:`ZERO`."""
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    # the numerator slot is read without the Python-level Fraction.__bool__
-    return x if x._numerator else ZERO
-
-
-def _stored(row) -> list:
-    """(column, entry) pairs of the stored (non-``ZERO``) entries of one row."""
-    return [(j, x) for j, x in enumerate(row) if x is not ZERO]
-
-
-def _integer_rows(data) -> tuple:
-    """The stored entries of every row as (column, integer) pairs over one
-    common denominator D, and D."""
-    rows = [_stored(row) for row in data]
-    d = lcm(*{x._denominator for row in rows for _, x in row})
-    return [[(j, x._numerator * (d // x._denominator)) for j, x in row]
-            for row in rows], d
-
-
 class Matrix:
-    """Immutable-by-convention exact rational matrix.
+    """Exact rational matrix stored as sparse rows; see the module docstring."""
 
-    The entry lists are owned by the instance; callers must not mutate them
-    (the zero convention of the module docstring tells what a write costs).
-    All arithmetic returns new matrices.
-    """
-
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_sparse_rows")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = [[_as_fraction(x) for x in row] for row in data]
-        if not rows or not rows[0]:
+        dense = [list(row) for row in data]
+        if not dense or not dense[0]:
             raise ValueError("matrix needs at least one row and column")
-        ncol = len(rows[0])
-        if any(len(r) != ncol for r in rows):
+        ncol = len(dense[0])
+        if any(len(r) != ncol for r in dense):
             raise ValueError("ragged rows")
-        self.rows = len(rows)
-        self.cols = ncol
-        self.data = rows
+        self.rows, self.cols = len(dense), ncol
+        self._sparse_rows = [{} for _ in dense]
+        for i, row in enumerate(dense):
+            for j, x in enumerate(row):
+                self[i, j] = x
 
     # -- constructors ------------------------------------------------------
 
@@ -105,7 +83,7 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         m = cls.__new__(cls)
         m.rows, m.cols = rows, cols
-        m.data = [[ZERO] * cols for _ in range(rows)]
+        m._sparse_rows = [{} for _ in range(rows)]
         return m
 
     @classmethod
@@ -114,32 +92,54 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
-        ents = [_as_fraction(x) for x in entries]
+        ents = list(entries)
         m = cls.zeros(len(ents), len(ents))
         for i, x in enumerate(ents):
-            m.data[i][i] = x
+            m[i, i] = x
         return m
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
-        """The entries at the given row and column indices, in that order."""
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols = len(rows), len(cols)
-        out.data = [[r[j] for j in cols] for r in map(self.data.__getitem__, rows)]
+        """The entries at the given rows and distinct columns, in that order."""
+        pos = {c: k for k, c in enumerate(cols)}
+        out = Matrix.zeros(len(rows), len(cols))
+        out._sparse_rows = [{pos[c]: x for c, x in self._sparse_rows[r].items() if c in pos}
+                            for r in rows]
         return out
+
+    def __getitem__(self, ij) -> Fraction:
+        """The entry at (i, j); negative indices count from the end."""
+        i, j = ij
+        return self._sparse_rows[i].get(range(self.cols)[index(j)], ZERO)
+
+    def __setitem__(self, ij, x):
+        """The one entry writer: stores x as a Fraction, or deletes the entry if x is 0."""
+        i, j = ij
+        row = self._sparse_rows[i]
+        j = range(self.cols)[index(j)]
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        if x._numerator:
+            row[j] = x
+        else:
+            row.pop(j, None)
+
+    def nonzero_entries(self) -> list:
+        """(i, j, x) for every nonzero entry, row by row."""
+        return [(i, j, x) for i, row in enumerate(self._sparse_rows) for j, x in row.items()]
+
+    @property
+    def data(self) -> list:
+        """Dense view: a list of row views; ``data[i][j]`` reads or writes one entry."""
+        return [_DenseRow(self, i) for i in range(self.rows)]
 
     # -- basic protocol ----------------------------------------------------
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other) -> bool:
-        # list equality tests identity first, so shared ZEROs cost nothing
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self._sparse_rows == other._sparse_rows
         )
 
     def __repr__(self):
@@ -149,10 +149,10 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return linear_combination([(_ONE, self), (_ONE, other)], self.rows, self.cols)
+        return linear_combination([(1, self), (1, other)], self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return linear_combination([(_ONE, self), (-1, other)], self.rows, self.cols)
+        return linear_combination([(1, self), (-1, other)], self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
@@ -175,100 +175,117 @@ class Matrix:
                 f"{other.rows}x{other.cols}"
             )
         out = Matrix.zeros(self.rows, other.cols)
-        brows, db = _integer_rows(other.data)
-        for arow, orow in zip(self.data, out.data):
-            stored = _stored(arow)
-            if not stored:
+        # the right operand's entries as integers over one denominator db
+        db = lcm(*{x._denominator for row in other._sparse_rows for x in row.values()})
+        brows = [[(j, x._numerator * (db // x._denominator)) for j, x in row.items()]
+                 for row in other._sparse_rows]
+        for i, arow in enumerate(self._sparse_rows):
+            if not arow:
                 continue
-            da = lcm(*{a._denominator for _, a in stored})
+            da = lcm(*{a._denominator for a in arow.values()})
             acc = {}
-            for k, a in stored:
+            for k, a in arow.items():
                 ai = a._numerator * (da // a._denominator)
                 for j, b in brows[k]:
                     acc[j] = acc.get(j, 0) + ai * b
             d = da * db
-            for j, v in acc.items():
-                if v:
-                    orow[j] = Fraction(v, d)
+            out._sparse_rows[i] = {j: Fraction(v, d) for j, v in acc.items() if v}
         return out
 
     def kron(self, other: "Matrix") -> "Matrix":
-        br, bc = other.rows, other.cols
-        out = Matrix.zeros(self.rows * br, self.cols * bc)
-        brows = [_stored(row) for row in other.data]
-        for i, arow in enumerate(self.data):
-            for j, a in _stored(arow):
-                off = j * bc
-                for orow, bstored in zip(out.data[i * br:(i + 1) * br], brows):
-                    for l, b in bstored:
-                        orow[off + l] = a * b
+        bc = other.cols
+        out = Matrix.zeros(self.rows * other.rows, self.cols * bc)
+        out._sparse_rows = [
+            {j * bc + l: a * b for j, a in arow.items() for l, b in brow.items()}
+            for arow in self._sparse_rows for brow in other._sparse_rows
+        ]
         return out
 
     # -- predicates and reductions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(x for row in self.data for x in row if x is not ZERO)
+        return not any(self._sparse_rows)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_diagonal(self) -> bool:
-        return not any(
-            x for i, row in enumerate(self.data) for j, x in _stored(row) if i != j
-        )
+        # row i may store its diagonal entry and nothing else
+        return all(len(row) == (i in row) for i, row in enumerate(self._sparse_rows))
 
     def diagonal_entries(self) -> list:
-        n = min(self.rows, self.cols)
-        return [self.data[i][i] for i in range(n)]
+        return [self._sparse_rows[i].get(i, ZERO) for i in range(min(self.rows, self.cols))]
 
     def is_scalar(self) -> bool:
         """Square, diagonal and constant on the diagonal."""
-        if not self.is_square() or not self.is_diagonal():
-            return False
         d = self.diagonal_entries()
-        return all(x == d[0] for x in d)
+        return self.is_square() and self.is_diagonal() and all(x == d[0] for x in d)
 
     def nonzero_count(self) -> int:
-        return sum(1 for row in self.data for x in row if x is not ZERO and x)
+        return sum(map(len, self._sparse_rows))
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        a = [row[:] for row in self.data]
+        a = [dict(row) for row in self._sparse_rows]
         pivots = []
         r = 0
         for c in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                x = a[i][c]
-                if x is not ZERO and x:
-                    piv = i
-                    break
+            piv = next((i for i in range(r, self.rows) if c in a[i]), None)
             if piv is None:
                 continue
             a[r], a[piv] = a[piv], a[r]
-            prow = a[r]
-            inv = 1 / prow[c]
-            for j, x in _stored(prow):
-                prow[j] = x * inv
-            pstored = _stored(prow)
+            inv = 1 / a[r][c]
+            a[r] = prow = {j: x * inv for j, x in a[r].items()}
             for i, row in enumerate(a):
-                if row[c] is ZERO or i == r:
+                if i == r or c not in row:
                     continue
                 f = -row[c]
-                for j, y in pstored:
-                    x = row[j]
-                    v = f * y if x is ZERO else x + f * y
-                    row[j] = v if v._numerator else ZERO
+                for j, y in prow.items():
+                    v = row[j] + f * y if j in row else f * y
+                    if v._numerator:
+                        row[j] = v
+                    else:
+                        del row[j]
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        out = Matrix.__new__(Matrix)
-        out.rows, out.cols, out.data = self.rows, self.cols, a
+        out = Matrix.zeros(self.rows, self.cols)
+        out._sparse_rows = a
         return out, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
+
+
+class _DenseRow:
+    """Row i of a matrix as a dense list of ``cols`` entries; reads and
+    writes go through the matrix's ``m[i, j]`` reader and writer."""
+
+    __slots__ = ("_m", "_i")
+
+    def __init__(self, m: Matrix, i: int):
+        self._m, self._i = m, i
+
+    def __len__(self):
+        return self._m.cols
+
+    def __iter__(self):
+        row = self._m._sparse_rows[self._i]
+        return map(row.get, range(self._m.cols), repeat(ZERO))
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return list(self)[j]
+        return self._m[self._i, j]
+
+    def __setitem__(self, j, x):
+        self._m[self._i, j] = x
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _DenseRow)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _check_gram(g: Matrix, name: str):
@@ -296,12 +313,12 @@ def gram_adjoint(a: Matrix, gram_source: Matrix, gram_target: Matrix) -> Matrix:
         )
     gs = gram_source.diagonal_entries()
     out = Matrix.zeros(a.cols, a.rows)
-    for y, (row, g) in enumerate(zip(a.data, gram_target.diagonal_entries())):
-        for x, v in _stored(row):
-            if v._numerator:
-                s = gs[x]
-                out.data[x][y] = Fraction(v._numerator * g._numerator * s._denominator,
-                                          v._denominator * g._denominator * s._numerator)
+    for y, (row, g) in enumerate(zip(a._sparse_rows, gram_target.diagonal_entries())):
+        for x, v in row.items():
+            s = gs[x]
+            out._sparse_rows[x][y] = Fraction(
+                v._numerator * g._numerator * s._denominator,
+                v._denominator * g._denominator * s._numerator)
     return out
 
 
@@ -316,8 +333,8 @@ def _connected_blocks(a: Matrix) -> list:
             i = parent[i]
         return i
 
-    for i, row in enumerate(a.data):
-        for j, _ in _stored(row):
+    for i, row in enumerate(a._sparse_rows):
+        for j in row:
             ri, rj = root(i), root(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
@@ -328,11 +345,10 @@ def _connected_blocks(a: Matrix) -> list:
 
 
 def _place(dst: Matrix, blk: Matrix, idx: list):
-    """Write the square block ``blk`` into ``dst`` at rows and columns ``idx``."""
-    for i, brow in zip(idx, blk.data):
-        drow = dst.data[i]
-        for c, x in _stored(brow):
-            drow[idx[c]] = x
+    """Write the square block ``blk`` into the empty rows ``idx`` of ``dst``,
+    at columns ``idx``."""
+    for i, brow in zip(idx, blk._sparse_rows):
+        dst._sparse_rows[i] = {idx[c]: x for c, x in brow.items()}
 
 
 def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> Matrix:
@@ -350,7 +366,7 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
     """
     if not a.is_square():
         raise ValueError("lagrange_projector needs a square matrix")
-    lams = [_as_fraction(x) for x in eigenvalues]
+    lams = [Fraction(x) for x in eigenvalues]
     if len(set(lams)) != len(lams):
         raise ValueError(f"repeated eigenvalues in spectrum list: {lams}")
     if not 0 <= target_index < len(lams):
@@ -364,7 +380,7 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
     scalars = {b: [Matrix.diagonal([lam] * b) for lam in lams]
                for b in {len(idx) for idx in blocks}}
     proj = Matrix.zeros(a.rows, a.rows)
-    residues = []
+    residual = Matrix.zeros(a.rows, a.rows)
     for idx in blocks:
         blk = a.submatrix(idx, idx)
         factors = [blk - s for s in scalars[len(idx)]]
@@ -374,13 +390,8 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
                 p = factor if p is None else p.matmul(factor)
         p = Matrix.identity(len(idx)) if p is None else p.scale(coeff)
         _place(proj, p, idx)
-        res = p.matmul(factors[target_index])
-        if not res.is_zero():
-            residues.append((res, idx))
-    if residues:
-        residual = Matrix.zeros(a.rows, a.rows)
-        for res, idx in residues:
-            _place(residual, res, idx)
+        _place(residual, p.matmul(factors[target_index]), idx)
+    if not residual.is_zero():
         raise SpectralCompletenessError(
             f"eigenvalue list {lams} is not spectrally complete "
             f"({residual.nonzero_count()} nonzero residual entries)",
@@ -390,7 +401,8 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
 
 
 def linear_combination(terms, rows: int, cols: int) -> Matrix:
-    """The sum of c * A over the (c, A) pairs of ``terms``, each A rows x cols.
+    """The sum of c * A over the (c, A) pairs of ``terms``, each A rows x cols
+    and each c an int or a Fraction.
 
     One pass over each A's stored entries: every output row is summed in
     Python ints over that row's common denominator.  Zero coefficients are
@@ -402,29 +414,23 @@ def linear_combination(terms, rows: int, cols: int) -> Matrix:
             raise ValueError(
                 f"dimension mismatch: {a.rows}x{a.cols} term in a {rows}x{cols} sum"
             )
-        c = _as_fraction(c)
-        if c is not ZERO:
-            parts.append((c._numerator, c._denominator, a.data))
+        cn, cd = c.as_integer_ratio()
+        if cn:
+            parts.append((cn, cd, a._sparse_rows))
     out = Matrix.zeros(rows, cols)
-    for r, orow in enumerate(out.data):
-        row_terms = []
-        for cn, cd, data in parts:
-            stored = _stored(data[r])
-            if stored:
-                row_terms.append((cn, cd, stored))
+    for r in range(rows):
+        row_terms = [(cn, cd, data[r]) for cn, cd, data in parts if data[r]]
         if not row_terms:
             continue
-        d = lcm(*{cd * x._denominator for _, cd, stored in row_terms for _, x in stored})
+        d = lcm(*{cd * x._denominator for _, cd, row in row_terms for x in row.values()})
         acc = {}
-        for cn, cd, stored in row_terms:
+        for cn, cd, row in row_terms:
             if cn == 1 and cd == 1:
-                for j, x in stored:
+                for j, x in row.items():
                     acc[j] = acc.get(j, 0) + x._numerator * (d // x._denominator)
             else:
                 f = d // cd
-                for j, x in stored:
+                for j, x in row.items():
                     acc[j] = acc.get(j, 0) + cn * x._numerator * (f // x._denominator)
-        for j, v in acc.items():
-            if v:
-                orow[j] = Fraction(v, d)
+        out._sparse_rows[r] = {j: Fraction(v, d) for j, v in acc.items() if v}
     return out

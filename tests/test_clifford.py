@@ -192,6 +192,9 @@ def test_adjoint_pairing_rejects_mismatched_system():
     wrong = build_system(build_rep((2, 0)), "-")
     with pytest.raises(ValueError):
         verify_adjoint_pairing(plus, wrong, 2)  # raised weight is (1,1), not (2,0)
+    # the right weight and dimension, but the GT basis instead of the derived one
+    with pytest.raises(ValueError, match="bases are not shared"):
+        verify_adjoint_pairing(plus, wrong, 1)
 
 
 def test_derived_representation_is_a_module():
@@ -202,6 +205,19 @@ def test_derived_representation_is_a_module():
     assert raised.dim == weyl_dimension((1, 1, 0))
     with pytest.raises(ValueError, match="no component at i=3"):
         derived_representation(plus, 3)  # (1,0,1) is not dominant
+
+
+def test_component_index_outside_1_to_m_raises():
+    plus = build_system(build_rep((1, 0, -1)), "+")
+    for i in (0, 4):
+        calls = (lambda: derived_representation(plus, i),
+                 lambda: target_generator(plus, i, 1, 1),
+                 lambda: plus.p_star_p(i, 1, 1),
+                 lambda: plus.p_adjoint(i, 1))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"component index i={i} outside 1..3"):
+                call()
+    assert plus.p_star_p(3, 1, 1) == plus.p_adjoint(3, 1) * plus.targets[2].pmaps[0]
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -354,15 +370,24 @@ def test_corrupted_map_fails_with_dense_witnesses():
 
 @pytest.mark.parametrize("rho", [(1, 0, 0), (2, 0, -1)])
 def test_projection_formula_selection_equals_products(rho):
+    # the projection-formula item compares, for each k, the rows k-1, k-1+m,
+    # ... of P_i at the columns l-1, l-1+m, ... with p_i(k)^* p_i(l): that is
+    # row block k of P_i E_l - sum_k E_k p_i(k)^* p_i(l)
     rep = build_rep(rho)
     m, n = rep.m, rep.dim
+    N = n * m
     for sign in "+-":
         sys = build_system(rep, sign)
         for i, t in enumerate(sys.targets, 1):
             if t is None:
                 continue
+            proj = sys.projectors[i - 1]
             for l in range(1, m + 1):
-                product = sys.projectors[i - 1] * _embed_column(m, l, n)
+                product = diff = proj * _embed_column(m, l, n)
                 for k in range(1, m + 1):
-                    product = product - _embed_column(m, k, n) * sys.p_star_p(i, k, l)
-                assert clifford._projection_formula_diff(sys, i, l) == product
+                    diff = diff - _embed_column(m, k, n) * sys.p_star_p(i, k, l)
+                for k in range(1, m + 1):
+                    rows = range(k - 1, N, m)
+                    selected = proj.submatrix(rows, range(l - 1, N, m))
+                    assert product.submatrix(rows, range(n)) == selected
+                    assert diff.submatrix(rows, range(n)) == selected - sys.p_star_p(i, k, l)

@@ -85,7 +85,7 @@ def test_lagrange_projector_algebra(diag, conjugator):
     srref, pivots = s.rref()
     assert len(pivots) == 3
     # invert by Gauss-Jordan on [s | I]
-    aug = Matrix([row + ident for row, ident in zip(s.data, Matrix.identity(3).data)])
+    aug = Matrix([row[:] + ident[:] for row, ident in zip(s.data, Matrix.identity(3).data)])
     red, _ = aug.rref()
     sinv = Matrix([row[3:] for row in red.data])
     a = s * Matrix.diagonal(diag) * sinv
@@ -162,17 +162,17 @@ COEFF = st.one_of(st.sampled_from([0, 1, -1]), WIDE)
 @st.composite
 def sparse_matrices(draw, rows=None, cols=None, entries=SPARSE_ENTRY):
     """A sparse rational matrix, some of whose entries are then overwritten
-    through ``.data`` with a fresh Fraction(0) or a nonzero value."""
+    through ``.data`` with 0, Fraction(0) or a nonzero value."""
     r = draw(st.integers(1, 5)) if rows is None else rows
     c = draw(st.integers(1, 5)) if cols is None else cols
     a = Matrix(draw(st.lists(st.lists(entries, min_size=c, max_size=c),
                              min_size=r, max_size=r)))
     for i, j, x in draw(st.lists(
         st.tuples(st.integers(0, r - 1), st.integers(0, c - 1),
-                  st.one_of(st.just(0), SMALL.filter(bool))),
+                  st.one_of(st.sampled_from([0, F(0)]), SMALL.filter(bool))),
         max_size=3,
     )):
-        a.data[i][j] = F(x)  # a fresh object, never the shared ZERO
+        a.data[i][j] = x
     return a
 
 
@@ -196,14 +196,70 @@ def combinations(draw):
     return terms, r, c
 
 
-def _follows_zero_convention(a):
-    return all(x is ZERO for row in a.data for x in row if x == 0)
+def _stores_no_zero(a):
+    """Every stored entry is a nonzero Fraction inside the shape, and the
+    stored entries are exactly the nonzero entries of the dense view."""
+    stored = a.nonzero_entries()
+    dense = {(i, j): x for i, row in enumerate(a.data) for j, x in enumerate(row) if x != 0}
+    return (all(type(x) is F and x != 0 for _, _, x in stored)
+            and len(stored) == a.nonzero_count()
+            and {(i, j): x for i, j, x in stored} == dense)
 
 
-def test_constructors_store_the_shared_zero():
+def test_constructors_store_no_zero():
     for a in (Matrix([[0, F(0)], [F(1, 2), 0]]), Matrix.zeros(2, 3),
-              Matrix.identity(3), Matrix.diagonal([0, 2, F(0)])):
-        assert _follows_zero_convention(a)
+              Matrix.identity(3), Matrix.diagonal([0, 2, F(0)]), Matrix([[0.0, "0/3"]])):
+        assert _stores_no_zero(a)
+    assert Matrix.zeros(2, 3).nonzero_entries() == []
+    assert Matrix.diagonal([0, 2, F(0)]).nonzero_entries() == [(1, 1, F(2))]
+    assert Matrix([[0, F(0)], [F(1, 2), 0]]).nonzero_entries() == [(1, 0, F(1, 2))]
+
+
+def test_writes_store_no_zero():
+    a = Matrix([[1, F(1, 2), 4], [3, 0, 5]])
+    a.data[0][0] = 0
+    a.data[0][1] = F(0)
+    a.data[1][0] += -3  # cancels the entry
+    a.data[1][1] = F(0)  # no entry there before
+    a[0, 2] = F(0)
+    a[1, 2] -= 5
+    assert _stores_no_zero(a) and a.is_zero() and a.nonzero_count() == 0
+    assert a == Matrix.zeros(2, 3) and a.is_diagonal()
+
+
+def test_dense_view_reads_and_writes_the_storage():
+    # the uses of .data outside the library: += writes, row[:] copies, len,
+    # dense iteration, negative indices and IndexError
+    a = Matrix.zeros(2, 3)
+    a.data[0][2] += 2
+    a.data[1][-3] += F(1, 2)
+    a.data[0][2] += 1
+    assert a.nonzero_entries() == [(0, 2, F(3)), (1, 0, F(1, 2))]
+    assert a == Matrix([[0, 0, 3], [F(1, 2), 0, 0]])
+    assert a.data == [[0, 0, 3], [F(1, 2), 0, 0]]
+    row = a.data[-1]
+    assert len(a.data) == 2 and len(row) == 3
+    assert [x._numerator for x in row] == [1, 0, 0]
+    assert list(row) == [F(1, 2), 0, 0] and all(type(x) is F for x in row)
+    assert row == [F(1, 2), 0, 0] and row != [F(1, 2), 0, 1]
+    assert type(row[:]) is list and row[:] == [F(1, 2), 0, 0] and row[1:] == [0, 0]
+    assert row[-3] == a[-1, 0] == F(1, 2) and row[-1] == a[1, -1] == 0
+    copy = Matrix([r[:] for r in a.data])
+    copy.data[0][2] += -1
+    assert copy[0, 2] == 2 and a[0, 2] == 3  # a copy shares no storage
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            row[bad]
+        with pytest.raises(IndexError):
+            row[bad] = 1
+        with pytest.raises(IndexError):
+            a[0, bad]
+    for bad in (2, -3):
+        with pytest.raises(IndexError):
+            a.data[bad]
+        with pytest.raises(IndexError):
+            a[bad, 0] = 1
+    assert a == Matrix([[0, 0, 3], [F(1, 2), 0, 0]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,13 +315,15 @@ def test_gram_adjoint_matches_dense(a, data):
 @settings(max_examples=60, deadline=None)
 @given(same_shape_pairs(), product_pairs())
 def test_kernels_keep_the_zero_convention(pair, prod):
-    # inputs written only by constructors give results that store ZERO
-    # for every zero entry
-    clean = [Matrix(_dense(m)) for m in pair + prod]
-    a, b, c, d = clean
-    for out in (a + b, a - b, a.scale(3), a.scale(0), c.matmul(d), a.kron(d),
-                a.rref()[0]):
-        assert _follows_zero_convention(out)
+    # no kernel stores a zero, whatever was written through .data before
+    a, b = pair
+    c, d = prod
+    grams = [Matrix.diagonal([F(k + 1, 2) for k in range(n)]) for n in (a.rows, a.cols)]
+    for out in (a + b, a - b, a - a, a.scale(3), a.scale(0), -a, c.matmul(d), a.kron(d),
+                a.rref()[0], a.submatrix(range(a.rows - 1, -1, -1), range(0, a.cols, 2)),
+                gram_adjoint(a, grams[1], grams[0]),
+                linear_combination([(2, a), (-1, b), (F(1, 3), a)], a.rows, a.cols)):
+        assert _stores_no_zero(out)
 
 
 def _ref_combination(terms, rows, cols):
@@ -284,8 +342,7 @@ def test_integer_matmul_matches_dense(pair):
     before = _dense(a), _dense(b)
     out = a.matmul(b)
     assert out.data == _ref_mul(*before)
-    # overwritten inputs, fresh Fraction(0)s included, still give ZERO zeros
-    assert _follows_zero_convention(out)
+    assert _stores_no_zero(out)
     assert (_dense(a), _dense(b)) == before
 
 
@@ -297,14 +354,15 @@ def test_linear_combination_matches_dense(case):
     out = linear_combination(terms, r, c)
     assert (out.rows, out.cols) == (r, c)
     assert out.data == _ref_combination(terms, r, c)
-    assert _follows_zero_convention(out)
+    assert _stores_no_zero(out)
     assert [_dense(a) for _, a in terms] == before
 
 
 def test_linear_combination_edge_cases():
     assert linear_combination([], 2, 3).data == [[ZERO] * 3] * 2
     a = Matrix([[F(1, 3), 0], [F(-2, 7), F(5)]])
-    assert linear_combination([(1, a), (-1, a)], 2, 2).data == [[ZERO] * 2] * 2
+    cancelled = linear_combination([(1, a), (-1, a)], 2, 2)
+    assert cancelled.data == [[ZERO] * 2] * 2 and cancelled.nonzero_entries() == []
     assert linear_combination([(0, a), (1, a)], 2, 2) == a
     assert linear_combination([(F(3, 2), a)], 2, 2) == a.scale(F(3, 2))
     # every term's shape is checked, even under a zero coefficient
@@ -372,7 +430,7 @@ def permuted_block_diagonal(draw):
     for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=2)):
         if a.data[i][j] == 0:
-            a.data[i][j] = F(0)  # a fresh zero joins two blocks; same result
+            a.data[i][j] = F(0)  # stores nothing, so no blocks are joined
     extra = draw(st.lists(st.integers(5, 7), max_size=1))
     return a, [F(x) for x in spectrum + extra], used
 
@@ -384,7 +442,8 @@ def test_block_projector_matches_whole_matrix(case, data):
     t = data.draw(st.integers(0, len(lams) - 1))
     ref, residual = _ref_projector(_dense(a), lams, t)
     assert all(x == 0 for row in residual for x in row)
-    assert lagrange_projector(a, lams, t).data == ref
+    proj = lagrange_projector(a, lams, t)
+    assert proj.data == ref and _stores_no_zero(proj)
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,4 +460,4 @@ def test_block_projector_residual_with_moved_eigenvalue(case, data):
     with pytest.raises(SpectralCompletenessError) as err:
         lagrange_projector(a, wrong, t)
     assert f"({count} nonzero residual entries)" in str(err.value)
-    assert err.value.residual.data == residual
+    assert err.value.residual.data == residual and _stores_no_zero(err.value.residual)

@@ -4,6 +4,8 @@
 - Absolute imports come from the standard library only: the library has no
   runtime dependency.
 - Every name in a module's `__all__` is defined in that module.
+- The storage layout of `Matrix` stays in `linalg.py`: no other module names
+  `ZERO` or the row-storage attribute.
 """
 
 import ast
@@ -12,8 +14,11 @@ import sys
 
 import pytest
 
+from kahlergrad.linalg import Matrix
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kahlergrad"
 MODULES = sorted(SRC.glob("*.py"))
+ROW_STORAGE = "_sparse_rows"
 
 
 def _asserts(tree) -> list:
@@ -47,6 +52,19 @@ def _undefined_exports(tree) -> list:
     return [name for name in exported if name not in defined]
 
 
+def _layout_names(tree) -> list:
+    """Lines that import or read `ZERO` or name the row-storage attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for alias in node.names if alias.name == "ZERO"]
+        elif isinstance(node, ast.Attribute) and node.attr in ("ZERO", ROW_STORAGE):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and node.value == ROW_STORAGE:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -72,6 +90,13 @@ def test_all_names_are_defined(path):
     assert _undefined_exports(_parse(path)) == []
 
 
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "linalg.py"],
+                         ids=lambda path: path.name)
+def test_matrix_layout_stays_in_linalg(path):
+    assert ROW_STORAGE in Matrix.__slots__
+    assert _layout_names(_parse(path)) == []
+
+
 def test_rules_flag_a_module_that_breaks_them():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -84,7 +109,11 @@ def test_rules_flag_a_module_that_breaks_them():
         "    assert x > 0\n"
         "    import hypothesis\n"
         "    return x\n"
+        "def g(m):\n"
+        "    from .linalg import Matrix, ZERO\n"
+        "    return m._sparse_rows, linalg.ZERO, getattr(m, '_sparse_rows')\n"
     )
     assert _asserts(tree) == [8]
     assert _outside_stdlib(tree) == ["numpy", "sympy.core", "hypothesis"]
     assert _undefined_exports(tree) == ["Rational"]
+    assert _layout_names(tree) == [12, 13, 13, 13]
