@@ -548,7 +548,7 @@ def cmd_verify(args) -> int:
             for item in rep.failures():
                 print(f"  {item.describe()}")
         print(f"TOTAL {total.summary()}")
-    return EXIT_OK if total.passed else EXIT_VERIFY_FAIL
+    return EXIT_OK if total.verdict == "PASS" else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import Matrix, gram_adjoint, lagrange_projector, linear_combination
+from .linalg import (
+    Matrix,
+    gram_adjoint,
+    lagrange_coefficients,
+    lagrange_projectors,
+    linear_combination,
+)
 from .report import VerificationReport
 from .weights import (
     ConformalWeightTable,
@@ -147,7 +153,7 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
          for k in range(1, m + 1) for l in range(1, m + 1)], N, N)
 
     eigenvalues = [Fraction(-2 * w) for w in table.w]
-    projectors = [lagrange_projector(chat, eigenvalues, t) for t in range(m)]
+    projectors = lagrange_projectors(chat, eigenvalues)
 
     if linear_combination([(1, p) for p in projectors], N, N) != Matrix.identity(N):
         raise AssertionError("projectors do not resolve the identity")
@@ -186,6 +192,8 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
         norms: List[Fraction] = []
         for v in columns.values():
             for u, nu in zip(ortho, norms):
+                if u.keys().isdisjoint(v):
+                    continue
                 coeff = sum(tensor_diag[a] * y * v[a] for a, y in u.items() if a in v) / nu
                 if coeff:
                     for a, y in u.items():
@@ -255,15 +263,6 @@ def derived_representation(sys: CliffordSystem, i: int) -> Representation:
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
-
-def _elementary_symmetric(values: List[Fraction]) -> List[Fraction]:
-    """The elementary symmetric polynomials e_0 .. e_len of ``values``."""
-    e = [Fraction(1)] + [Fraction(0)] * len(values)
-    for v in values:
-        for deg in range(len(values), 0, -1):
-            e[deg] += v * e[deg - 1]
-    return e
-
 
 def _check_zero(report: VerificationReport, tag: str, params: dict, *diffs: Matrix):
     """One item that passes when every matrix of ``diffs`` vanishes; a
@@ -362,13 +361,8 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
 
     # Vandermonde-solved form: p_i^* p_i as a combination of degrees < m
     for i in valid:
-        others = [w for j, w in enumerate(ws) if j != i - 1]
-        denom = Fraction(1)
-        for w in others:
-            denom *= ws[i - 1] - w
-        esym = _elementary_symmetric(others)
-        # minus the coefficient of degree j - 1
-        coeffs = [(-1) ** (m - j + 1) * esym[m - j] / denom for j in range(1, m + 1)]
+        # minus the Lagrange basis polynomial of w_i, degree by degree
+        coeffs = [-c for c in lagrange_coefficients(ws, i - 1)]
         for k, l in units:
             terms = [(1, sys.p_star_p(i, k, l))]
             terms += [(c, powers[j][(k, l)]) for j, c in enumerate(coeffs)]

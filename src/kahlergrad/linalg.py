@@ -24,17 +24,21 @@ over many terms in one pass, each output row over its common denominator;
 the same exact rationals as with Fraction arithmetic, and no result depends
 on the order in which a row's entries are stored.
 
-:func:`lagrange_projector` interpolates each connected block of its input's
-off-diagonal nonzero pattern on its own and reassembles the result.  A
-polynomial in a block-diagonal matrix is block diagonal and the spectral
-projector is unique, so the result is exactly that of the whole matrix.
+:func:`lagrange_projectors` gives every spectral projector of a matrix from
+one power series: the powers of the whole matrix are formed once by sparse
+``matmul`` (a product never leaves the blocks of the nonzero pattern, so no
+block split is needed), and the completeness residual and each projector are
+one ``linear_combination`` of them, with the coefficients of
+:func:`lagrange_coefficients`.  ``rref`` is a fraction-free reduction over
+integer rows, each divided by its content after every elimination, that
+turns a row into Fractions only once, when it is scaled to a leading 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm, prod
 from operator import index
 from typing import Iterable, Sequence
 
@@ -43,7 +47,9 @@ __all__ = [
     "Matrix",
     "SpectralCompletenessError",
     "gram_adjoint",
+    "lagrange_coefficients",
     "lagrange_projector",
+    "lagrange_projectors",
     "linear_combination",
 ]
 
@@ -225,37 +231,56 @@ class Matrix:
         return sum(map(len, self._sparse_rows))
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column list)."""
-        a = [dict(row) for row in self._sparse_rows]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if c in a[i]), None)
-            if piv is None:
+        """Reduced row echelon form; returns (matrix, pivot column list).
+
+        Fraction-free, row at a time (Bareiss, Math. Comp. 22, 1968): a row in
+        integers over its denominators' lcm is reduced by the pivot rows so
+        far; a remainder becomes the pivot row of its leading column, cleared
+        from the others.  Each elimination divides out the row's content; a
+        pivot row becomes Fractions once, scaled to a leading 1."""
+        found = {}  # pivot column -> integer row, zero at every other pivot
+        for row in self._sparse_rows:
+            if not row:
                 continue
-            a[r], a[piv] = a[piv], a[r]
-            inv = 1 / a[r][c]
-            a[r] = prow = {j: x * inv for j, x in a[r].items()}
-            for i, row in enumerate(a):
-                if i == r or c not in row:
-                    continue
-                f = -row[c]
-                for j, y in prow.items():
-                    v = row[j] + f * y if j in row else f * y
-                    if v._numerator:
-                        row[j] = v
-                    else:
-                        del row[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
+            d = lcm(*{x._denominator for x in row.values()})
+            v = _primitive({j: x._numerator * (d // x._denominator) for j, x in row.items()})
+            for c in [c for c in v if c in found]:
+                v = _eliminate(v, found[c], c)
+            if v:
+                c = min(v)
+                for k, u in found.items():
+                    if c in u:
+                        found[k] = _eliminate(u, v, c)
+                found[c] = v
+        pivots = sorted(found)
         out = Matrix.zeros(self.rows, self.cols)
-        out._sparse_rows = a
+        for r, c in enumerate(pivots):
+            lead = found[c][c]
+            out._sparse_rows[r] = {j: Fraction(x, lead) for j, x in found[c].items()}
         return out, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
+
+
+def _primitive(v: dict) -> dict:
+    """The integer row ``v`` divided by its content, the gcd of its entries."""
+    g = gcd(*v.values())
+    return v if g == 1 else {j: x // g for j, x in v.items()}
+
+
+def _eliminate(v: dict, u: dict, c: int) -> dict:
+    """The primitive integer row of u[c] v - v[c] u, which is zero at column c."""
+    g = gcd(u[c], v[c])
+    a, b = u[c] // g, v[c] // g
+    out = {j: a * x for j, x in v.items()} if a != 1 else dict(v)
+    for j, y in u.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out) if out else out
 
 
 class _DenseRow:
@@ -322,82 +347,68 @@ def gram_adjoint(a: Matrix, gram_source: Matrix, gram_target: Matrix) -> Matrix:
     return out
 
 
-def _connected_blocks(a: Matrix) -> list:
-    """Index lists, each ascending, of the connected components of the graph
-    whose edges are the stored off-diagonal entries of ``a``."""
-    parent = list(range(a.rows))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, row in enumerate(a._sparse_rows):
-        for j in row:
-            ri, rj = root(i), root(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    blocks = {}
-    for i in range(a.rows):
-        blocks.setdefault(root(i), []).append(i)
-    return list(blocks.values())
+def _monic(roots: Sequence) -> list:
+    """Coefficients, lowest degree first, of the product of (x - r) over ``roots``."""
+    c = [_ONE]
+    for r in roots:
+        c = [a - r * b for a, b in zip([ZERO, *c], [*c, ZERO])]
+    return c
 
 
-def _place(dst: Matrix, blk: Matrix, idx: list):
-    """Write the square block ``blk`` into the empty rows ``idx`` of ``dst``,
-    at columns ``idx``."""
-    for i, brow in zip(idx, blk._sparse_rows):
-        dst._sparse_rows[i] = {idx[c]: x for c, x in brow.items()}
+def lagrange_coefficients(nodes: Sequence, t: int) -> list:
+    """Coefficients, lowest degree first, of the Lagrange basis polynomial of
+    node t: the product of (x - nodes[j]) / (nodes[t] - nodes[j]) over j != t."""
+    others = [x for j, x in enumerate(nodes) if j != t]
+    denom = prod((nodes[t] - x for x in others), start=_ONE)
+    return [c / denom for c in _monic(others)]
 
 
-def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> Matrix:
-    """Spectral projector onto one eigenvalue by Lagrange interpolation.
-
-    ``eigenvalues`` must be pairwise distinct and spectrally complete for
-    ``a`` (the product of all ``a - lambda_j`` must vanish); the projector for
-    ``eigenvalues[target_index]`` is then ``prod_{j != t} (a - lambda_j) /
-    (lambda_t - lambda_j)``.  Completeness is always checked, so a wrong
-    predicted spectrum fails loudly instead of producing a non-projector.
-
-    The interpolation runs on each connected block of the off-diagonal
-    nonzero pattern with the full eigenvalue list (a superset of a block's
-    spectrum is enough), and the projector and the residual are reassembled.
-    """
+def _spectrum(a: Matrix, eigenvalues: Sequence) -> list:
+    """``eigenvalues`` as Fractions, once ``a`` is square and they are distinct."""
     if not a.is_square():
         raise ValueError("lagrange_projector needs a square matrix")
     lams = [Fraction(x) for x in eigenvalues]
     if len(set(lams)) != len(lams):
         raise ValueError(f"repeated eigenvalues in spectrum list: {lams}")
-    if not 0 <= target_index < len(lams):
-        raise ValueError("target_index out of range")
-    coeff = _ONE
-    for j, lam in enumerate(lams):
-        if j != target_index:
-            coeff /= lams[target_index] - lam
-    blocks = _connected_blocks(a)
-    # lambda times the identity, for each block size and eigenvalue
-    scalars = {b: [Matrix.diagonal([lam] * b) for lam in lams]
-               for b in {len(idx) for idx in blocks}}
-    proj = Matrix.zeros(a.rows, a.rows)
-    residual = Matrix.zeros(a.rows, a.rows)
-    for idx in blocks:
-        blk = a.submatrix(idx, idx)
-        factors = [blk - s for s in scalars[len(idx)]]
-        p = None
-        for j, factor in enumerate(factors):
-            if j != target_index:
-                p = factor if p is None else p.matmul(factor)
-        p = Matrix.identity(len(idx)) if p is None else p.scale(coeff)
-        _place(proj, p, idx)
-        _place(residual, p.matmul(factors[target_index]), idx)
+    return lams
+
+
+def lagrange_projectors(a: Matrix, eigenvalues: Sequence) -> list:
+    """The spectral projectors of ``a`` onto each of ``eigenvalues``, in order.
+
+    The eigenvalues must be distinct and spectrally complete: the residual,
+    the product of all ``a - lambda_j``, must vanish, or a
+    :class:`SpectralCompletenessError` carries it.  The residual and each
+    projector are linear combinations of the powers a^0 .. a^m, formed once."""
+    lams = _spectrum(a, eigenvalues)
+    n = a.rows
+    powers = [Matrix.identity(n), a]
+    while len(powers) <= len(lams):
+        powers.append(powers[-1].matmul(a))
+    residual = linear_combination(zip(_monic(lams), powers), n, n)
     if not residual.is_zero():
         raise SpectralCompletenessError(
             f"eigenvalue list {lams} is not spectrally complete "
             f"({residual.nonzero_count()} nonzero residual entries)",
             residual=residual,
         )
-    return proj
+    return [linear_combination(zip(lagrange_coefficients(lams, t), powers), n, n)
+            for t in range(len(lams))]
+
+
+def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> Matrix:
+    """The projector onto ``eigenvalues[target_index]`` of
+    :func:`lagrange_projectors`.  On an incomplete spectrum the error's
+    residual is this projector's own, P_t (a - lambda_t)."""
+    lams = _spectrum(a, eigenvalues)
+    if not 0 <= target_index < len(lams):
+        raise ValueError("target_index out of range")
+    try:
+        return lagrange_projectors(a, lams)[target_index]
+    except SpectralCompletenessError as err:
+        # the monic product over prod_{j != t} (lambda_t - lambda_j)
+        err.residual = err.residual.scale(lagrange_coefficients(lams, target_index)[-1])
+        raise
 
 
 def linear_combination(terms, rows: int, cols: int) -> Matrix:

@@ -44,6 +44,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(it.status != FAIL for it in self.items)
 
+    @property
+    def verdict(self) -> str:
+        """FAIL if an item failed, else EMPTY if none passed, else PASS."""
+        if not self.passed:
+            return "FAIL"
+        return "PASS" if any(it.status == PASS for it in self.items) else "EMPTY"
+
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0}
         for it in self.items:
@@ -55,16 +62,15 @@ class VerificationReport:
 
     def summary(self) -> str:
         c = self.counts()
-        verdict = "PASS" if self.passed else "FAIL"
         return (
-            f"{verdict}: {c[PASS]} passed, {c[FAIL]} failed, "
+            f"{self.verdict}: {c[PASS]} passed, {c[FAIL]} failed, "
             f"{c[NOT_APPLICABLE]} not applicable"
         )
 
     def to_json_dict(self) -> dict:
         return {
             "summary": self.counts(),
-            "passed": self.passed,
+            "passed": self.verdict == "PASS",
             "items": [
                 {
                     "tag": it.tag,

@@ -5,6 +5,7 @@ a runtime cap; each test prints one [ACCEPTANCE] pass/fail line.  Run with
 ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -203,3 +204,17 @@ def test_criterion_8_cli_contract():
             capture_output=True, text=True,
         )
         assert rank1.returncode == 2 and "rank" in rank1.stderr
+
+
+def test_verify_output_is_pinned():
+    """The stdout of three ``verify --json`` runs is pinned by its SHA-256 in
+    golden/verify_sha256.json, so any byte of drift fails and names its
+    command.  The digests hold under any PYTHONHASHSEED."""
+    pinned = json.loads((GOLDEN / "verify_sha256.json").read_text())
+    drifted = []
+    for command, digest in pinned.items():
+        out = subprocess.run(CLI + command.split(), capture_output=True, timeout=60)
+        assert out.returncode == 0, (command, out.stderr[-2000:])
+        if hashlib.sha256(out.stdout).hexdigest() != digest:
+            drifted.append(command)
+    assert not drifted, f"verify output drifted from its pinned digest: {drifted}"

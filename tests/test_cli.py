@@ -127,10 +127,17 @@ def test_verify_negative_budget_exits_2(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert f"error: --budget must be >= 0, got {budget}" in out.err
-    # a zero budget is valid: every expansion is over it, so not applicable
+    # a zero budget is valid: every expansion is over it, so not applicable,
+    # and a run that checked nothing is EMPTY and exits 1
     assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1",
-                     "--budget", "0"]) == 0
-    assert "not applicable" in capsys.readouterr().out
+                     "--budget", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "not applicable" in out
+    assert "TOTAL EMPTY: 0 passed, 0 failed, 1 not applicable" in out
+    assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1",
+                     "--budget", "0", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False and payload["summary"]["pass"] == 0
 
 
 def test_verify_jobs_parallel():
@@ -157,15 +164,30 @@ def test_verify_exit_code_on_failure(monkeypatch):
     assert code == 1
 
 
+def test_report_verdicts():
+    from kahlergrad.report import VerificationReport
+
+    rep = VerificationReport()
+    assert rep.verdict == "EMPTY" and rep.to_json_dict()["passed"] is False
+    rep.skip("skipped", {}, "component vanishes")
+    assert rep.verdict == "EMPTY" and rep.summary().startswith("EMPTY: 0 passed")
+    rep.check("checked", {}, True)
+    assert rep.verdict == "PASS" and rep.to_json_dict()["passed"] is True
+    rep.check("broken", {}, False, witness="forced failure")
+    assert rep.verdict == "FAIL" and rep.to_json_dict()["passed"] is False
+
+
 def test_verify_budget_exhaustion_is_not_applicable():
     out = run(
         "verify", "--m", "3", "--bound", "1", "--q", "3",
         "--suite", "envalg", "--budget", "1", "--json",
     )
-    assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["summary"]["not-applicable"] >= 1
     assert payload["summary"]["fail"] == 0
+    # nothing fits the budget, so nothing was checked: not a pass
+    assert payload["summary"]["pass"] == 0
+    assert payload["passed"] is False and out.returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,31 @@ def test_spinor_model(m):
     assert out.passed, [it.describe() for it in out.failures()][:5]
 
 
+def _transpose(a):
+    return Matrix([list(col) for col in zip(*a.data)])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("rho", [(2, 1, 0), (2, 0, -1)])
+def test_build_system_basis(rho, sign):
+    # Chat preserves the total weight, so it has several blocks on these
+    # modules; the basis must still be an orthogonal frame of each image
+    rep = build_rep(rho)
+    sys = build_system(rep, sign)
+    m, n = sys.m, rep.dim
+    tensor_gram = Matrix.diagonal([g for g in rep.gram.diagonal_entries() for _ in range(m)])
+    assert sum(t is not None for t in sys.targets) >= 2
+    for i, t in enumerate(sys.targets, 1):
+        if t is None:
+            continue
+        induced = _transpose(t.basis) * tensor_gram * t.basis
+        assert induced.is_diagonal()
+        assert induced == t.gram
+        assert t.coords * t.basis == Matrix.identity(t.dim)
+        assert sys.projectors[i - 1] * t.basis == t.basis
+        assert t.basis.rows == m * n and t.dim == weyl_dimension(t.weight)
+
+
 def test_build_system_rejects_bad_sign():
     rep = build_rep((1, 0))
     with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ from kahlergrad.linalg import (
     Matrix,
     SpectralCompletenessError,
     gram_adjoint,
+    lagrange_coefficients,
     lagrange_projector,
+    lagrange_projectors,
     linear_combination,
 )
 
@@ -384,8 +386,48 @@ def test_scalar_predicate_tests_values():
     assert not a.is_scalar()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(sparse_matrices(entries=WIDE_ENTRY),
+                 product_pairs(WIDE_ENTRY).map(lambda pair: pair[0].matmul(pair[1]))))
+def test_rref_matches_dense_wide(a):
+    # wide entries and rank-deficient products, so the integer rows carry
+    # large numerators and denominators through the content division
+    red, pivots = a.rref()
+    ref, ref_pivots = _ref_rref(_dense(a))
+    assert red.data == ref and pivots == ref_pivots and _stores_no_zero(red)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(entries=WIDE_ENTRY))
+def test_rref_leaves_its_input_alone(a):
+    before = Matrix(_dense(a))
+    red, _ = a.rref()
+    assert a == before
+    reduced = Matrix(_dense(red))
+    # a write to either matrix must not show in the other: no row is shared
+    for i in range(a.rows):
+        for j in range(a.cols):
+            red[i, j] = 7
+    assert a == before
+    for i in range(a.rows):
+        for j in range(a.cols):
+            a[i, j] = 5
+    red, _ = before.rref()
+    assert red == reduced
+
+
+def test_lagrange_coefficients_interpolate_the_nodes():
+    nodes = [F(-2), F(1, 3), F(0), F(5)]
+    for t in range(len(nodes)):
+        c = lagrange_coefficients(nodes, t)
+        assert len(c) == len(nodes)
+        for s, x in enumerate(nodes):
+            assert sum(cd * x ** d for d, cd in enumerate(c)) == int(s == t)
+    assert lagrange_coefficients([F(3)], 0) == [1]
+
+
 # ---------------------------------------------------------------------------
-# block-wise Lagrange projection against whole-matrix interpolation
+# Lagrange projection from one power series against whole-matrix interpolation
 # ---------------------------------------------------------------------------
 
 def _ref_projector(a, lams, t):
@@ -459,5 +501,46 @@ def test_block_projector_residual_with_moved_eigenvalue(case, data):
     assert count > 0
     with pytest.raises(SpectralCompletenessError) as err:
         lagrange_projector(a, wrong, t)
+    assert f"({count} nonzero residual entries)" in str(err.value)
+    assert err.value.residual.data == residual and _stores_no_zero(err.value.residual)
+
+
+def _ref_residual(a, lams):
+    """The product of all (a - lambda_j) on plain lists."""
+    n = len(a)
+    p = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for lam in lams:
+        p = _ref_mul(p, [[a[i][j] - lam * (i == j) for j in range(n)] for i in range(n)])
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal())
+def test_all_projectors_match_whole_matrix(case):
+    a, lams, _ = case
+    n = a.rows
+    projs = lagrange_projectors(a, lams)
+    assert len(projs) == len(lams)
+    for t, proj in enumerate(projs):
+        ref, _ = _ref_projector(_dense(a), lams, t)
+        assert proj.data == ref and _stores_no_zero(proj)
+    assert linear_combination([(1, p) for p in projs], n, n) == Matrix.identity(n)
+    for s, p in enumerate(projs):
+        for t, q in enumerate(projs):
+            assert p * q == (p if s == t else Matrix.zeros(n, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal(), st.data())
+def test_all_projectors_residual_with_moved_eigenvalue(case, data):
+    a, lams, eigenvalues = case
+    moved = data.draw(st.sampled_from([i for i, lam in enumerate(lams) if lam in eigenvalues]))
+    wrong = list(lams)
+    wrong[moved] += F(1, 2)
+    residual = _ref_residual(_dense(a), wrong)
+    count = sum(x != 0 for row in residual for x in row)
+    assert count > 0
+    with pytest.raises(SpectralCompletenessError) as err:
+        lagrange_projectors(a, wrong)
     assert f"({count} nonzero residual entries)" in str(err.value)
     assert err.value.residual.data == residual and _stores_no_zero(err.value.residual)
