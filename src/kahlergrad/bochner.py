@@ -7,7 +7,7 @@ curvature side isolated as a list of formal tokens (R^p, the connection
 Laplacians, and multiples of the scalar curvature kappa).  The manifold-level
 meaning of the tokens is out of scope here; the algebraic shadow of each
 identity is validated at the matrix level through the cross-sign relations
-of the Clifford systems.
+of the Clifford systems, whose coefficients come from `binomial_template`.
 
 Degree 0 is a family (the two halves, their sum and their difference), so
 the emitters return lists of identity records.
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import List, Optional, Tuple
 
-from .envalg import k_of_casimirs
+from .envalg import binomial_shift, k_of_casimirs
 from .weights import (
     HighestWeight,
     casimir_eigenvalue,
@@ -32,6 +31,7 @@ __all__ = [
     "CurvatureTerm",
     "BochnerIdentity",
     "EigenvalueBound",
+    "binomial_template",
     "bochner_identity",
     "weitzenboeck",
     "constant_curvature_scalar",
@@ -92,15 +92,35 @@ def _tables(rho):
     return conformal_table(rho, "-"), conformal_table(rho, "+")
 
 
+def binomial_template(rho, q_max: int, sign: str) -> List[Tuple[Tuple[Fraction, ...], ...]]:
+    """For q = 0 .. q_max, the (near, far) coefficients of the degree-q
+    cross-sign relation of the ``sign`` maps: near_i = (w_i - m)^q on their
+    p_i^* p_i, far_i = (-1)^{q+1} sum_p K_{q-p}(-c') w'_i^p on those of the
+    other sign, w' and c' its weights and Casimirs (tilde for sign -)."""
+    rho = HighestWeight.coerce(rho)
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    m = rho.m
+    other, variant = ("+", "tilde") if sign == "-" else ("-", "plain")
+    near_w, far_w = ([Fraction(w) for w in conformal_table(rho, s).w] for s in (sign, other))
+    ks = [k_of_casimirs(n, rho, variant) for n in range(q_max + 1)]
+    return [
+        (tuple((w - m) ** q for w in near_w),
+         tuple(Fraction(-1) ** (q + 1) * sum(ks[q - p] * w ** p for p in range(q + 1))
+               for w in far_w))
+        for q in range(q_max + 1)
+    ]
+
+
 def bochner_identity(rho, q: int) -> List[BochnerIdentity]:
     """Identity family at one degree.
 
     Degree 0 gives the two one-sided Laplacian halves, their sum (the full
     connection Laplacian) and their difference (the mean curvature).  Degree
     1 gives the conformal-weight-weighted combination equal to R^1.  Higher
-    degrees follow the binomial template: (w_{-i} - m)^q on the minus side,
-    (-1)^{q+1} sum_p K_{q-p}(-c~) w_{+i}^p on the plus side, and
-    sum_p C(q,p)(-m)^{q-p} R^p on the curvature side.
+    degrees take both sides from the sign - `binomial_template`:
+    (w_{-i} - m)^q on the minus side, (-1)^{q+1} sum_p K_{q-p}(-c~) w_{+i}^p
+    on the plus side, and sum_p C(q,p)(-m)^{q-p} R^p on the curvature side.
     """
     rho = HighestWeight.coerce(rho)
     if q < 0:
@@ -136,15 +156,8 @@ def bochner_identity(rho, q: int) -> List[BochnerIdentity]:
                [Fraction(w) for w in tp.w],
                [CurvatureTerm("R^1", Fraction(1))]),
         ]
-    minus = [(Fraction(w) - m) ** q for w in tm.w]
-    sign = Fraction(-1) ** (q + 1)
-    kct = {n: k_of_casimirs(n, rho, "tilde") for n in range(q + 1)}
-    plus = [
-        sign * sum(kct[q - p] * (Fraction(w) ** p if p else 1) for p in range(q + 1))
-        for w in tp.w
-    ]
-    curv = [CurvatureTerm(f"R^{p}", Fraction(comb(q, p)) * Fraction(-m) ** (q - p))
-            for p in range(q + 1)]
+    minus, plus = binomial_template(rho, q, "-")[q]
+    curv = [CurvatureTerm(f"R^{p}", binomial_shift(q, p, m)) for p in range(q + 1)]
     return [mk(f"degree-{q}", q, minus, plus, curv)]
 
 

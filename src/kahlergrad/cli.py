@@ -45,8 +45,6 @@ def parse_weight(text: str):
         entries = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InputError(f"weight must be comma-separated integers, got {text!r}")
-    if not entries:
-        raise InputError("empty weight")
     if not weights.is_dominant(entries):
         raise InputError(f"weight {entries} is not weakly decreasing")
     return weights.HighestWeight(entries)
@@ -385,9 +383,7 @@ def _task_gtrep(rho_entries, q_max: int, budget) -> VerificationReport:
         for variant in ("plain", "tilde"):
             mat = casimirs[variant][q]
             expected = weights.casimir_eigenvalue(rho, q, variant)
-            ok = mat.is_scalar() and (
-                mat.diagonal_entries()[0] == expected if model.dim else True
-            )
+            ok = mat.is_scalar() and mat.diagonal_entries()[0] == expected
             rep.check("casimir-matrix", {**base, "q": q, "variant": variant}, ok,
                       witness=f"expected scalar {expected}")
     c2 = casimirs["plain"][2]
@@ -517,9 +513,11 @@ def cmd_verify(args) -> int:
         raise InputError("need --bound >= 0 and --q >= 0")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.budget is not None and args.budget < 0:
-        raise InputError(f"--budget must be >= 0, got {args.budget}")
-    tasks = _verify_tasks(suites, ms, args.bound, args.q, args.budget)
+    budget = envalg.term_budget(args.budget)  # resolved once, for every task
+    if budget < 0:
+        source = "--budget" if args.budget is not None else "KAHLERGRAD_BUDGET"
+        raise InputError(f"{source} must be >= 0, got {budget}")
+    tasks = _verify_tasks(suites, ms, args.bound, args.q, budget)
     total = VerificationReport()
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -16,10 +16,11 @@ every projector against the Weyl dimension are checked during the build.
 The maps p_{+i}(eps_k) (resp. p_{-i}(eps_bar_k)) are the compositions
 phi |-> projection of (phi (x) basis vector k), written in a basis of the
 projector image obtained from its pivot columns, orthogonalized against the
-tensor Gram form so the induced Gram form stays diagonal.  No phase choices
-are made; every verified identity below is phase independent (it involves
-p* p, p p*, or solved intertwiners), which is exactly the content that
-survives the unit-scalar ambiguity of the splitting.
+tensor Gram form so the induced Gram form stays diagonal; in that basis
+p_{+-i}(basis_k)^* is row block k of the basis.  No phase choices are made;
+every verified identity below is phase independent (it involves p* p, p p*,
+or solved intertwiners), the content that survives the unit-scalar
+ambiguity of the splitting.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .weights import (
     shift,
     weyl_dimension,
 )
-from .envalg import k_of_casimirs
+from .bochner import binomial_template
 from .gtrep import Representation, e_power_matrices
 
 __all__ = [
@@ -68,6 +69,7 @@ class TargetData:
     gram: Matrix                  # diagonal dim x dim, induced squared norms
     coords: Matrix                # dim x N coordinate map (left inverse of basis)
     pmaps: List[Matrix]           # entry k-1: dim x n matrix of the k-th map
+    adjoints: List[Matrix]        # entry k-1: n x dim adjoint of pmaps[k-1]
 
 
 @dataclass
@@ -76,11 +78,9 @@ class CliffordSystem:
     sign: str
     table: ConformalWeightTable
     chat: Matrix
-    eigenvalues: List[Fraction]
     projectors: List[Matrix]
     targets: List[Optional[TargetData]]
     _pp_cache: dict = field(default_factory=dict, repr=False)
-    _adj_cache: dict = field(default_factory=dict, repr=False)
     _tensor_gen: Dict[Tuple[int, int], Matrix] = field(default_factory=dict, repr=False)
 
     @property
@@ -105,13 +105,8 @@ class CliffordSystem:
         return self.targets[i - 1]
 
     def p_adjoint(self, i: int, k: int) -> Matrix:
-        """p_i(basis_k)^*, built once per (i, k); the component must exist."""
-        out = self._adj_cache.get((i, k))
-        if out is None:
-            t = self.target(i)
-            out = gram_adjoint(t.pmaps[k - 1], self.rep.gram, t.gram)
-            self._adj_cache[(i, k)] = out
-        return out
+        """p_i(basis_k)^*; the component must exist."""
+        return self.target(i).adjoints[k - 1]
 
     def p_star_p(self, i: int, k: int, l: int) -> Matrix:
         """p_i(basis_k)^* p_i(basis_l) on the source module; zero matrix when
@@ -152,8 +147,7 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
         [(2, rep.gen[(k, l)].kron(_aux_generator(m, sign, l, k)))
          for k in range(1, m + 1) for l in range(1, m + 1)], N, N)
 
-    eigenvalues = [Fraction(-2 * w) for w in table.w]
-    projectors = lagrange_projectors(chat, eigenvalues)
+    projectors = lagrange_projectors(chat, [Fraction(-2 * w) for w in table.w])
 
     if linear_combination([(1, p) for p in projectors], N, N) != Matrix.identity(N):
         raise AssertionError("projectors do not resolve the identity")
@@ -214,7 +208,10 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
             for a, x in v.items():
                 basis[a, r] = x
                 coords[r, a] = x * tensor_diag[a] / nv
+        # coords[r, a] = basis[a, r] G_a / |v_r|^2, and G is the source form on
+        # each row block: the k-th map's adjoint is the basis at rows k-1, k-1+m, ...
         pmaps = [coords.submatrix(range(d), range(k - 1, N, m)) for k in range(1, m + 1)]
+        adjoints = [basis.submatrix(range(k - 1, N, m), range(d)) for k in range(1, m + 1)]
         targets.append(
             TargetData(
                 index=i,
@@ -224,6 +221,7 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
                 gram=Matrix.diagonal(norms),
                 coords=coords,
                 pmaps=pmaps,
+                adjoints=adjoints,
             )
         )
 
@@ -232,7 +230,6 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
         sign=sign,
         table=table,
         chat=chat,
-        eigenvalues=eigenvalues,
         projectors=projectors,
         targets=targets,
     )
@@ -402,34 +399,25 @@ def verify_cross_relations(
     valid components of each sign."""
     if plus.sign != "+" or minus.sign != "-" or plus.rep is not minus.rep:
         raise ValueError("cross relations need the plus and the minus system of one module")
-    rep_ = plus.rep
-    m, n = plus.m, rep_.dim
-    rho = rep_.rho
+    m, n = plus.m, plus.rep.dim
+    rho = plus.rep.rho
     report = VerificationReport()
     base = {"rho": str(rho)}
-
-    kc = {qq: k_of_casimirs(qq, rho, "plain") for qq in range(q_max + 1)}
-    kct = {qq: k_of_casimirs(qq, rho, "tilde") for qq in range(q_max + 1)}
+    templates = {sign: binomial_template(rho, q_max, sign) for sign in "+-"}
 
     rows = []
     for q in range(q_max + 1):
-        sgn = Fraction(-1) ** q
         # each side shifted by -m against the other family
-        for tag, left, right, kq in (("cross-sign-plus", plus, minus, kc),
-                                     ("cross-sign-minus", minus, plus, kct)):
-            shifted = [(Fraction(w) - m) ** q for w in left.table.w]
-            weighted = [
-                sgn * sum(kq[q - p] * Fraction(w) ** p for p in range(q + 1))
-                for w in right.table.w
-            ]
+        for tag, left, right in (("cross-sign-plus", plus, minus),
+                                 ("cross-sign-minus", minus, plus)):
+            near, far = templates[left.sign][q]
             for k in range(1, m + 1):
                 for l in range(1, m + 1):
-                    terms = [(c, left.p_star_p(i, k, l)) for i, c in enumerate(shifted, 1)]
-                    terms += [(-c, right.p_star_p(i, l, k)) for i, c in enumerate(weighted, 1)]
+                    terms = [(c, left.p_star_p(i, k, l)) for i, c in enumerate(near, 1)]
+                    terms += [(c, right.p_star_p(i, l, k)) for i, c in enumerate(far, 1)]
                     _check_zero(report, tag, {**base, "q": q, "k": k, "l": l},
                                 linear_combination(terms, n, n))
-            coeffs = {left.sign: shifted, right.sign: [-c for c in weighted]}
-            rows.append(coeffs["+"] + coeffs["-"])
+            rows.append(near + far if left is plus else far + near)
 
     valid_cols = [i for i in range(m) if plus.table.valid[i]] + [
         m + i for i in range(m) if minus.table.valid[i]
@@ -523,8 +511,7 @@ def verify_adjoint_pairing(
 
     gamma = sys_plus.table.gamma[i - 1]
     P, M = t_plus.pmaps, t_minus.pmaps
-    P_star = [sys_plus.p_adjoint(i, k) for k in range(1, m + 1)]
-    M_star = [sys_minus_on_target.p_adjoint(i, k) for k in range(1, m + 1)]
+    P_star, M_star = t_plus.adjoints, t_minus.adjoints
 
     n = sys_plus.rep.dim
     inv_gamma = Fraction(1) / gamma

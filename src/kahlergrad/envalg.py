@@ -48,6 +48,7 @@ __all__ = [
     "k_multi_indices",
     "k_of_casimirs",
     "k_central",
+    "binomial_shift",
     "verify_binomial_relations",
     "term_budget",
 ]
@@ -397,8 +398,8 @@ def k_central(n: int, m: int, variant: str = "plain",
 # Symbolic verification of the binomial relations between the two families
 # ---------------------------------------------------------------------------
 
-def _binom(q, p, m) -> Fraction:
-    """C(q,p) (-m)^(q-p)."""
+def binomial_shift(q: int, p: int, m: int) -> Fraction:
+    """C(q,p) (-m)^(q-p), the coefficient of x^p in (x - m)^q."""
     return Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
 
 
@@ -406,7 +407,7 @@ def _binomial_sum(q, m, family) -> PBWElement:
     """sum_p C(q,p) (-m)^(q-p) family[p]."""
     total = PBWElement.zero(m)
     for p in range(q + 1):
-        total = total + family[p].scale(_binom(q, p, m))
+        total = total + family[p].scale(binomial_shift(q, p, m))
     return total
 
 
@@ -444,7 +445,7 @@ def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) 
     kc, kct = _k_series(cas, m), _k_series(cas_t, m)
     # solved[q][p] = sum_{s=p}^{q} C(q,s) (-m)^(q-s) K_{s-p}, the coefficient
     # of e^p_lk in the solved form of ~e^q_kl
-    solved = [[sum((kc[s - p].scale(_binom(q, s, m)) for s in range(p, q + 1)),
+    solved = [[sum((kc[s - p].scale(binomial_shift(q, s, m)) for s in range(p, q + 1)),
                    PBWElement.zero(m)) for p in range(q + 1)] for q in degrees]
     witness = {}    # (tag, q, k, l) -> None when the difference is zero, else its repr
 

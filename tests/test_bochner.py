@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import kahlergrad
 from kahlergrad.bochner import (
     EigenvalueBound,
+    binomial_template,
     bochner_identity,
     constant_curvature_scalar,
     cpm_holomorphic_eigenvalue,
@@ -15,7 +17,10 @@ from kahlergrad.bochner import (
     kirchberg_bound,
     weitzenboeck,
 )
-from kahlergrad.weights import dominant_weights
+from kahlergrad.clifford import build_system
+from kahlergrad.gtrep import build_rep
+from kahlergrad.linalg import Matrix, linear_combination
+from kahlergrad.weights import dominant_weights, transpose_weight
 
 
 def curvature_dict(ident):
@@ -60,6 +65,80 @@ def test_degree_2_template():
     assert ident.minus_coeffs == (F(0), F(4))
     assert ident.plus_coeffs == (F(-2), F(-6))
     assert curvature_dict(ident) == {"R^0": F(4), "R^1": F(-4), "R^2": F(1)}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_binomial_template_matches_the_records(m):
+    # degree 0 is the curvature record, degree 1 the degree-1 record minus m
+    # times it, and each higher degree its own record; the sign + template is
+    # the sign - one of the contragredient weight, indices reversed
+    q_max = 4
+    for rho in dominant_weights(m, 2):
+        curvature = by_label(bochner_identity(rho, 0))["degree-0-curvature"]
+        (first,) = bochner_identity(rho, 1)
+        records = [
+            (curvature.minus_coeffs, curvature.plus_coeffs),
+            tuple(tuple(a - m * b for a, b in zip(one, zero)) for one, zero in (
+                (first.minus_coeffs, curvature.minus_coeffs),
+                (first.plus_coeffs, curvature.plus_coeffs))),
+        ]
+        for q in range(2, q_max + 1):
+            (record,) = bochner_identity(rho, q)
+            records.append((record.minus_coeffs, record.plus_coeffs))
+        assert binomial_template(rho, q_max, "-") == records, rho
+        dual = binomial_template(transpose_weight(rho), q_max, "-")
+        assert binomial_template(rho, q_max, "+") == [
+            (near[::-1], far[::-1]) for near, far in dual], rho
+
+
+def test_binomial_template_rejects_bad_sign():
+    with pytest.raises(ValueError, match="sign"):
+        binomial_template((1, 0), 1, "x")
+
+
+# order-two symbol of each curvature token: nabla*nabla is the sum of the two
+# one-sided Laplacians, R^p and kappa have order 0
+SYMBOL = {"nabla*nabla": 2, "nabla10*nabla10": 1, "nabla01*nabla01": 1}
+
+
+def _symbol_defects(ident, plus, minus) -> list:
+    """The (k, l) at which sum_i c_{-i} p_{-i}(k)^* p_{-i}(l)
+    + sum_i c_{+i} p_{+i}(l)^* p_{+i}(k) differs from s delta_kl id, with s
+    the symbol of the curvature side."""
+    m, n = plus.m, plus.rep.dim
+    s = sum(SYMBOL.get(t.token, 0) * t.coeff for t in ident.curvature)
+    defects = []
+    for k in range(1, m + 1):
+        for l in range(1, m + 1):
+            terms = [(c, minus.p_star_p(i, k, l)) for i, c in enumerate(ident.minus_coeffs, 1)]
+            terms += [(c, plus.p_star_p(i, l, k)) for i, c in enumerate(ident.plus_coeffs, 1)]
+            if k == l:
+                terms.append((-s, Matrix.identity(n)))
+            if not linear_combination(terms, n, n).is_zero():
+                defects.append((k, l))
+    return defects
+
+
+def _raised(ident, side, i):
+    coeffs = list(getattr(ident, f"{side}_coeffs"))
+    coeffs[i] += 1
+    return replace(ident, **{f"{side}_coeffs": tuple(coeffs)})
+
+
+@pytest.mark.parametrize("rho", [(1, 0), (2, 0), (1, 0, 0), (2, 1, 0), (2, 0, -1), (1, 1, 0)])
+def test_emitted_records_hold_on_the_symbols(rho):
+    # every record of degree <= 3 and the Weitzenboeck record, checked on the
+    # built maps; raising any coefficient of a nonzero operator breaks it
+    rep = build_rep(rho)
+    plus, minus = build_system(rep, "+"), build_system(rep, "-")
+    idents = [x for q in range(4) for x in bochner_identity(rho, q)] + [weitzenboeck(rho)]
+    for ident in idents:
+        assert _symbol_defects(ident, plus, minus) == [], ident.label
+        for side in ("minus", "plus"):
+            for i, valid in enumerate(getattr(ident, f"{side}_valid")):
+                if valid:
+                    assert _symbol_defects(_raised(ident, side, i), plus, minus), (
+                        ident.label, side, i + 1)
 
 
 def test_weitzenboeck_example():

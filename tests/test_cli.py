@@ -140,6 +140,25 @@ def test_verify_negative_budget_exits_2(capsys):
     assert payload["passed"] is False and payload["summary"]["pass"] == 0
 
 
+def test_verify_bad_budget_environment_exits_2(monkeypatch, capsys):
+    # the environment variable is resolved once, before any task runs
+    for value, message in (("junk", "KAHLERGRAD_BUDGET must be an integer, got 'junk'"),
+                           ("-3", "KAHLERGRAD_BUDGET must be >= 0, got -3")):
+        monkeypatch.setenv("KAHLERGRAD_BUDGET", value)
+        assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: {message}" in out.err
+    # a valid value still runs, and an explicit --budget wins over it
+    monkeypatch.setenv("KAHLERGRAD_BUDGET", "1000")
+    assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1"]) == 0
+    assert "TOTAL PASS" in capsys.readouterr().out
+    monkeypatch.setenv("KAHLERGRAD_BUDGET", "-3")
+    assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1",
+                     "--budget", "0"]) == 1
+    assert "TOTAL EMPTY" in capsys.readouterr().out
+
+
 def test_verify_jobs_parallel():
     out = run(
         "verify", "--m", "2", "--bound", "1", "--q", "1",

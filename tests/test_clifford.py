@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kahlergrad import clifford
+from kahlergrad import bochner
 from kahlergrad.clifford import (
     build_system,
     derived_representation,
@@ -15,7 +15,7 @@ from kahlergrad.clifford import (
 )
 from kahlergrad.envalg import k_of_casimirs
 from kahlergrad.gtrep import build_rep, e_power_matrices
-from kahlergrad.linalg import Matrix
+from kahlergrad.linalg import Matrix, gram_adjoint
 from kahlergrad.weights import HighestWeight, weyl_dimension
 
 
@@ -95,18 +95,22 @@ def _rank_item(report):
 
 
 def test_cross_sign_rank_fails_on_a_corrupted_coefficient_row(monkeypatch):
+    # the cross relations and the emitted records read one binomial template,
+    # so corrupting its K series shows in both
     rep = build_rep((1, 0, 0))
     plus, minus = build_system(rep, "+"), build_system(rep, "-")
     item = _rank_item(verify_cross_relations(plus, minus, q_max=3))
     assert item.status == "pass" and item.params["rank"] == 2  # min(c=2, 3+1)
-    real = clifford.k_of_casimirs
+    emitted = bochner.bochner_identity((1, 0, 0), 2)
+    real = bochner.k_of_casimirs
 
     def corrupted(q, rho, variant):
-        return real(q, rho, variant) + (1 if (q, variant) == (1, "plain") else 0)
+        return real(q, rho, variant) + (1 if (q, variant) == (1, "tilde") else 0)
 
-    monkeypatch.setattr(clifford, "k_of_casimirs", corrupted)
+    monkeypatch.setattr(bochner, "k_of_casimirs", corrupted)
     item = _rank_item(verify_cross_relations(plus, minus, q_max=3))
     assert item.status == "fail" and item.params["rank"] == 4
+    assert bochner.bochner_identity((1, 0, 0), 2) != emitted
 
 
 @pytest.mark.parametrize("rho", [(1, 0), (1, 0, 0), (2, 0, -1)])
@@ -218,6 +222,22 @@ def test_component_index_outside_1_to_m_raises():
             with pytest.raises(ValueError, match=f"component index i={i} outside 1..3"):
                 call()
     assert plus.p_star_p(3, 1, 1) == plus.p_adjoint(3, 1) * plus.targets[2].pmaps[0]
+
+
+@pytest.mark.parametrize("rho", [(2, 1, 0), (2, 0, -1)])
+def test_adjoints_are_row_blocks_of_the_basis(rho):
+    # p_adjoint reads the basis; it must equal the Gram adjoint of the map,
+    # also over a derived module, whose form is the induced one
+    rep = build_rep(rho)
+    plus = build_system(rep, "+")
+    systems = (plus, build_system(rep, "-"),
+               build_system(derived_representation(plus, 1), "-"))
+    for sys in systems:
+        for i, t in enumerate(sys.targets, 1):
+            if t is None:
+                continue
+            for k in range(1, sys.m + 1):
+                assert sys.p_adjoint(i, k) == gram_adjoint(t.pmaps[k - 1], sys.rep.gram, t.gram)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -369,8 +389,12 @@ def test_corrupted_map_fails_with_dense_witnesses():
     rep = build_rep((1, 0, -1))
     plus, minus = build_system(rep, "+"), build_system(rep, "-")
     assert all(plus.targets) and all(minus.targets)
-    pmap = plus.targets[0].pmaps[0]
+    t = plus.targets[0]
+    pmap = t.pmaps[0]
     pmap.data[0][0] = pmap.data[0][0] + 1  # a fresh object, as a caller would write
+    # the adjoint is stored beside the map: change it to match, so the dense
+    # reference below, which derives it from the map, sees the same system
+    t.adjoints[0].data[0][0] = pmap[0, 0] * t.gram[0, 0] / rep.gram[0, 0]
     out = verify_relations(plus, q_max=2)
     out.extend(verify_cross_relations(plus, minus, q_max=2))
     expected = _expected_differences(plus, minus, 2)
