@@ -17,15 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Tuple
 
 from .envalg import binomial_shift, k_of_casimirs
-from .weights import (
-    HighestWeight,
-    casimir_eigenvalue,
-    conformal_table,
-    shift,
-)
+from .weights import FAMILY, HighestWeight, conformal_table, family_table, shift
 
 __all__ = [
     "CurvatureTerm",
@@ -92,6 +88,24 @@ def _tables(rho):
     return conformal_table(rho, "-"), conformal_table(rho, "+")
 
 
+def _record(tables, q, label, minus, plus, curv, dbar=None) -> BochnerIdentity:
+    """One identity record on the module of the (minus, plus) ``tables``.  A
+    coefficient side is a list over i = 1..m or a dict {i: coefficient}."""
+    tm, tp = tables
+
+    def side(coeffs) -> Tuple[Fraction, ...]:
+        if isinstance(coeffs, dict):
+            coeffs = [coeffs.get(i, 0) for i in range(1, tm.rho.m + 1)]
+        return tuple(Fraction(c) for c in coeffs)
+
+    return BochnerIdentity(
+        rho=tm.rho, q=q, label=label,
+        minus_coeffs=side(minus), plus_coeffs=side(plus),
+        curvature=_sort_curvature(curv),
+        minus_valid=tm.valid, plus_valid=tp.valid, dbar=dbar,
+    )
+
+
 def binomial_template(rho, q_max: int, sign: str) -> List[Tuple[Tuple[Fraction, ...], ...]]:
     """For q = 0 .. q_max, the (near, far) coefficients of the degree-q
     cross-sign relation of the ``sign`` maps: near_i = (w_i - m)^q on their
@@ -101,7 +115,8 @@ def binomial_template(rho, q_max: int, sign: str) -> List[Tuple[Tuple[Fraction, 
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     m = rho.m
-    other, variant = ("+", "tilde") if sign == "-" else ("-", "plain")
+    other = "+" if sign == "-" else "-"
+    variant = FAMILY[other]
     near_w, far_w = ([Fraction(w) for w in conformal_table(rho, s).w] for s in (sign, other))
     ks = [k_of_casimirs(n, rho, variant) for n in range(q_max + 1)]
     return [
@@ -126,39 +141,24 @@ def bochner_identity(rho, q: int) -> List[BochnerIdentity]:
     if q < 0:
         raise ValueError("q must be nonnegative")
     m = rho.m
-    tm, tp = _tables(rho)
-    ones = tuple(Fraction(1) for _ in range(m))
-    zeros = tuple(Fraction(0) for _ in range(m))
-
-    def mk(label, qq, minus, plus, curv, dbar=None):
-        return BochnerIdentity(
-            rho=rho, q=qq, label=label,
-            minus_coeffs=tuple(minus), plus_coeffs=tuple(plus),
-            curvature=_sort_curvature(curv),
-            minus_valid=tm.valid, plus_valid=tp.valid, dbar=dbar,
-        )
-
+    tables = tm, tp = _tables(rho)
+    ones, zeros = [1] * m, [0] * m
     if q == 0:
         return [
-            mk("degree-0-minus-part", 0, ones, zeros,
-               [CurvatureTerm("nabla10*nabla10", Fraction(1))]),
-            mk("degree-0-plus-part", 0, zeros, ones,
-               [CurvatureTerm("nabla01*nabla01", Fraction(1))]),
-            mk("degree-0-laplacian", 0, ones, ones,
-               [CurvatureTerm("nabla*nabla", Fraction(1))]),
-            mk("degree-0-curvature", 0, ones, tuple(-x for x in ones),
-               [CurvatureTerm("R^0", Fraction(1))]),
+            _record(tables, 0, "degree-0-minus-part", ones, zeros,
+                    [CurvatureTerm("nabla10*nabla10", Fraction(1))]),
+            _record(tables, 0, "degree-0-plus-part", zeros, ones,
+                    [CurvatureTerm("nabla01*nabla01", Fraction(1))]),
+            _record(tables, 0, "degree-0-laplacian", ones, ones,
+                    [CurvatureTerm("nabla*nabla", Fraction(1))]),
+            _record(tables, 0, "degree-0-curvature", ones, [-1] * m,
+                    [CurvatureTerm("R^0", Fraction(1))]),
         ]
     if q == 1:
-        return [
-            mk("degree-1", 1,
-               [Fraction(w) for w in tm.w],
-               [Fraction(w) for w in tp.w],
-               [CurvatureTerm("R^1", Fraction(1))]),
-        ]
+        return [_record(tables, 1, "degree-1", tm.w, tp.w, [CurvatureTerm("R^1", Fraction(1))])]
     minus, plus = binomial_template(rho, q, "-")[q]
     curv = [CurvatureTerm(f"R^{p}", binomial_shift(q, p, m)) for p in range(q + 1)]
-    return [mk(f"degree-{q}", q, minus, plus, curv)]
+    return [_record(tables, q, f"degree-{q}", minus, plus, curv)]
 
 
 def weitzenboeck(rho) -> BochnerIdentity:
@@ -180,19 +180,10 @@ def weitzenboeck(rho) -> BochnerIdentity:
             f"weight {rho} labels a rank-1 module (rho^1 = rho^m); the "
             "top/bottom cancellation needs rank >= 2"
         )
-    tm, tp = _tables(rho)
-    minus = []
-    for i in range(1, m + 1):
-        if i < m:
-            minus.append(Fraction(2 * (rho.entries[i - 1] - bottom + m - i), span))
-        else:
-            minus.append(Fraction(0))
-    plus = []
-    for i in range(1, m + 1):
-        if i > 1:
-            plus.append(Fraction(2 * (top - rho.entries[i - 1] + i - 1), span))
-        else:
-            plus.append(Fraction(0))
+    minus = [Fraction(2 * (rho.entries[i - 1] - bottom + m - i), span) if i < m else 0
+             for i in range(1, m + 1)]
+    plus = [Fraction(2 * (top - rho.entries[i - 1] + i - 1), span) if i > 1 else 0
+            for i in range(1, m + 1)]
     if any(c < 0 for c in minus + plus):
         raise AssertionError(f"negative Weitzenboeck coefficient for {rho}: {minus}, {plus}")
     curv = [
@@ -200,12 +191,7 @@ def weitzenboeck(rho) -> BochnerIdentity:
         CurvatureTerm("R^1", Fraction(2, span)),
         CurvatureTerm("R^0", -Fraction(top + bottom, span)),
     ]
-    return BochnerIdentity(
-        rho=rho, q=None, label="weitzenboeck",
-        minus_coeffs=tuple(minus), plus_coeffs=tuple(plus),
-        curvature=_sort_curvature(curv),
-        minus_valid=tm.valid, plus_valid=tp.valid,
-    )
+    return _record(_tables(rho), None, "weitzenboeck", minus, plus, curv)
 
 
 def constant_curvature_scalar(rho, q: int, r) -> Fraction:
@@ -216,10 +202,8 @@ def constant_curvature_scalar(rho, q: int, r) -> Fraction:
     if q < 0:
         raise ValueError("q must be nonnegative")
     r = Fraction(r)
-    cq = casimir_eigenvalue(rho, q, "plain")
-    c1 = casimir_eigenvalue(rho, 1, "plain")
-    cq1 = casimir_eigenvalue(rho, q + 1, "plain")
-    return r / 2 * (cq * c1 + cq1)
+    tab = family_table(rho, "plain")
+    return r / 2 * (tab.casimir(q) * tab.casimir(1) + tab.casimir(q + 1))
 
 
 def cpm_holomorphic_eigenvalue(rho, i: int, r) -> Fraction:
@@ -277,18 +261,8 @@ def dolbeault_identities(m: int, p: int) -> List[BochnerIdentity]:
     if m < 2:
         raise ValueError("need m >= 2")
     rho = HighestWeight(tuple([1] * p + [0] * (m - p)))
-    tm, tp = _tables(rho)
-
-    def coeffs(d: dict) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(d.get(i, 0)) for i in range(1, m + 1))
-
-    def mk(label, minus, plus, curv, dbar=None):
-        return BochnerIdentity(
-            rho=rho, q=None, label=label,
-            minus_coeffs=coeffs(minus), plus_coeffs=coeffs(plus),
-            curvature=_sort_curvature(curv),
-            minus_valid=tm.valid, plus_valid=tp.valid, dbar=dbar,
-        )
+    tables = tm, tp = _tables(rho)
+    mk = partial(_record, tables, None)
 
     # R^0 specializes to a kappa multiple at the boundary degrees
     def r0_terms(factor: Fraction):
@@ -298,8 +272,9 @@ def dolbeault_identities(m: int, p: int) -> List[BochnerIdentity]:
             return [CurvatureTerm("kappa", factor / 2)]
         return [CurvatureTerm("R^0", factor)]
 
-    minus_ops = {m: 1, **({p: 1} if p >= 1 else {})}
-    plus_ops = {1: 1, **({p + 1: 1} if p <= m - 1 else {})}
+    # the valid maps: lowering p and m, raising 1 and p+1
+    minus_ops = {i: 1 for i, ok in enumerate(tm.valid, 1) if ok}
+    plus_ops = {i: 1 for i, ok in enumerate(tp.valid, 1) if ok}
     w_minus = {i: tm.w[i - 1] for i in minus_ops}
     w_plus = {i: tp.w[i - 1] for i in plus_ops}
 

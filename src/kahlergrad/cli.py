@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Subcommands: weights, casimir, identity, verify, estimate, spinor-table,
-cpm.  Every command has a --json mode with a stable, versioned schema in
-which all rationals appear as "p/q" strings (never floats) and integers as
-JSON integers.  Exit codes: 0 all good, 1 a verification failed, 2 usage or
-input error.
+cpm.  Each ``cmd_*`` returns its JSON payload and its text lines, and `main`
+prints one of them: every command has a --json mode with a stable, versioned
+schema in which all rationals appear as "p/q" strings (never floats) and
+integers as JSON integers.  Exit codes: 0 all good, 1 a verification failed
+or checked nothing (a payload with "passed": false, which only verify
+emits), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
-from . import bochner, envalg, weights
-from .gtrep import DimensionBudgetError
+from . import bochner, clifford, envalg, gtrep, weights
+from .linalg import Matrix
 from .report import VerificationReport
 
 SCHEMA = "kahlergrad/v1"
@@ -54,80 +57,48 @@ def parse_weight(text: str):
 # weights / casimir
 # ---------------------------------------------------------------------------
 
-def _weights_payload(rho) -> dict:
-    m = rho.m
-    tp = weights.conformal_table(rho, "+")
-    tm = weights.conformal_table(rho, "-")
-    return {
+def _table_rows(tab) -> list:
+    return [{"i": i + 1, "w": w, "gamma": frac(g), "valid": ok}
+            for i, (w, g, ok) in enumerate(zip(tab.w, tab.gamma, tab.valid))]
+
+
+def _casimir_rows(rho, q_max: int) -> list:
+    plain, tilde = (weights.family_table(rho, v) for v in ("plain", "tilde"))
+    return [{"q": q, "plain": frac(plain.casimir(q)), "tilde": frac(tilde.casimir(q))}
+            for q in range(q_max + 1)]
+
+
+def cmd_weights(args) -> tuple:
+    rho = parse_weight(args.rho)
+    plus, minus = (_table_rows(weights.conformal_table(rho, s)) for s in "+-")
+    payload = {
         "schema": SCHEMA,
         "kind": "weights",
         "rho": list(rho.entries),
-        "m": m,
-        "plus": [
-            {"i": i + 1, "w": tp.w[i], "gamma": frac(tp.gamma[i]), "valid": tp.valid[i]}
-            for i in range(m)
-        ],
-        "minus": [
-            {"i": i + 1, "w": tm.w[i], "gamma": frac(tm.gamma[i]), "valid": tm.valid[i]}
-            for i in range(m)
-        ],
-        "casimir": [
-            {
-                "q": q,
-                "plain": frac(weights.casimir_eigenvalue(rho, q, "plain")),
-                "tilde": frac(weights.casimir_eigenvalue(rho, q, "tilde")),
-            }
-            for q in range(2 * m + 1)
-        ],
+        "m": rho.m,
+        "plus": plus,
+        "minus": minus,
+        "casimir": _casimir_rows(rho, 2 * rho.m),
     }
+    lines = [f"rho = {rho}   (m = {rho.m}, dim = {weights.weyl_dimension(rho)})",
+             "  i |   w_{+i} gamma_{+i} valid |   w_{-i} gamma_{-i} valid"]
+    lines += [f"{p['i']:>3} | {p['w']:>8} {p['gamma']:>10} {str(p['valid']):>5} | "
+              f"{n['w']:>8} {n['gamma']:>10} {str(n['valid']):>5}" for p, n in zip(plus, minus)]
+    lines.append("  q |  casimir  tilde-casimir")
+    lines += [f"{row['q']:>3} | {row['plain']:>8}  {row['tilde']:>12}"
+              for row in payload["casimir"]]
+    return payload, lines
 
 
-def cmd_weights(args) -> int:
-    rho = parse_weight(args.rho)
-    payload = _weights_payload(rho)
-    if args.json:
-        print(dump_json(payload))
-        return EXIT_OK
-    print(f"rho = {rho}   (m = {rho.m}, dim = {weights.weyl_dimension(rho)})")
-    print("  i |   w_{+i} gamma_{+i} valid |   w_{-i} gamma_{-i} valid")
-    for row_p, row_m in zip(payload["plus"], payload["minus"]):
-        print(
-            f"{row_p['i']:>3} | {row_p['w']:>8} {row_p['gamma']:>10} "
-            f"{str(row_p['valid']):>5} | {row_m['w']:>8} {row_m['gamma']:>10} "
-            f"{str(row_m['valid']):>5}"
-        )
-    print("  q |  casimir  tilde-casimir")
-    for row in payload["casimir"]:
-        print(f"{row['q']:>3} | {row['plain']:>8}  {row['tilde']:>12}")
-    return EXIT_OK
-
-
-def cmd_casimir(args) -> int:
+def cmd_casimir(args) -> tuple:
     rho = parse_weight(args.rho)
     q_max = args.q if args.q is not None else 2 * rho.m
     if q_max < 0:
         raise InputError(f"--q must be >= 0, got {q_max}")
-    rows = [
-        {
-            "q": q,
-            "plain": frac(weights.casimir_eigenvalue(rho, q, "plain")),
-            "tilde": frac(weights.casimir_eigenvalue(rho, q, "tilde")),
-        }
-        for q in range(q_max + 1)
-    ]
-    payload = {
-        "schema": SCHEMA,
-        "kind": "casimir",
-        "rho": list(rho.entries),
-        "m": rho.m,
-        "values": rows,
-    }
-    if args.json:
-        print(dump_json(payload))
-        return EXIT_OK
-    for row in rows:
-        print(f"q={row['q']}: plain {row['plain']}  tilde {row['tilde']}")
-    return EXIT_OK
+    rows = _casimir_rows(rho, q_max)
+    payload = {"schema": SCHEMA, "kind": "casimir", "rho": list(rho.entries), "m": rho.m,
+               "values": rows}
+    return payload, [f"q={row['q']}: plain {row['plain']}  tilde {row['tilde']}" for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +126,6 @@ def _identity_record(ident: bochner.BochnerIdentity) -> dict:
     if ident.dbar is not None:
         rec["dbar"] = {k: frac(v) for k, v in sorted(ident.dbar.items())}
     return rec
-
-
-def _identities_payload(rho, idents, mode) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "identity",
-        "rho": list(rho.entries),
-        "m": rho.m,
-        "mode": mode,
-        "identities": [_identity_record(x) for x in idents],
-    }
 
 
 def _coeff_latex(c: Fraction) -> str:
@@ -233,7 +193,11 @@ def _identity_text(ident: bochner.BochnerIdentity) -> str:
     return f"{ident.label}:  {left} = {right}"
 
 
-def cmd_identity(args) -> int:
+def cmd_identity(args) -> tuple:
+    if args.json and args.latex:
+        raise InputError("--json and --latex cannot be combined")
+    if args.weitzenboeck and args.q is not None:
+        raise InputError("--weitzenboeck takes no --q")
     rho = parse_weight(args.rho)
     if args.weitzenboeck:
         idents = [bochner.weitzenboeck(rho)]
@@ -242,86 +206,70 @@ def cmd_identity(args) -> int:
         q = args.q if args.q is not None else 0
         idents = bochner.bochner_identity(rho, q)
         mode = f"q={q}"
-    if args.json:
-        print(dump_json(_identities_payload(rho, idents, mode)))
-    elif args.latex:
-        print(_latex_document(rho, idents))
-    else:
-        for ident in idents:
-            print(_identity_text(ident))
-    return EXIT_OK
+    payload = {
+        "schema": SCHEMA,
+        "kind": "identity",
+        "rho": list(rho.entries),
+        "m": rho.m,
+        "mode": mode,
+        "identities": [_identity_record(x) for x in idents],
+    }
+    if args.latex:
+        return payload, [_latex_document(rho, idents)]
+    return payload, [_identity_text(ident) for ident in idents]
 
 
 # ---------------------------------------------------------------------------
 # scalar commands
 # ---------------------------------------------------------------------------
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple:
     bound = bochner.kirchberg_bound(args.m)
+    coefficient = frac(bound.bound_coefficient)
     payload = {
         "schema": SCHEMA,
         "kind": "dirac-eigenvalue-bound",
         "m": bound.m,
-        "coefficient": frac(bound.bound_coefficient),
+        "coefficient": coefficient,
         "witness_p": bound.witness_p,
     }
-    if args.json:
-        print(dump_json(payload))
-    else:
-        print(
-            f"m={bound.m}: lambda^2 >= ({frac(bound.bound_coefficient)}) * kappa_0/4"
-            f"   (witness p={bound.witness_p})"
-        )
-    return EXIT_OK
+    return payload, [f"m={bound.m}: lambda^2 >= ({coefficient}) * kappa_0/4"
+                     f"   (witness p={bound.witness_p})"]
 
 
-def cmd_spinor_table(args) -> int:
+def cmd_spinor_table(args) -> tuple:
     m = args.m
     if m < 1:
         raise InputError("need m >= 1")
-    blocks = []
+    blocks, lines = [], []
     for p in range(m + 1):
         rho = weights.HighestWeight(tuple([1] * p + [0] * (m - p)))
-        tp = weights.conformal_table(rho, "+")
-        tm = weights.conformal_table(rho, "-")
-        rows = []
-        if p >= 1:
-            rows.append({"map": "+1", "w": tp.w[0], "gamma": frac(tp.gamma[0])})
-        if p <= m - 1:
-            rows.append({"map": f"+{p+1}", "w": tp.w[p], "gamma": frac(tp.gamma[p])})
-        if p <= m - 1:
-            rows.append({"map": f"-{m}", "w": tm.w[m - 1], "gamma": frac(tm.gamma[m - 1])})
-        if p >= 1:
-            rows.append({"map": f"-{p}", "w": tm.w[p - 1], "gamma": frac(tm.gamma[p - 1])})
+        tp, tm = (weights.conformal_table(rho, s) for s in "+-")
+        # the valid maps, raising 1 and p+1, then lowering m and p
+        rows = [{"map": f"+{i}", "w": tp.w[i - 1], "gamma": frac(tp.gamma[i - 1])}
+                for i in range(1, m + 1) if tp.valid[i - 1]]
+        rows += [{"map": f"-{i}", "w": tm.w[i - 1], "gamma": frac(tm.gamma[i - 1])}
+                 for i in range(m, 0, -1) if tm.valid[i - 1]]
         blocks.append({"p": p, "rho": list(rho.entries), "rows": rows})
-    payload = {"schema": SCHEMA, "kind": "spinor-table", "m": m, "degrees": blocks}
-    if args.json:
-        print(dump_json(payload))
-        return EXIT_OK
-    for block in blocks:
-        print(f"p={block['p']}  rho={tuple(block['rho'])}")
-        for row in block["rows"]:
-            print(f"   {row['map']:>4}:  w = {row['w']:>3}   gamma = {row['gamma']}")
-    return EXIT_OK
+        lines.append(f"p={p}  rho={rho.entries}")
+        lines += [f"   {row['map']:>4}:  w = {row['w']:>3}   gamma = {row['gamma']}"
+                  for row in rows]
+    return {"schema": SCHEMA, "kind": "spinor-table", "m": m, "degrees": blocks}, lines
 
 
-def cmd_cpm(args) -> int:
+def cmd_cpm(args) -> tuple:
     rho = parse_weight(args.rho)
     r = Fraction(args.r)
-    value = bochner.cpm_holomorphic_eigenvalue(rho, args.i, r)
+    value = frac(bochner.cpm_holomorphic_eigenvalue(rho, args.i, r))
     payload = {
         "schema": SCHEMA,
         "kind": "cpm-eigenvalue",
         "rho": list(rho.entries),
         "i": args.i,
         "r": frac(r),
-        "eigenvalue": frac(value),
+        "eigenvalue": value,
     }
-    if args.json:
-        print(dump_json(payload))
-    else:
-        print(f"D[-{args.i}]*D[-{args.i}] eigenvalue on holomorphic sections: {frac(value)}")
-    return EXIT_OK
+    return payload, [f"D[-{args.i}]*D[-{args.i}] eigenvalue on holomorphic sections: {value}"]
 
 
 # ---------------------------------------------------------------------------
@@ -335,54 +283,44 @@ def _task_weights(m: int, bound: int, q_max: int, budget) -> VerificationReport:
     rep = VerificationReport()
     for rho in weights.dominant_weights(m, bound):
         base = {"rho": str(rho)}
-        for sign in ("+", "-"):
-            tab = weights.conformal_table(rho, sign)
-            rep.check("gamma-sum", {**base, "sign": sign}, sum(tab.gamma) == m)
-            ok = all(
-                (tab.gamma[i] == 0) == (weights.shift(rho, sign, i + 1) is None)
-                for i in range(m)
-            )
-            rep.check("gamma-vanishing", {**base, "sign": sign}, ok)
+        tables = {weights.FAMILY[sign]: weights.conformal_table(rho, sign) for sign in "+-"}
+        for tab in tables.values():
+            params = {**base, "sign": tab.sign}
+            rep.check("gamma-sum", params, sum(tab.gamma) == m,
+                      witness=f"sum {sum(tab.gamma)}, expected {m}")
+            rep.check("gamma-vanishing", params,
+                      all((g == 0) != ok for g, ok in zip(tab.gamma, tab.valid)),
+                      witness=f"gamma {[str(g) for g in tab.gamma]}, valid {list(tab.valid)}")
             total = sum(
-                (weights.weyl_dimension(s) if (s := weights.shift(rho, sign, i + 1)) else 0)
+                (weights.weyl_dimension(s) if (s := weights.shift(rho, tab.sign, i + 1)) else 0)
                 for i in range(m)
             )
-            rep.check("dimension-count", {**base, "sign": sign},
-                      total == m * weights.weyl_dimension(rho))
-        rep.check(
-            "casimir-degree-1", base,
-            weights.casimir_eigenvalue(rho, 1, "plain") == sum(rho.entries),
-        )
-        tr = weights.transpose_weight(rho)
-        ok = all(
-            weights.casimir_eigenvalue(tr, q, "plain")
-            == weights.casimir_eigenvalue(rho, q, "tilde")
-            for q in range(2 * m + 1)
-        )
-        rep.check("contragredient-casimir", base, ok)
+            rep.check("dimension-count", params, total == m * weights.weyl_dimension(rho))
+        rep.check("casimir-degree-1", base, tables["plain"].casimir(1) == sum(rho.entries))
+        dual = weights.family_table(weights.transpose_weight(rho), "plain")
+        rep.check("contragredient-casimir", base,
+                  all(dual.casimir(q) == tables["tilde"].casimir(q) for q in range(2 * m + 1)))
     return rep
 
 
-def _task_gtrep(rho_entries, q_max: int, budget) -> VerificationReport:
-    from .gtrep import build_rep, casimir_matrices
-    from .linalg import Matrix
-
+def _task_gtrep(rho_entries, bound: int, q_max: int, budget) -> VerificationReport:
     rep = VerificationReport()
     rho = weights.HighestWeight(rho_entries)
     base = {"rho": str(rho)}
     try:
-        model = build_rep(rho)
+        model = gtrep.build_rep(rho)
     except AssertionError as exc:
         rep.check("build-rep", base, False, witness=str(exc))
         return rep
     rep.check("build-rep", base, True)
     # casimir-2-closed-form needs c_2 even when q_max < 2
-    casimirs = {variant: casimir_matrices(model, max(q_max, 2), variant)
+    casimirs = {variant: gtrep.casimir_matrices(model, max(q_max, 2), variant)
                 for variant in ("plain", "tilde")}
+    tables = {variant: weights.family_table(rho, variant) for variant in casimirs}
     for q in range(q_max + 1):
         for variant in ("plain", "tilde"):
             mat = casimirs[variant][q]
-            expected = weights.casimir_eigenvalue(rho, q, variant)
+            expected = tables[variant].casimir(q)
             ok = mat.is_scalar() and mat.diagonal_entries()[0] == expected
             rep.check("casimir-matrix", {**base, "q": q, "variant": variant}, ok,
                       witness=f"expected scalar {expected}")
@@ -394,45 +332,33 @@ def _task_gtrep(rho_entries, q_max: int, budget) -> VerificationReport:
     return rep
 
 
-def _task_envalg(m: int, q_max: int, budget) -> VerificationReport:
+def _task_envalg(m: int, bound: int, q_max: int, budget) -> VerificationReport:
     return envalg.verify_binomial_relations(m, q_max, budget=budget)
 
 
-def _task_clifford(rho_entries, q_max: int, budget) -> VerificationReport:
-    from .clifford import build_system, verify_cross_relations, verify_relations
-    from .gtrep import build_rep
-
-    rho = weights.HighestWeight(rho_entries)
-    model = build_rep(rho)
-    plus = build_system(model, "+")
-    minus = build_system(model, "-")
-    rep = verify_relations(plus, q_max)
-    rep.extend(verify_cross_relations(plus, minus, min(q_max, 2)))
-    rep.extend(verify_relations(minus, q_max))
+def _task_clifford(rho_entries, bound: int, q_max: int, budget) -> VerificationReport:
+    model = gtrep.build_rep(weights.HighestWeight(rho_entries))
+    plus = clifford.build_system(model, "+")
+    minus = clifford.build_system(model, "-")
+    rep = clifford.verify_relations(plus, q_max)
+    rep.extend(clifford.verify_cross_relations(plus, minus, min(q_max, 2)))
+    rep.extend(clifford.verify_relations(minus, q_max))
     return rep
 
 
-def _task_spinor(m: int, q_max: int, budget) -> VerificationReport:
-    from .clifford import verify_spinor_model
-
-    return verify_spinor_model(m)
+def _task_spinor(m: int, bound: int, q_max: int, budget) -> VerificationReport:
+    return clifford.verify_spinor_model(m)
 
 
-def _task_adjoint(rho_entries, q_max: int, budget) -> VerificationReport:
-    from .clifford import build_system, derived_representation, verify_adjoint_pairing
-    from .gtrep import build_rep
-
-    rho = weights.HighestWeight(rho_entries)
-    model = build_rep(rho)
-    plus = build_system(model, "+")
+def _task_adjoint(rho_entries, bound: int, q_max: int, budget) -> VerificationReport:
+    model = gtrep.build_rep(weights.HighestWeight(rho_entries))
+    plus = clifford.build_system(model, "+")
     rep = VerificationReport()
-    for i in range(1, rho.m + 1):
-        if weights.shift(rho, "+", i) is None:
-            rep.skip("raise-lower", {"rho": str(rho), "i": i}, "shift not dominant")
-            continue
-        raised = derived_representation(plus, i)
-        minus_on_target = build_system(raised, "-")
-        rep.extend(verify_adjoint_pairing(plus, minus_on_target, i))
+    for i in range(1, model.m + 1):
+        # verify_adjoint_pairing reports an invalid shift as not applicable
+        minus_on_target = (clifford.build_system(clifford.derived_representation(plus, i), "-")
+                           if plus.table.valid[i - 1] else None)
+        rep.extend(clifford.verify_adjoint_pairing(plus, minus_on_target, i))
     return rep
 
 
@@ -452,15 +378,10 @@ def _run_task(task) -> tuple:
     suite, arg, q_max, bound, budget = task
     rep = VerificationReport()
     try:
-        if suite == "weights":
-            rep = _task_weights(arg, bound, q_max, budget)
-        else:
-            rep = _TASK_FUNCS[suite](arg, q_max, budget)
-    except (envalg.BudgetExceededError, DimensionBudgetError) as exc:
+        rep = _TASK_FUNCS[suite](arg, bound, q_max, budget)
+    except (envalg.BudgetExceededError, gtrep.DimensionBudgetError) as exc:
         rep.skip(suite, {"arg": str(arg)}, f"budget exceeded: {exc}")
     except Exception as exc:
-        import traceback
-
         traceback.print_exc()
         rep.check(suite, {"arg": str(arg)}, False,
                   witness=f"{type(exc).__name__}: {exc}")
@@ -499,7 +420,7 @@ def _parse_m_range(text: str) -> list:
     return list(range(lo, hi + 1))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     if args.suite == "all":
         suites = list(SUITES)
     elif args.suite in SUITES:
@@ -528,25 +449,19 @@ def cmd_verify(args) -> int:
     for (suite, arg, *_), rep in results:
         total.extend(rep)
         label = f"{suite}({arg if isinstance(arg, int) else ','.join(map(str, arg))})"
-        lines.append((label, rep))
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "kind": "verification",
-            "m": ms,
-            "bound": args.bound,
-            "q": args.q,
-            "suites": suites,
-            **total.to_json_dict(),
-        }
-        print(dump_json(payload))
-    else:
-        for label, rep in lines:
-            print(f"{label}: {rep.summary()}")
-            for item in rep.failures():
-                print(f"  {item.describe()}")
-        print(f"TOTAL {total.summary()}")
-    return EXIT_OK if total.verdict == "PASS" else EXIT_VERIFY_FAIL
+        lines.append(f"{label}: {rep.summary()}")
+        lines += [f"  {item.describe()}" for item in rep.failures()]
+    lines.append(f"TOTAL {total.summary()}")
+    payload = {
+        "schema": SCHEMA,
+        "kind": "verification",
+        "m": ms,
+        "bound": args.bound,
+        "q": args.q,
+        "suites": suites,
+        **total.to_json_dict(),
+    }
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="conformal weight / gamma / Casimir table")
     p.add_argument("rho", help="comma-separated weight, e.g. 1,0,0")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("casimir", help="Casimir scalars of both families")
     p.add_argument("rho")
     p.add_argument("--q", type=int, default=None, help="maximal degree (default 2m)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_casimir)
 
     p = sub.add_parser("identity", help="emit identity coefficient records")
@@ -579,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None, help="degree (default 0)")
     p.add_argument("--weitzenboeck", action="store_true",
                    help="emit the top/bottom cancellation instead")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--latex", action="store_true")
     p.set_defaults(func=cmd_identity)
 
@@ -592,37 +504,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=None,
                    help="term budget (default KAHLERGRAD_BUDGET or 10^7)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate", help="Dirac eigenvalue bound coefficient")
     p.add_argument("m", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("spinor-table", help="weight/gamma table of the exterior family")
     p.add_argument("m", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spinor_table)
 
     p = sub.add_parser("cpm", help="holomorphic-section eigenvalue (constant curvature)")
     p.add_argument("rho")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--r", default="1", help="holomorphic sectional curvature (rational)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cpm)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
     except (ValueError, ZeroDivisionError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(dump_json(payload) if args.json else "\n".join(lines))
+    # only a verify payload carries "passed"
+    return EXIT_VERIFY_FAIL if payload.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

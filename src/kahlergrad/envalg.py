@@ -30,7 +30,7 @@ from math import comb, factorial
 from typing import Dict, Optional, Sequence, Tuple
 
 from .report import VerificationReport
-from .weights import HighestWeight, casimir_eigenvalue
+from .weights import family_table
 
 Generator = Tuple[int, int]          # (k, l), 1-based
 Monomial = Tuple[Generator, ...]     # nondecreasing in the fixed order
@@ -317,18 +317,27 @@ def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
 # K polynomials: coefficients of 1 / (1 + x_1 z + x_2 z^2 + ...)
 # ---------------------------------------------------------------------------
 
+def _k_series(cs, unit) -> list:
+    """K_0 .. K_n of -c, n = len(cs), from c_0 .. c_{n-1} by the recursion
+    K_0 = unit, K_q = sum_{p<q} K_p c_{q-p-1}.  The unit is Fraction(1) for
+    scalars and PBWElement.one(m) for central elements."""
+    ks = [unit]
+    for q in range(1, len(cs) + 1):
+        total = unit * 0
+        for p in range(q):
+            total = total + ks[p] * cs[q - p - 1]
+        ks.append(total)
+    return ks
+
+
 def k_eval(n: int, xs: Sequence) -> Fraction:
-    """K_n at the point (x_1..x_n), by the recursion
+    """K_n at the point (x_1..x_n), by the recursion of `_k_series`:
     K_0 = 1, K_q = -sum_{p<q} K_p x_{q-p}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    xs = [Fraction(x) for x in xs]
     if len(xs) < n:
         raise ValueError(f"need at least {n} coordinates, got {len(xs)}")
-    ks = [Fraction(1)]
-    for q in range(1, n + 1):
-        ks.append(-sum(ks[p] * xs[q - p - 1] for p in range(q)))
-    return ks[n]
+    return _k_series([-Fraction(x) for x in xs[:n]], Fraction(1))[n]
 
 
 def k_multi_indices(n: int):
@@ -367,22 +376,10 @@ def k_eval_table(n: int, xs: Sequence) -> Fraction:
 def k_of_casimirs(n: int, rho, variant: str = "plain") -> Fraction:
     """K_n(-c) evaluated on the module labelled rho: the all-positive
     multinomial sum of products of Casimir scalars c_0 .. c_{n-1}."""
-    rho = HighestWeight.coerce(rho)
-    cs = [casimir_eigenvalue(rho, p, variant) for p in range(max(n, 1))]
-    return k_eval(n, [-c for c in cs])
-
-
-def _k_series(casimirs, m: int) -> list:
-    """K_0 .. K_n of -c as central elements, n = len(casimirs), from the
-    Casimir elements c_0 .. c_{n-1} by k_eval's recursion
-    K_q = sum_{p<q} K_p c_{q-p-1}."""
-    ks = [PBWElement.one(m)]
-    for q in range(1, len(casimirs) + 1):
-        total = PBWElement.zero(m)
-        for p in range(q):
-            total = total + ks[p] * casimirs[q - p - 1]
-        ks.append(total)
-    return ks
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    tab = family_table(rho, variant)
+    return _k_series([tab.casimir(p) for p in range(n)], Fraction(1))[n]
 
 
 def k_central(n: int, m: int, variant: str = "plain",
@@ -391,7 +388,8 @@ def k_central(n: int, m: int, variant: str = "plain",
     of `_k_series` on the Casimir elements c_0 .. c_{n-1}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _k_series([casimir_element(p, m, variant, budget) for p in range(n)], m)[n]
+    return _k_series([casimir_element(p, m, variant, budget) for p in range(n)],
+                     PBWElement.one(m))[n]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +440,7 @@ def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) 
     diagonal = [families(k, k) for k in range(1, m + 1)]
     cas = [sum((plain[p] for plain, _ in diagonal), PBWElement.zero(m)) for p in degrees]
     cas_t = [sum((tilde[p] for _, tilde in diagonal), PBWElement.zero(m)) for p in degrees]
-    kc, kct = _k_series(cas, m), _k_series(cas_t, m)
+    kc, kct = (_k_series(c, PBWElement.one(m)) for c in (cas, cas_t))
     # solved[q][p] = sum_{s=p}^{q} C(q,s) (-m)^(q-s) K_{s-p}, the coefficient
     # of e^p_lk in the solved form of ~e^q_kl
     solved = [[sum((kc[s - p].scale(binomial_shift(q, s, m)) for s in range(p, q + 1)),

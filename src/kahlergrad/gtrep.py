@@ -74,9 +74,6 @@ class GTPattern:
         sums = [0] + [sum(row) for row in self.rows]
         return tuple(sums[r + 1] - sums[r] for r in range(self.m))
 
-    def __str__(self):
-        return "/".join(",".join(str(x) for x in row) for row in self.rows)
-
 
 def _interlaces(rows) -> bool:
     for r in range(len(rows) - 1):
@@ -116,12 +113,10 @@ def gt_patterns(rho) -> list:
 @dataclass
 class Representation:
     """Matrix model: generator matrices gen[(k,l)] (1-based) plus the
-    invariant diagonal Gram form.  basis is None for models obtained by
-    restriction to an invariant subspace rather than from patterns."""
+    invariant diagonal Gram form."""
 
     rho: HighestWeight
     dim: int
-    basis: Optional[tuple]            # tuple of GTPattern, or None
     gen: Dict[Tuple[int, int], Matrix]
     gram: Matrix
 
@@ -256,7 +251,7 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
             gen[(l, k)] = (gen[(l, l - 1)] * gen[(l - 1, k)]
                            - gen[(l - 1, k)] * gen[(l, l - 1)])
     gram = invariant_gram(m, gen)
-    rep = Representation(rho=rho, dim=dim, basis=tuple(pats), gen=gen, gram=gram)
+    rep = Representation(rho=rho, dim=dim, gen=gen, gram=gram)
     rep.check_invariants()
     return rep
 

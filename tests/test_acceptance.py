@@ -207,11 +207,14 @@ def test_criterion_8_cli_contract():
 
 
 def test_verify_output_is_pinned():
-    """The stdout of three ``verify --json`` runs and five ``identity --json``
+    """The stdout of three ``verify --json`` runs, five ``identity --json``
     runs (degrees 0, 2, 3 and 4 and the Weitzenboeck record, on weights of
-    rank 3 and 4) is pinned by its SHA-256 in golden/verify_sha256.json, so
-    any byte of drift fails and names its command.  The digests hold under
-    any PYTHONHASHSEED and on Python 3.10 to 3.13."""
+    rank 3 and 4) and nine more runs, every command in text mode (with
+    ``identity`` as text and as LaTeX, and ``verify`` over all suites) plus
+    one ``spinor-table --json``, is pinned by its SHA-256 in
+    golden/verify_sha256.json, so any byte of drift fails and names its
+    command.  The digests hold under any PYTHONHASHSEED and on Python 3.10
+    to 3.13."""
     pinned = json.loads((GOLDEN / "verify_sha256.json").read_text())
     drifted = []
     for command, digest in pinned.items():

@@ -58,6 +58,20 @@ def test_identity_q1_values():
     assert ident["curvature"] == [{"token": "R^1", "coeff": "1/1"}]
 
 
+def test_contradictory_identity_flags_exit_2(capsys):
+    for argv, message in ((["identity", "1,0", "--json", "--latex"],
+                           "--json and --latex cannot be combined"),
+                          (["identity", "1,0", "--weitzenboeck", "--q", "3"],
+                           "--weitzenboeck takes no --q")):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: {message}" in out.err
+    # each flag on its own is still accepted
+    assert cli.main(["identity", "1,0", "--latex"]) == 0
+    assert cli.main(["identity", "1,0", "--weitzenboeck", "--json"]) == 0
+
+
 def test_identity_latex_is_standalone():
     out = run("identity", "1,0", "--weitzenboeck", "--latex")
     assert out.returncode == 0
@@ -178,7 +192,7 @@ def test_verify_exit_code_on_failure(monkeypatch):
         rep.check("synthetic", {"m": m}, False, witness="forced failure")
         return rep
 
-    monkeypatch.setattr(cli, "_task_weights", broken)
+    monkeypatch.setitem(cli._TASK_FUNCS, "weights", broken)
     code = cli.main(["verify", "--m", "1", "--bound", "0", "--suite", "weights"])
     assert code == 1
 
@@ -243,10 +257,10 @@ def test_failing_task_does_not_abort_the_batch(monkeypatch, capsys, jobs):
         pytest.skip("pool workers inherit the patched task only when forked")
     real = cli._TASK_FUNCS["gtrep"]
 
-    def flaky(rho, q_max, budget):
+    def flaky(rho, bound, q_max, budget):
         if tuple(rho) == (1, 0):
             raise RuntimeError("boom")
-        return real(rho, q_max, budget)
+        return real(rho, bound, q_max, budget)
 
     monkeypatch.setitem(cli._TASK_FUNCS, "gtrep", flaky)
     code = cli.main(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1",
@@ -258,3 +272,37 @@ def test_failing_task_does_not_abort_the_batch(monkeypatch, capsys, jobs):
                        "status": "fail", "witness": "RuntimeError: boom"}]
     others = {it["params"]["rho"] for it in payload["items"] if it["status"] == "pass"}
     assert len(others) == 5 and "(1,0)" not in others
+
+
+@pytest.mark.parametrize("perturb, broken", [
+    (lambda gamma: [2 * gamma[0]] + gamma[1:], "gamma-sum"),
+    (lambda gamma: gamma[::-1], "gamma-vanishing"),
+], ids=["doubled", "reversed"])
+def test_weights_theorems_fail_item_by_item(monkeypatch, capsys, perturb, broken):
+    # conformal_table does not check its gamma theorems; the weights suite
+    # reports each as its own item, so a wrong gamma fails named items and
+    # the other theorem and the dimension count still pass
+    from kahlergrad import weights
+
+    real = weights._gamma
+    monkeypatch.setattr(weights, "_gamma", lambda w: perturb(real(w)))
+    code = cli.main(["verify", "--suite", "weights", "--m", "2", "--bound", "1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    status = {}
+    for it in payload["items"]:
+        status.setdefault(it["tag"], set()).add(it["status"])
+    assert status[broken] == {"pass", "fail"}
+    intact = "gamma-vanishing" if broken == "gamma-sum" else "gamma-sum"
+    assert status[intact] == status["dimension-count"] == {"pass"}
+    failed = [it for it in payload["items"] if it["tag"] == broken and it["status"] == "fail"]
+    assert all(it["witness"] for it in failed)
+    if broken == "gamma-sum":
+        # (1,1) sign +: w = (-1, 0), gamma (2, 0), doubled gamma_{+1} makes 4
+        assert {"tag": "gamma-sum", "params": {"rho": "(1,1)", "sign": "+"}, "status": "fail",
+                "witness": "sum 4, expected 2"} in failed
+    else:
+        # reversed, gamma (0, 2) vanishes at the valid shift (2,1), not at (1,2)
+        assert {"tag": "gamma-vanishing", "params": {"rho": "(1,1)", "sign": "+"},
+                "status": "fail",
+                "witness": "gamma ['0', '2'], valid [True, False]"} in failed
