@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import partial
 from typing import List, Optional, Tuple
 
-from .envalg import binomial_shift, k_of_casimirs
-from .weights import FAMILY, HighestWeight, conformal_table, family_table, shift
+from .envalg import binomial_shift, k_series
+from .weights import HighestWeight, conformal_table, family_table, shift
 
 __all__ = [
     "CurvatureTerm",
@@ -116,9 +116,9 @@ def binomial_template(rho, q_max: int, sign: str) -> List[Tuple[Tuple[Fraction, 
         raise ValueError("sign must be '+' or '-'")
     m = rho.m
     other = "+" if sign == "-" else "-"
-    variant = FAMILY[other]
-    near_w, far_w = ([Fraction(w) for w in conformal_table(rho, s).w] for s in (sign, other))
-    ks = [k_of_casimirs(n, rho, variant) for n in range(q_max + 1)]
+    near, far = conformal_table(rho, sign), conformal_table(rho, other)
+    near_w, far_w = ([Fraction(w) for w in t.w] for t in (near, far))
+    ks = k_series(far, q_max)   # far's Casimirs are those of FAMILY[other]
     return [
         (tuple((w - m) ** q for w in near_w),
          tuple(Fraction(-1) ** (q + 1) * sum(ks[q - p] * w ** p for p in range(q + 1))

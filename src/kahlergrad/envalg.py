@@ -8,17 +8,21 @@ within one fixed order.  Rewriting uses the commutation rule
     e_{ij} e_{kl} = e_{kl} e_{ij} + delta_{jk} e_{il} - delta_{li} e_{kj}.
 
 Words are built from one table of the m^2 generator pairs, so a normal form
-holds at most m^2 distinct generator tuples however many terms it has.
+holds at most m^2 distinct generator tuples however many terms it has.  A
+coefficient is a Python int while every scalar that went into it is
+integral; a Fraction appears only where a non-integral scalar comes in.
 
 On top of the raw algebra this module builds the degree-q elements e_{kl}^q
 and their involution images, the Casimir traces c_q, the generating-function
 polynomials K_n, and a symbolic verifier for the binomial relations tying the
-two families together.  The degree-q elements come from recursion on the
-degree, e^q_kl = sum_i e^(q-1)_ki e_il, one row at a time, rather than from
-normal-ordering each of the m^(q-1) index-path words.  The verifier builds the
-four families e_kl, e_lk, ~e_kl, ~e_lk of one unordered pair {k, l} once, runs
-every check of (k,l) and (l,k) on them and drops them before the next pair.
-The diagonal families sum to the Casimir elements, the K_n follow by recursion.
+two families together.  The degree-q elements come from one series per row:
+row k of e^p (or of ~e^p) is built for p = 0, 1, 2, ... by recursion on the
+degree, e^p_kl = sum_i e^(p-1)_ki e_il, rather than by normal-ordering each of
+the m^(p-1) index-path words.  The verifier builds the series of every row
+once, sums its diagonal into the Casimir elements, which give the K_n by
+recursion, and drops the families of each index pair once the checks of
+(k,l) and (l,k) have read them.  Each checked difference is collected in one
+dict, however many scaled elements and products it sums.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ import os
 from fractions import Fraction
 from operator import gt
 from math import comb, factorial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .report import VerificationReport
 from .weights import family_table
 
 Generator = Tuple[int, int]          # (k, l), 1-based
 Monomial = Tuple[Generator, ...]     # nondecreasing in the fixed order
+Coefficient = Union[int, Fraction]   # an int while every input is integral
 
 __all__ = [
     "BudgetExceededError",
@@ -46,6 +51,7 @@ __all__ = [
     "k_eval",
     "k_eval_table",
     "k_multi_indices",
+    "k_series",
     "k_of_casimirs",
     "k_central",
     "binomial_shift",
@@ -86,16 +92,22 @@ def _check_index(k: int, m: int):
         raise ValueError(f"generator index {k} out of range 1..{m}")
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class PBWElement:
     """Element of U(gl(m)) in normal-ordered form.
 
-    terms maps ordered monomials to nonzero rational coefficients; the zero
-    element has an empty map.  Instances are immutable.
+    terms maps ordered monomials to nonzero rational coefficients, ints or
+    Fractions; the zero element has an empty map.  Instances are immutable.
     """
 
     __slots__ = ("m", "terms")
 
-    def __init__(self, m: int, terms: Dict[Monomial, Fraction]):
+    def __init__(self, m: int, terms: Dict[Monomial, Coefficient]):
         self.m = m
         self.terms = {w: c for w, c in terms.items() if c}
         for w in self.terms:
@@ -110,17 +122,17 @@ class PBWElement:
 
     @classmethod
     def one(cls, m: int) -> "PBWElement":
-        return cls(m, {(): Fraction(1)})
+        return cls(m, {(): 1})
 
     @classmethod
     def scalar(cls, m: int, value) -> "PBWElement":
-        return cls(m, {(): Fraction(value)})
+        return cls(m, {(): _exact(value)})
 
     @classmethod
     def generator(cls, m: int, k: int, l: int) -> "PBWElement":
         _check_index(k, m)
         _check_index(l, m)
-        return cls(m, {((k, l),): Fraction(1)})
+        return cls(m, {((k, l),): 1})
 
     # -- protocol ----------------------------------------------------------
 
@@ -151,36 +163,23 @@ class PBWElement:
 
     def __add__(self, other: "PBWElement") -> "PBWElement":
         self._same_rank(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            old = terms.get(w)
-            terms[w] = c if old is None else old + c
-        return PBWElement(self.m, terms)
+        return _combine(self.m, [(1, self), (1, other)])
 
     def __sub__(self, other: "PBWElement") -> "PBWElement":
-        return self + other.scale(-1)
+        self._same_rank(other)
+        return _combine(self.m, [(1, self), (-1, other)])
 
     def __neg__(self) -> "PBWElement":
         return self.scale(-1)
 
     def scale(self, s) -> "PBWElement":
-        s = Fraction(s)
-        if not s:
-            return PBWElement.zero(self.m)
-        if s == 1:
-            return self
-        return PBWElement(self.m, {w: s * c for w, c in self.terms.items()})
+        return _combine(self.m, [(s, self)])
 
     def __mul__(self, other):
         if not isinstance(other, PBWElement):
             return self.scale(other)
         self._same_rank(other)
-        gens = _generators(self.m)
-        out: Dict[Monomial, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _accumulate(out, w1 + w2, c1 * c2, gens)
-        return PBWElement(self.m, out)
+        return _combine(self.m, products=[(1, self, other)])
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -188,7 +187,7 @@ class PBWElement:
     def involution(self) -> "PBWElement":
         """Transpose each generator, keep the order, weigh by (-1)^degree."""
         gens = _generators(self.m)
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coefficient] = {}
         for w, c in self.terms.items():
             sign = -c if len(w) % 2 else c
             word = tuple(gens[l][k] for k, l in w)
@@ -209,24 +208,27 @@ def _generators(m: int):
     return [()] + [[()] + [(k, l) for l in range(1, m + 1)] for k in range(1, m + 1)]
 
 
-def _accumulate(out: Dict[Monomial, Fraction], word, coeff: Fraction, gens):
+def _accumulate(out: Dict[Monomial, Coefficient], word, coeff, gens, start: int = 0):
     """Normal-order one word into ``out`` by adjacent-swap rewriting.
 
-    A swap reuses the two generator objects; a commutator term takes its
-    generator from the table ``gens`` of `_generators`.
+    ``word[:start + 1]`` must be ordered, so the scan for a descent begins at
+    ``start``; a rewrite at i can only make a new descent at i - 1.  A swap
+    reuses the two generator objects; a commutator term takes its generator
+    from the table ``gens`` of `_generators`.
     """
-    stack = [(list(word), coeff)]
+    stack = [(list(word), coeff, max(start, 0))]
     while stack:
-        w, c = stack.pop()
-        for i in range(len(w) - 1):
+        w, c, i = stack.pop()
+        for i in range(i, len(w) - 1):
             x, y = w[i], w[i + 1]
             if x > y:
                 (a, b), (k, l) = x, y
-                stack.append((w[:i] + [y, x] + w[i + 2:], c))
+                j = i - 1 if i else 0
+                stack.append((w[:i] + [y, x] + w[i + 2:], c, j))
                 if b == k:
-                    stack.append((w[:i] + [gens[a][l]] + w[i + 2:], c))
+                    stack.append((w[:i] + [gens[a][l]] + w[i + 2:], c, j))
                 if l == a:
-                    stack.append((w[:i] + [gens[k][b]] + w[i + 2:], -c))
+                    stack.append((w[:i] + [gens[k][b]] + w[i + 2:], -c, j))
                 break
         else:
             key = tuple(w)
@@ -241,60 +243,89 @@ def _accumulate(out: Dict[Monomial, Fraction], word, coeff: Fraction, gens):
                     del out[key]
 
 
+def _combine(m: int, parts=(), products=()) -> PBWElement:
+    """sum s*x over (s, x) in ``parts`` plus sum s*a*b over (s, a, b) in
+    ``products``, collected in one dict and validated once."""
+    gens = _generators(m)
+    out: Dict[Monomial, Coefficient] = {}
+    for s, x in parts:
+        s = _exact(s)
+        for w, c in x.terms.items():
+            old = out.get(w)
+            out[w] = s * c if old is None else old + s * c
+    for s, a, b in products:
+        s = _exact(s)
+        for w1, c1 in a.terms.items():
+            for w2, c2 in b.terms.items():
+                _accumulate(out, w1 + w2, s * c1 * c2, gens, len(w1) - 1)
+    return PBWElement(m, out)
+
+
 def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
     """Normal form of a single word of generators with a rational coefficient."""
     for k, l in word:
         _check_index(k, m)
         _check_index(l, m)
     gens = _generators(m)
-    out: Dict[Monomial, Fraction] = {}
-    _accumulate(out, tuple(gens[k][l] for k, l in word), Fraction(coeff), gens)
+    out: Dict[Monomial, Coefficient] = {}
+    _accumulate(out, tuple(gens[k][l] for k, l in word), _exact(coeff), gens)
     return PBWElement(m, out)
 
 
-def _path_sum(k: int, l: int, q: int, m: int, budget: Optional[int], tilde: bool) -> PBWElement:
-    """e^q_kl, or its involution image when ``tilde``, with the index, degree
-    and budget checks of both builders; for q >= 1 by recursion on the degree:
+def _rows(k: int, q: int, m: int, budget: Optional[int], tilde: bool,
+          l: Optional[int] = None) -> list:
+    """Row k of e^p, or of its involution image when ``tilde``, for every
+    degree p = 0 .. q: rows[p][j] holds the terms of e^p_kj.  By recursion on
+    the degree,
 
-        e^p_kj = sum_i e^(p-1)_ki e_ij,    ~e^p_kj = -sum_i ~e^(p-1)_ki e_ji.
+        e^p_kj = sum_i e^(p-1)_ki e_ij,    ~e^p_kj = -sum_i ~e^(p-1)_ki e_ji,
 
-    Row k is built one degree at a time, each step right-multiplying normal
-    forms by a single generator; the last degree is built at column l only.
-    This equals the sum over index paths because normal forms are unique.
+    each step right-multiplying normal forms by a single generator; this
+    equals the sum over index paths because normal forms are unique.  With
+    ``l`` given, degree q is built at column l only.  Each degree p is guarded
+    before it is built, named as the element (k, l, p), l defaulting to k.
     """
+    name = "tilde_e_power" if tilde else "e_power"
+    gens = _generators(m)
+    cols = range(1, m + 1)
+    sign = -1 if tilde else 1
+    rows = [{j: {(): 1} if j == k else {} for j in cols}]
+    for p in range(1, q + 1):
+        _guard(m ** (p - 1), budget, f"{name}({k},{l or k},{p}) at rank {m}")
+        prev, step = rows[-1], {}
+        for j in (cols if p < q or l is None else (l,)):
+            out: Dict[Monomial, Coefficient] = {}
+            for i in cols:
+                g = gens[j][i] if tilde else gens[i][j]
+                for w, c in prev[i].items():
+                    _accumulate(out, w + (g,), sign * c, gens, len(w) - 1)
+            step[j] = out
+        rows.append(step)
+    return rows
+
+
+def _element(k: int, l: int, q: int, m: int, budget: Optional[int], tilde: bool) -> PBWElement:
+    """e^q_kl, or ~e^q_kl when ``tilde``, from the series of row k, with the
+    index and degree checks of both builders and the guard of degree q."""
     _check_index(k, m)
     _check_index(l, m)
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if q == 0:
-        return PBWElement.one(m) if k == l else PBWElement.zero(m)
-    name = "tilde_e_power" if tilde else "e_power"
-    _guard(m ** (q - 1), budget, f"{name}({k},{l},{q}) at rank {m}")
-    gens = _generators(m)
-    unit = Fraction(-1 if tilde else 1)
-    row = {j: {(gens[j][k] if tilde else gens[k][j],): unit} for j in range(1, m + 1)}
-    for p in range(2, q + 1):
-        step = {}
-        for j in (range(1, m + 1) if p < q else (l,)):
-            out: Dict[Monomial, Fraction] = {}
-            for i in range(1, m + 1):
-                g = gens[j][i] if tilde else gens[i][j]
-                for w, c in row[i].items():
-                    _accumulate(out, w + (g,), -c if tilde else c, gens)
-            step[j] = out
-        row = step
-    return PBWElement(m, row[l])
+    if q:
+        name = "tilde_e_power" if tilde else "e_power"
+        _guard(m ** (q - 1), budget, f"{name}({k},{l},{q}) at rank {m}")
+    return PBWElement(m, _rows(k, q, m, budget, tilde, l)[q][l])
 
 
 def e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
     """Degree-q element: sum over index paths e_{k i_1} e_{i_1 i_2} ... e_{i_{q-1} l}."""
-    return _path_sum(k, l, q, m, budget, tilde=False)
+    return _element(k, l, q, m, budget, tilde=False)
 
 
 def tilde_e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
     """Involution image of e_power, from its defining sum
     (-1)^q sum e_{i_1 k} e_{i_2 i_1} ... e_{l i_{q-1}}."""
-    return _path_sum(k, l, q, m, budget, tilde=True)
+    return _element(k, l, q, m, budget, tilde=True)
 
 
 def casimir_element(q: int, m: int, variant: str = "plain",
@@ -302,11 +333,8 @@ def casimir_element(q: int, m: int, variant: str = "plain",
     """Central trace element c_q = sum_k e_{kk}^q (or its involution image)."""
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
-    build = e_power if variant == "plain" else tilde_e_power
-    total = PBWElement.zero(m)
-    for k in range(1, m + 1):
-        total = total + build(k, k, q, m, budget)
-    return total
+    return _combine(m, [(1, _element(k, k, q, m, budget, variant == "tilde"))
+                        for k in range(1, m + 1)])
 
 
 def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -373,13 +401,18 @@ def k_eval_table(n: int, xs: Sequence) -> Fraction:
     return total
 
 
+def k_series(table, n: int) -> list:
+    """K_0(-c) .. K_n(-c) on one module, c_p = table.casimir(p) the Casimir
+    scalars of one conformal table."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _k_series([table.casimir(p) for p in range(n)], Fraction(1))
+
+
 def k_of_casimirs(n: int, rho, variant: str = "plain") -> Fraction:
     """K_n(-c) evaluated on the module labelled rho: the all-positive
     multinomial sum of products of Casimir scalars c_0 .. c_{n-1}."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    tab = family_table(rho, variant)
-    return _k_series([tab.casimir(p) for p in range(n)], Fraction(1))[n]
+    return k_series(family_table(rho, variant), n)[n]
 
 
 def k_central(n: int, m: int, variant: str = "plain",
@@ -401,20 +434,15 @@ def binomial_shift(q: int, p: int, m: int) -> Fraction:
     return Fraction(comb(q, p)) * Fraction(-m) ** (q - p)
 
 
-def _binomial_sum(q, m, family) -> PBWElement:
-    """sum_p C(q,p) (-m)^(q-p) family[p]."""
-    total = PBWElement.zero(m)
-    for p in range(q + 1):
-        total = total + family[p].scale(binomial_shift(q, p, m))
-    return total
+def _shifted(q, m, family) -> list:
+    """The (C(q,p) (-m)^(q-p), family[p]) parts of the degree-q binomial sum."""
+    return [(binomial_shift(q, p, m), family[p]) for p in range(q + 1)]
 
 
-def _binomial_diff(q, m, family, dual, ks):
-    """_binomial_sum of family - (-1)^q sum_p ks[q-p] * dual[p]."""
-    rhs = PBWElement.zero(m)
-    for p in range(q + 1):
-        rhs = rhs + ks[q - p] * dual[p]
-    return _binomial_sum(q, m, family) - rhs.scale(Fraction(-1) ** q)
+def _binomial_diff(q, m, family, dual, ks) -> PBWElement:
+    """sum_p C(q,p) (-m)^(q-p) family[p] - (-1)^q sum_p ks[q-p] * dual[p]."""
+    return _combine(m, _shifted(q, m, family),
+                    [(-(-1) ** q, ks[q - p], dual[p]) for p in range(q + 1)])
 
 
 def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) -> VerificationReport:
@@ -422,62 +450,67 @@ def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) 
     families, their trace forms, and the solved expressions, all as exact
     normal-form identities.
 
-    The index pairs are taken unordered: the four families e_kl, e_lk,
-    ~e_kl and ~e_lk of degree p <= q_max serve every check of both (k,l) and
-    (l,k), so each element is built once.  The diagonal families come first:
-    they sum to the Casimir elements, which give K_0 .. K_{q_max+1}, and go
-    before the off-diagonal pairs.  The items are then reported degree by
-    degree, in the fixed order of the tags.
+    The series of each row k is built once, for every degree p <= q_max and
+    every column, so each family element is built once.  The diagonal
+    elements sum to the Casimir elements, which give K_0 .. K_{q_max+1}; the
+    index pairs are then taken unordered, and the families e_kl, e_lk, ~e_kl
+    and ~e_lk are dropped once the checks of (k,l) and (l,k) have read them.
+    The items are reported degree by degree, in the fixed order of the tags.
     """
     if m < 1 or q_max < 0:
         raise ValueError("need m >= 1 and q_max >= 0")
     degrees = range(q_max + 1)
+    cols = range(1, m + 1)
+    words = {}      # one tuple per distinct word, shared by every family
 
-    def families(a, b):
-        return ([e_power(a, b, p, m, budget) for p in degrees],
-                [tilde_e_power(a, b, p, m, budget) for p in degrees])
+    def families(tilde):
+        fam = {}
+        for k in cols:
+            rows = _rows(k, q_max, m, budget, tilde)
+            for l in cols:
+                fam[k, l] = [PBWElement(m, {words.setdefault(w, w): c for w, c in rows[p][l].items()})
+                             for p in degrees]
+        return fam
 
-    diagonal = [families(k, k) for k in range(1, m + 1)]
-    cas = [sum((plain[p] for plain, _ in diagonal), PBWElement.zero(m)) for p in degrees]
-    cas_t = [sum((tilde[p] for _, tilde in diagonal), PBWElement.zero(m)) for p in degrees]
+    plain, tilde = families(False), families(True)
+    del words
+    cas, cas_t = ([_combine(m, [(1, fam[k, k][p]) for k in cols]) for p in degrees]
+                  for fam in (plain, tilde))
     kc, kct = (_k_series(c, PBWElement.one(m)) for c in (cas, cas_t))
     # solved[q][p] = sum_{s=p}^{q} C(q,s) (-m)^(q-s) K_{s-p}, the coefficient
     # of e^p_lk in the solved form of ~e^q_kl
-    solved = [[sum((kc[s - p].scale(binomial_shift(q, s, m)) for s in range(p, q + 1)),
-                   PBWElement.zero(m)) for p in range(q + 1)] for q in degrees]
+    solved = [[_combine(m, [(binomial_shift(q, s, m), kc[s - p]) for s in range(p, q + 1)])
+               for p in range(q + 1)] for q in degrees]
     witness = {}    # (tag, q, k, l) -> None when the difference is zero, else its repr
 
     def record(key, diff):
         witness[key] = None if diff.is_zero() else repr(diff)
 
-    def check(fam):
-        """Every check of each (a, b) in fam, which maps (a, b) and (b, a) to
-        their plain and tilde families."""
-        for (a, b), (plain, tilde) in fam.items():
-            plain_ba, tilde_ba = fam[b, a]
-            for q in degrees:
-                record(("binomial-tilde-to-plain", q, a, b),
-                       _binomial_diff(q, m, tilde, plain_ba, kc))
-                record(("binomial-plain-to-tilde", q, a, b),
-                       _binomial_diff(q, m, plain, tilde_ba, kct))
-                rhs = PBWElement.zero(m)
-                for p in range(q + 1):
-                    rhs = rhs + solved[q][p] * plain_ba[p]
-                record(("solved-tilde-elements", q, a, b),
-                       tilde[q] - rhs.scale(Fraction(-1) ** q))
+    def check(a, b):
+        """Every check of (a, b), on its families and those of (b, a)."""
+        for q in degrees:
+            record(("binomial-tilde-to-plain", q, a, b),
+                   _binomial_diff(q, m, tilde[a, b], plain[b, a], kc))
+            record(("binomial-plain-to-tilde", q, a, b),
+                   _binomial_diff(q, m, plain[a, b], tilde[b, a], kct))
+            record(("solved-tilde-elements", q, a, b),
+                   _combine(m, [(1, tilde[a, b][q])],
+                            [(-(-1) ** q, solved[q][p], plain[b, a][p]) for p in range(q + 1)]))
 
-    for k, fam in enumerate(diagonal, 1):
-        check({(k, k): fam})
-    del diagonal
-    for k in range(1, m + 1):
-        for l in range(k + 1, m + 1):
-            check({(k, l): families(k, l), (l, k): families(l, k)})
+    for k in cols:              # the diagonal first, then each unordered pair
+        for l in range(k, m + 1):
+            pair = {(k, l), (l, k)}
+            for a, b in pair:
+                check(a, b)
+            for key in pair:
+                del plain[key], tilde[key]
 
     for q in degrees:
-        sign = Fraction(-1) ** q
-        record(("casimir-binomial-tilde", q), _binomial_sum(q, m, cas_t) - kc[q + 1].scale(sign))
-        record(("casimir-binomial-plain", q), _binomial_sum(q, m, cas) - kct[q + 1].scale(sign))
-        record(("solved-tilde-casimir", q), cas_t[q] - _binomial_sum(q, m, kc[1:]).scale(sign))
+        sign = (-1) ** q
+        record(("casimir-binomial-tilde", q), _combine(m, _shifted(q, m, cas_t) + [(-sign, kc[q + 1])]))
+        record(("casimir-binomial-plain", q), _combine(m, _shifted(q, m, cas) + [(-sign, kct[q + 1])]))
+        record(("solved-tilde-casimir", q),
+               _combine(m, [(1, cas_t[q])] + [(-sign * s, x) for s, x in _shifted(q, m, kc[1:])]))
 
     rep = VerificationReport()
     pairs = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]

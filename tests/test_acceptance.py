@@ -207,7 +207,8 @@ def test_criterion_8_cli_contract():
 
 
 def test_verify_output_is_pinned():
-    """The stdout of three ``verify --json`` runs, five ``identity --json``
+    """The stdout of four ``verify --json`` runs (one of them the envalg
+    suite at m = 4, q = 5), five ``identity --json``
     runs (degrees 0, 2, 3 and 4 and the Weitzenboeck record, on weights of
     rank 3 and 4) and nine more runs, every command in text mode (with
     ``identity`` as text and as LaTeX, and ``verify`` over all suites) plus

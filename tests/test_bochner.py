@@ -18,9 +18,10 @@ from kahlergrad.bochner import (
     weitzenboeck,
 )
 from kahlergrad.clifford import build_system
+from kahlergrad.envalg import k_of_casimirs
 from kahlergrad.gtrep import build_rep
 from kahlergrad.linalg import Matrix, linear_combination
-from kahlergrad.weights import dominant_weights, transpose_weight
+from kahlergrad.weights import FAMILY, conformal_table, dominant_weights, transpose_weight
 
 
 def curvature_dict(ident):
@@ -89,6 +90,24 @@ def test_binomial_template_matches_the_records(m):
         dual = binomial_template(transpose_weight(rho), q_max, "-")
         assert binomial_template(rho, q_max, "+") == [
             (near[::-1], far[::-1]) for near, far in dual], rho
+
+
+@pytest.mark.parametrize("rho", [(1, 0), (2, 0, -1), (1, 1, 0), (2, 1, 0, -1), (1, 0, 0, -1)])
+def test_binomial_template_matches_per_degree_k(rho):
+    # the template takes K_0 .. K_q_max from one series; each K_n on its own,
+    # by k_of_casimirs, gives the same coefficients
+    m = len(rho)
+    for sign, other in (("+", "-"), ("-", "+")):
+        near_w, far_w = (conformal_table(rho, s).w for s in (sign, other))
+        for q_max in range(4):
+            ks = [k_of_casimirs(n, rho, FAMILY[other]) for n in range(q_max + 1)]
+            expected = [
+                (tuple(F(w - m) ** q for w in near_w),
+                 tuple(F(-1) ** (q + 1) * sum(ks[q - p] * F(w) ** p for p in range(q + 1))
+                       for w in far_w))
+                for q in range(q_max + 1)
+            ]
+            assert binomial_template(rho, q_max, sign) == expected, (sign, q_max)
 
 
 def test_binomial_template_rejects_bad_sign():

@@ -16,7 +16,7 @@ from kahlergrad.clifford import (
 from kahlergrad.envalg import k_of_casimirs
 from kahlergrad.gtrep import build_rep, e_power_matrices
 from kahlergrad.linalg import Matrix, gram_adjoint
-from kahlergrad.weights import HighestWeight, weyl_dimension
+from kahlergrad.weights import FAMILY, HighestWeight, weyl_dimension
 
 
 def test_trivial_module_plus_side():
@@ -102,12 +102,15 @@ def test_cross_sign_rank_fails_on_a_corrupted_coefficient_row(monkeypatch):
     item = _rank_item(verify_cross_relations(plus, minus, q_max=3))
     assert item.status == "pass" and item.params["rank"] == 2  # min(c=2, 3+1)
     emitted = bochner.bochner_identity((1, 0, 0), 2)
-    real = bochner.k_of_casimirs
+    real = bochner.k_series
 
-    def corrupted(q, rho, variant):
-        return real(q, rho, variant) + (1 if (q, variant) == (1, "tilde") else 0)
+    def corrupted(table, n):
+        ks = real(table, n)
+        if FAMILY[table.sign] == "tilde" and n >= 1:
+            ks[1] += 1
+        return ks
 
-    monkeypatch.setattr(bochner, "k_of_casimirs", corrupted)
+    monkeypatch.setattr(bochner, "k_series", corrupted)
     item = _rank_item(verify_cross_relations(plus, minus, q_max=3))
     assert item.status == "fail" and item.params["rank"] == 4
     assert bochner.bochner_identity((1, 0, 0), 2) != emitted

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kahlergrad import envalg
 from kahlergrad.envalg import (
     BudgetExceededError,
     PBWElement,
@@ -293,6 +295,23 @@ def test_binomial_budget_message():
     )
 
 
+def test_budget_guard_names_the_first_degree_over_budget():
+    # the verifier stops at the first degree whose words exceed the budget;
+    # a single element names the degree asked for
+    messages = []
+    for build in (lambda: verify_binomial_relations(3, 6, budget=20),
+                  lambda: e_power(1, 2, 9, 3, budget=100),
+                  lambda: casimir_element(5, 3, "tilde", budget=10)):
+        with pytest.raises(BudgetExceededError) as exc:
+            build()
+        messages.append(str(exc.value))
+    assert messages == [
+        "e_power(1,1,4) at rank 3 needs 27 words, exceeding the term budget 20",
+        "e_power(1,2,9) at rank 3 needs 6561 words, exceeding the term budget 100",
+        "tilde_e_power(1,1,5) at rank 3 needs 81 words, exceeding the term budget 10",
+    ]
+
+
 def test_budget_from_environment(monkeypatch):
     from kahlergrad.envalg import term_budget
 
@@ -322,3 +341,65 @@ def test_rank_mismatch_rejected():
 def test_unsorted_monomial_rejected():
     with pytest.raises(ValueError, match="normal ordered"):
         PBWElement(2, {((2, 1), (1, 2)): F(1)})
+
+
+def test_binomial_relations_reject_a_wrong_shift(monkeypatch):
+    # C(2,1)(-m) one too large breaks every degree-2 item that reads it: the
+    # two binomial sums, the solved coefficients and the three trace forms
+    real = envalg.binomial_shift
+
+    def wrong(q, p, m):
+        return real(q, p, m) + (1 if (q, p) == (2, 1) else 0)
+
+    monkeypatch.setattr(envalg, "binomial_shift", wrong)
+    rep = verify_binomial_relations(3, 3)
+    failed = [it for it in rep.items if it.status == "fail"]
+    assert len(failed) == 30
+    assert {it.params["q"] for it in failed} == {2}
+    assert Counter(it.tag for it in failed) == {
+        "binomial-tilde-to-plain": 9,
+        "binomial-plain-to-tilde": 9,
+        "solved-tilde-elements": 9,
+        "casimir-binomial-tilde": 1,
+        "casimir-binomial-plain": 1,
+        "solved-tilde-casimir": 1,
+    }
+    assert all(it.witness for it in failed)
+    assert all(it.status == "pass" for it in rep.items if it.status != "fail")
+    assert len(rep.items) == 4 * (3 * 9 + 3)
+
+
+def test_integral_coefficients_are_ints():
+    m = 3
+    built = [e_power(1, 2, 4, m), tilde_e_power(2, 2, 3, m), casimir_element(3, m, "tilde"),
+             k_central(3, m), pbw_normalize([(3, 1), (1, 2), (2, 3)], m, F(4, 2)),
+             gen(m, 2, 1) * gen(m, 1, 2), PBWElement.scalar(m, F(6, 3)),
+             e_power(2, 1, 2, m).scale(F(-6, 2)), e_power(3, 1, 2, m).involution()]
+    for x in built:
+        assert x.terms and all(type(c) is int for c in x.terms.values()), x
+
+
+def test_non_integral_scalars_give_exact_fractions():
+    x = e_power(1, 2, 3, 3)
+    half = x.scale(F(1, 2))
+    assert half.terms == {w: F(c, 2) for w, c in x.terms.items()}
+    assert all(type(c) is F for c in half.terms.values())
+    assert half.scale(2) == x
+    word = [(2, 1), (1, 2)]
+    third = pbw_normalize(word, 2, F(1, 3))
+    assert third.terms == {((1, 2), (2, 1)): F(1, 3), ((2, 2),): F(1, 3), ((1, 1),): F(-1, 3)}
+    assert all(type(c) is F for c in third.terms.values())
+    assert third.scale(3) == pbw_normalize(word, 2)
+
+
+def test_int_and_fraction_coefficients_agree():
+    # repr is the witness text of a failed item, so it must not tell the
+    # two coefficient types apart
+    terms = {(): 5, ((1, 1),): -2, ((1, 2), (2, 1)): 1, ((2, 2), (2, 2)): 12}
+    as_ints = PBWElement(2, terms)
+    as_fractions = PBWElement(2, {w: F(c) for w, c in terms.items()})
+    assert as_ints == as_fractions
+    assert repr(as_ints) == repr(as_fractions)
+    assert repr(as_ints) == "(5)*1 + (-2)*e[1,1] + (1)*e[1,2]*e[2,1] + (12)*e[2,2]*e[2,2]"
+    assert as_ints * as_ints == as_fractions * as_fractions
+    assert repr(as_ints - as_fractions.scale(F(1, 2))) == repr(as_fractions.scale(F(1, 2)))
