@@ -21,7 +21,7 @@ from functools import partial
 from typing import List, Optional, Tuple
 
 from .envalg import binomial_shift, k_series
-from .weights import HighestWeight, conformal_table, family_table, shift
+from .weights import ConformalWeightTable, HighestWeight, conformal_table, family_table, shift
 
 __all__ = [
     "CurvatureTerm",
@@ -106,19 +106,18 @@ def _record(tables, q, label, minus, plus, curv, dbar=None) -> BochnerIdentity:
     )
 
 
-def binomial_template(rho, q_max: int, sign: str) -> List[Tuple[Tuple[Fraction, ...], ...]]:
+def binomial_template(near: ConformalWeightTable, far: ConformalWeightTable,
+                      q_max: int) -> List[Tuple[Tuple[Fraction, ...], ...]]:
     """For q = 0 .. q_max, the (near, far) coefficients of the degree-q
-    cross-sign relation of the ``sign`` maps: near_i = (w_i - m)^q on their
-    p_i^* p_i, far_i = (-1)^{q+1} sum_p K_{q-p}(-c') w'_i^p on those of the
-    other sign, w' and c' its weights and Casimirs (tilde for sign -)."""
-    rho = HighestWeight.coerce(rho)
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    m = rho.m
-    other = "+" if sign == "-" else "-"
-    near, far = conformal_table(rho, sign), conformal_table(rho, other)
+    cross-sign relation of the maps of the ``near`` table's sign: near_i =
+    (w_i - m)^q on their p_i^* p_i, far_i = (-1)^{q+1} sum_p K_{q-p}(-c')
+    w'_i^p on those of the other sign, w' and c' the weights and Casimirs of
+    ``far``, the other sign's table of the same weight (tilde for sign -)."""
+    if near.rho != far.rho or near.sign == far.sign:
+        raise ValueError("need the tables of both signs on one weight")
+    m = near.rho.m
     near_w, far_w = ([Fraction(w) for w in t.w] for t in (near, far))
-    ks = k_series(far, q_max)   # far's Casimirs are those of FAMILY[other]
+    ks = k_series(far, q_max)   # far's Casimirs are those of FAMILY[far.sign]
     return [
         (tuple((w - m) ** q for w in near_w),
          tuple(Fraction(-1) ** (q + 1) * sum(ks[q - p] * w ** p for p in range(q + 1))
@@ -156,7 +155,7 @@ def bochner_identity(rho, q: int) -> List[BochnerIdentity]:
         ]
     if q == 1:
         return [_record(tables, 1, "degree-1", tm.w, tp.w, [CurvatureTerm("R^1", Fraction(1))])]
-    minus, plus = binomial_template(rho, q, "-")[q]
+    minus, plus = binomial_template(tm, tp, q)[q]
     curv = [CurvatureTerm(f"R^{p}", binomial_shift(q, p, m)) for p in range(q + 1)]
     return [_record(tables, q, f"degree-{q}", minus, plus, curv)]
 

@@ -15,19 +15,27 @@ every projector against the Weyl dimension are checked during the build.
 
 The maps p_{+i}(eps_k) (resp. p_{-i}(eps_bar_k)) are the compositions
 phi |-> projection of (phi (x) basis vector k), written in a basis of the
-projector image obtained from its pivot columns, orthogonalized against the
-tensor Gram form so the induced Gram form stays diagonal; in that basis
-p_{+-i}(basis_k)^* is row block k of the basis.  No phase choices are made;
-every verified identity below is phase independent (it involves p* p, p p*,
-or solved intertwiners), the content that survives the unit-scalar
-ambiguity of the splitting.
+projector image obtained from its pivot columns, orthogonalized in integer
+arithmetic against the tensor Gram form so the induced Gram form stays
+diagonal; in that basis p_{+-i}(basis_k)^* is row block k of the basis.  No
+phase choices are made; every verified identity below is phase independent
+(it involves p* p, p p*, or solved intertwiners), the content that survives
+the unit-scalar ambiguity of the splitting.
+
+The identities among the symbols p_i(basis_k)^* p_i(basis_l) are checked
+as identities of mn x mn block matrices, the tensor index regrouped by k:
+the (k, l) block of S_i = A_i C_i (A_i the adjoints stacked by rows, C_i
+the maps side by side) is one symbol, and of `gtrep.block_powers` one
+family element.  Each identity is one exact sum, reported block by block.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .linalg import (
     Matrix,
@@ -46,7 +54,7 @@ from .weights import (
     weyl_dimension,
 )
 from .bochner import binomial_template
-from .gtrep import Representation, e_power_matrices
+from .gtrep import Representation, block_powers
 
 __all__ = [
     "TargetData",
@@ -109,21 +117,22 @@ class CliffordSystem:
         """p_i(basis_k)^*; the component must exist."""
         return self.target(i).adjoints[k - 1]
 
+    def p_star_p_matrix(self, i: int) -> Matrix:
+        """S_i = A_i C_i, A_i the adjoints stacked by rows and C_i the maps
+        side by side, whose block (k, l) is p_i(basis_k)^* p_i(basis_l); the
+        zero matrix when the component vanishes."""
+        if i not in self._pp_cache:
+            t, N = self.target(i), self.m * self.rep.dim
+            self._pp_cache[i] = (Matrix.zeros(N, N) if t is None else
+                                 Matrix.block([[a] for a in t.adjoints]) * Matrix.block([t.pmaps]))
+        return self._pp_cache[i]
+
     def p_star_p(self, i: int, k: int, l: int) -> Matrix:
-        """p_i(basis_k)^* p_i(basis_l) on the source module; zero matrix when
-        the component vanishes."""
-        key = (i, k, l)
-        cached = self._pp_cache.get(key)
-        if cached is not None:
-            return cached
-        t = self.target(i)
+        """p_i(basis_k)^* p_i(basis_l) on the source module, block (k, l) of
+        `p_star_p_matrix`; zero matrix when the component vanishes."""
         n = self.rep.dim
-        if t is None:
-            out = Matrix.zeros(n, n)
-        else:
-            out = self.p_adjoint(i, k) * t.pmaps[l - 1]
-        self._pp_cache[key] = out
-        return out
+        return self.p_star_p_matrix(i).submatrix(range((k - 1) * n, k * n),
+                                                 range((l - 1) * n, l * n))
 
 
 def _aux_generator(m: int, sign: str, k: int, l: int) -> Matrix:
@@ -151,9 +160,10 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
     projectors = lagrange_projectors(chat, [Fraction(-2 * w) for w in table.w])
 
     # tensor Gram form: source form on the module factor, unit form on the
-    # auxiliary factor (both bases are unitary)
+    # auxiliary factor (both bases are unitary), as integers g over one dg
     source_diag = rep.gram.diagonal_entries()
-    tensor_diag = [source_diag[a] for a in range(n) for _ in range(m)]
+    dg = lcm(*(x.denominator for x in source_diag))
+    g = [x.numerator * (dg // x.denominator) for x in source_diag for _ in range(m)]
 
     targets: List[Optional[TargetData]] = []
     for i in range(1, m + 1):
@@ -175,37 +185,38 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
                 f"at i={i} for {rep.rho} sign {sign}"
             )
         # orthogonalize the pivot columns against the tensor form; a column
-        # is a dict {tensor index: nonzero entry}
+        # is (v, dv, nv): integers {tensor index: nonzero entry} over the
+        # denominator dv, and nv = dg dv^2 |v|^2.  Subtracting the projection
+        # onto (u, du, nu) gives (nu v - <g u, v> u) / (nu dv).
         columns = {c: {} for c in pivots}
         for a, c, x in proj.nonzero_entries():
             if c in columns:
                 columns[c][a] = x
-        ortho: List[dict] = []
-        norms: List[Fraction] = []
-        for v in columns.values():
-            for u, nu in zip(ortho, norms):
+        ortho: List[tuple] = []
+        for col in columns.values():
+            dv = lcm(*(x.denominator for x in col.values()))
+            v = {a: x.numerator * (dv // x.denominator) for a, x in col.items()}
+            for u, _, nu in ortho:
                 if u.keys().isdisjoint(v):
                     continue
-                coeff = sum(tensor_diag[a] * y * v[a] for a, y in u.items() if a in v) / nu
-                if coeff:
-                    for a, y in u.items():
-                        x = v[a] - coeff * y if a in v else -coeff * y
-                        if x:
-                            v[a] = x
-                        else:
-                            del v[a]
-            nv = sum(tensor_diag[a] * x * x for a, x in v.items())
+                dot = sum(g[a] * y * v[a] for a, y in u.items() if a in v)
+                if dot:
+                    w = {a: nu * v.get(a, 0) - dot * u.get(a, 0) for a in v.keys() | u.keys()}
+                    h = gcd(dv * nu, *w.values())
+                    v = {a: x // h for a, x in w.items() if x}
+                    dv = dv * nu // h
+            nv = sum(g[a] * x * x for a, x in v.items())
             if nv <= 0:
                 raise AssertionError("pivot columns not independent")
-            ortho.append(v)
-            norms.append(nv)
+            ortho.append((v, dv, nv))
         d = len(ortho)
-        basis = Matrix.zeros(N, d)
-        coords = Matrix.zeros(d, N)
-        for r, (v, nv) in enumerate(zip(ortho, norms)):
+        basis_rows = [{} for _ in range(N)]
+        for r, (v, dv, _) in enumerate(ortho):
             for a, x in v.items():
-                basis[a, r] = x
-                coords[r, a] = x * tensor_diag[a] / nv
+                basis_rows[a][r] = Fraction(x, dv)
+        basis = Matrix.from_rows(basis_rows, d)
+        coords = Matrix.from_rows([{a: Fraction(x * g[a] * dv, nv) for a, x in v.items()}
+                                   for v, dv, nv in ortho], N)
         # coords[r, a] = basis[a, r] G_a / |v_r|^2, and G is the source form on
         # each row block: the k-th map's adjoint is the basis at rows k-1, k-1+m, ...
         pmaps = [coords.submatrix(range(d), range(k - 1, N, m)) for k in range(1, m + 1)]
@@ -216,7 +227,7 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
                 weight=shifted,
                 dim=d,
                 basis=basis,
-                gram=Matrix.diagonal(norms),
+                gram=Matrix.diagonal([Fraction(nv, dg * dv * dv) for _, dv, nv in ortho]),
                 coords=coords,
                 pmaps=pmaps,
                 adjoints=adjoints,
@@ -259,46 +270,54 @@ def derived_representation(sys: CliffordSystem, i: int) -> Representation:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _check_zero(report: VerificationReport, tag: str, params: dict, *diffs: Matrix):
-    """One item that passes when every matrix of ``diffs`` vanishes; a
-    failure's witness counts their nonzero entries."""
-    count = sum(diff.nonzero_count() for diff in diffs)
-    report.check(tag, params, not count, witness=f"{count} nonzero entries in difference")
+def _check_blocks(report: VerificationReport, tag: str, params: Iterable[dict], diff: Matrix,
+                  height: int, width: int):
+    """One item per height x width block of ``diff``, with ``params`` in
+    row-major block order: it passes when its block vanishes, and a
+    failure's witness counts the block's nonzero entries."""
+    across = diff.cols // width
+    counts = Counter(a // height * across + b // width for a, b, _ in diff.nonzero_entries())
+    for block, item in enumerate(params):
+        report.check(tag, item, not counts[block],
+                     witness=f"{counts[block]} nonzero entries in difference")
+
+
+def _check_zero(report: VerificationReport, tag: str, params: dict, diff: Matrix):
+    """One item that passes when ``diff`` vanishes."""
+    _check_blocks(report, tag, [params], diff, diff.rows, diff.cols)
+
+
+def _by_unit(params: dict, m: int) -> Iterator[dict]:
+    """``params`` with each (k, l), k-major: the items of the m x m blocks."""
+    return ({**params, "k": k, "l": l} for k in range(1, m + 1) for l in range(1, m + 1))
 
 
 def _check_projection_formula(report: VerificationReport, tag: str, params: dict,
                               sys: CliffordSystem):
     """One item per valid i and per l: P_i E_l = sum_k E_k p_i(basis_k)^*
     p_i(basis_l), with E_k the N x n matrix of phi |-> phi (x) basis_k (tensor
-    index a*m + k-1), by row blocks: block k (rows k-1, k-1+m, ...) is P_i at
-    the columns l-1, l-1+m, ... on the left and the k-th term on the right."""
-    m = sys.m
-    N = m * sys.rep.dim
+    index a*m + k-1).  With rows and columns regrouped by k, P_i is S_i; the
+    item of l is column block l of the difference."""
+    m, n = sys.m, sys.rep.dim
+    order = [a * m + k for k in range(m) for a in range(n)]
     for i in range(1, m + 1):
         if sys.targets[i - 1] is not None:
-            proj = sys.projectors[i - 1]
-            for l in range(1, m + 1):
-                cols = range(l - 1, N, m)
-                _check_zero(report, tag, {**params, "i": i, "l": l},
-                            *[proj.submatrix(range(k - 1, N, m), cols) - sys.p_star_p(i, k, l)
-                              for k in range(1, m + 1)])
+            diff = sys.projectors[i - 1].submatrix(order, order) - sys.p_star_p_matrix(i)
+            _check_blocks(report, tag, ({**params, "i": i, "l": l} for l in range(1, m + 1)),
+                          diff, m * n, n)
 
 
 def _check_moments(report: VerificationReport, tag: str, params: dict,
-                   sys: CliffordSystem, q: int, power: Dict[Tuple[int, int], Matrix]):
-    """One item per (k, l): sum_i w_i^q p_i(basis_k)^* p_i(basis_l) over the
-    valid i equals power[(k, l)], the (k, l) block of degree q of the family
-    paired with the system's sign (tilde for +, plain for -).  At q = 0 this
-    is completeness."""
-    m, n = sys.m, sys.rep.dim
-    coeffs = [(i, Fraction(w) ** q) for i, w in enumerate(sys.table.w, 1)
-              if sys.targets[i - 1] is not None]
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            terms = [(c, sys.p_star_p(i, k, l)) for i, c in coeffs]
-            terms.append((-1, power[(k, l)]))
-            _check_zero(report, tag, {**params, "k": k, "l": l},
-                        linear_combination(terms, n, n))
+                   sys: CliffordSystem, q: int, power: Matrix):
+    """One item per (k, l): sum_i w_i^q S_i over the valid i equals
+    ``power``, the degree-q block power of the family paired with the
+    system's sign (tilde for +, plain for -).  At q = 0 this is
+    completeness."""
+    terms = [(Fraction(w) ** q, sys.p_star_p_matrix(i)) for i, w in enumerate(sys.table.w, 1)
+             if sys.targets[i - 1] is not None]
+    terms.append((-1, power))
+    _check_blocks(report, tag, _by_unit(params, sys.m),
+                  linear_combination(terms, power.rows, power.cols), sys.rep.dim, sys.rep.dim)
 
 
 def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
@@ -306,18 +325,20 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
     system: completeness, the degree-q trace identities against the
     enveloping-algebra elements, the Vandermonde-solved form, the gamma
     trace constants, the target-side completeness and the projection
-    formula.  The cross-sign relations, which need both systems, are
+    formula, each one sum of mn x mn block matrices reported block by
+    block; the intertwining is w_i C_i - C_i P^1 by column block k.  The
+    cross-sign relations, which need both systems, are
     `verify_cross_relations`.
     """
     rep_ = sys.rep
     m, n = sys.m, rep_.dim
+    N = m * n
     rho = rep_.rho
     report = VerificationReport()
     base = {"rho": str(rho), "sign": sys.sign}
     ws = [Fraction(w) for w in sys.table.w]
     gammas = sys.table.gamma
     valid = [i for i in range(1, m + 1) if sys.targets[i - 1] is not None]
-    units = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
 
     for i in range(1, m + 1):
         proj = sys.projectors[i - 1]
@@ -333,8 +354,9 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
             _check_zero(report, "projector-orthogonal", {**base, "i": i, "j": j},
                         proj * sys.projectors[j - 1])
 
-    # degrees up to m-1 are also needed by the Vandermonde-solved form
-    powers = e_power_matrices(rep_, max(q_max, m - 1), FAMILY[sys.sign])
+    # degrees up to m-1 are also needed by the Vandermonde-solved form, and
+    # degree 1 by the intertwining
+    powers = block_powers(rep_, max(q_max, m - 1, 1), FAMILY[sys.sign])
 
     for q in range(q_max + 1):
         _check_moments(report, "completeness" if q == 0 else "moment-identity",
@@ -342,26 +364,18 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
 
     # intertwining: the maps shuffle the source action into the weight factor
     for i in valid:
-        t = sys.targets[i - 1]
-        for k in range(1, m + 1):
-            terms = [(ws[i - 1], t.pmaps[k - 1])]
-            for l in range(1, m + 1):
-                if sys.sign == "+":
-                    terms.append((1, t.pmaps[l - 1] * rep_.gen[(k, l)]))
-                else:
-                    terms.append((-1, t.pmaps[l - 1] * rep_.gen[(l, k)]))
-            _check_zero(report, "intertwining", {**base, "i": i, "k": k},
-                        linear_combination(terms, t.dim, n))
+        maps = Matrix.block([sys.targets[i - 1].pmaps])
+        _check_blocks(report, "intertwining", ({**base, "i": i, "k": k} for k in range(1, m + 1)),
+                      linear_combination([(ws[i - 1], maps), (-1, maps * powers[1])],
+                                         maps.rows, N), maps.rows, n)
 
     # Vandermonde-solved form: p_i^* p_i as a combination of degrees < m
     for i in valid:
         # minus the Lagrange basis polynomial of w_i, degree by degree
-        coeffs = [-c for c in lagrange_coefficients(ws, i - 1)]
-        for k, l in units:
-            terms = [(1, sys.p_star_p(i, k, l))]
-            terms += [(c, powers[j][(k, l)]) for j, c in enumerate(coeffs)]
-            _check_zero(report, "vandermonde-solved", {**base, "i": i, "k": k, "l": l},
-                        linear_combination(terms, n, n))
+        terms = [(-c, power) for c, power in zip(lagrange_coefficients(ws, i - 1), powers)]
+        terms.append((1, sys.p_star_p_matrix(i)))
+        _check_blocks(report, "vandermonde-solved", _by_unit({**base, "i": i}, m),
+                      linear_combination(terms, N, N), n, n)
 
     # trace constants
     ident = Matrix.identity(n)
@@ -377,10 +391,9 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
         if t is None:
             report.skip("target-completeness", {**base, "i": i}, "component vanishes")
             continue
-        terms = [(1, t.pmaps[k - 1] * sys.p_adjoint(i, k)) for k in range(1, m + 1)]
-        terms.append((-1, Matrix.identity(t.dim)))
         _check_zero(report, "target-completeness", {**base, "i": i},
-                    linear_combination(terms, t.dim, t.dim))
+                    Matrix.block([t.pmaps]) * Matrix.block([[a] for a in t.adjoints])
+                    - Matrix.identity(t.dim))
 
     _check_projection_formula(report, "projection-formula", base, sys)
     return report
@@ -390,31 +403,32 @@ def verify_cross_relations(
     plus: CliffordSystem, minus: CliffordSystem, q_max: int
 ) -> VerificationReport:
     """Cross-sign relations: each shifted binomial power of one family is a
-    Casimir-weighted combination of the other, with swapped basis indices.
-    Also checks the rank of the emitted relation family over the symbol
-    slots of the valid components: min(c, q_max + 1), with c the number of
-    valid components of each sign."""
+    Casimir-weighted combination of the other, with swapped basis indices:
+    one sum of the near side's S_i and the far side's S_i with block (l, k)
+    moved to (k, l), one item per block.  Also checks the rank of the
+    emitted relation family over the symbol slots of the valid components:
+    min(c, q_max + 1), with c the number of valid components of each sign."""
     if plus.sign != "+" or minus.sign != "-" or plus.rep is not minus.rep:
         raise ValueError("cross relations need the plus and the minus system of one module")
     m, n = plus.m, plus.rep.dim
+    N = m * n
     rho = plus.rep.rho
     report = VerificationReport()
     base = {"rho": str(rho)}
-    templates = {sign: binomial_template(rho, q_max, sign) for sign in "+-"}
+    templates = {"+": binomial_template(plus.table, minus.table, q_max),
+                 "-": binomial_template(minus.table, plus.table, q_max)}
+    pp = {s.sign: [s.p_star_p_matrix(i) for i in range(1, m + 1)] for s in (plus, minus)}
+    flipped = {sign: [x.block_transpose(n) for x in mats] for sign, mats in pp.items()}
 
     rows = []
     for q in range(q_max + 1):
         # each side shifted by -m against the other family
-        for tag, left, right in (("cross-sign-plus", plus, minus),
-                                 ("cross-sign-minus", minus, plus)):
-            near, far = templates[left.sign][q]
-            for k in range(1, m + 1):
-                for l in range(1, m + 1):
-                    terms = [(c, left.p_star_p(i, k, l)) for i, c in enumerate(near, 1)]
-                    terms += [(c, right.p_star_p(i, l, k)) for i, c in enumerate(far, 1)]
-                    _check_zero(report, tag, {**base, "q": q, "k": k, "l": l},
-                                linear_combination(terms, n, n))
-            rows.append(near + far if left is plus else far + near)
+        for tag, left, right in (("cross-sign-plus", "+", "-"), ("cross-sign-minus", "-", "+")):
+            near, far = templates[left][q]
+            terms = [*zip(near, pp[left]), *zip(far, flipped[right])]
+            _check_blocks(report, tag, _by_unit({**base, "q": q}, m),
+                          linear_combination(terms, N, N), n, n)
+            rows.append(near + far if left == "+" else far + near)
 
     valid_cols = [i for i in range(m) if plus.table.valid[i]] + [
         m + i for i in range(m) if minus.table.valid[i]
@@ -506,28 +520,23 @@ def verify_adjoint_pairing(
         raise ValueError("bases are not shared: build the minus system on the "
                          "derived representation of the plus target")
 
-    gamma = sys_plus.table.gamma[i - 1]
-    P, M = t_plus.pmaps, t_minus.pmaps
-    P_star, M_star = t_plus.adjoints, t_minus.adjoints
-
-    n = sys_plus.rep.dim
-    inv_gamma = Fraction(1) / gamma
-    T = linear_combination([(inv_gamma, M[k] * P[k]) for k in range(m)], t_minus.dim, n)
-
-    for k in range(m):
-        _check_zero(report, "raise-lower-proportionality", {**base, "k": k + 1},
-                    M[k] - T * P_star[k])
+    # with the maps P_k stacked by rows and the M_k and P_k^* side by side,
+    # T = (1/gamma) sum_k M_k P_k is one product, and each family one sum
+    n, d = sys_plus.rep.dim, t_plus.dim
+    inv_gamma = Fraction(1) / sys_plus.table.gamma[i - 1]
+    lowering, raising = Matrix.block([t_minus.pmaps]), Matrix.block([[p] for p in t_plus.pmaps])
+    raising_star = Matrix.block([t_plus.adjoints])
+    T = (lowering * raising).scale(inv_gamma)
+    _check_blocks(report, "raise-lower-proportionality",
+                  ({**base, "k": k} for k in range(1, m + 1)), lowering - T * raising_star, n, d)
 
     T_star = gram_adjoint(T, sys_plus.rep.gram, t_minus.gram)
     _check_zero(report, "raise-lower-ratio-squared", {**base, "ratio_squared": inv_gamma},
                 linear_combination([(1, T_star * T), (-inv_gamma, Matrix.identity(n))], n, n))
 
-    for k in range(m):
-        for l in range(m):
-            _check_zero(report, "raise-lower-squared", {**base, "k": k + 1, "l": l + 1},
-                        linear_combination([(1, M_star[k] * M[l]),
-                                            (-inv_gamma, P[k] * P_star[l])],
-                                           t_plus.dim, t_plus.dim))
+    _check_blocks(report, "raise-lower-squared", _by_unit(base, m),
+                  linear_combination([(1, sys_minus_on_target.p_star_p_matrix(i)),
+                                      (-inv_gamma, raising * raising_star)], m * d, m * d), d, d)
     return report
 
 
@@ -569,28 +578,25 @@ def verify_spinor_model(m: int) -> VerificationReport:
                          witness=f"w={wm[m-1]}, gamma={gm[m-1]}")
 
         n = rep_.dim
-        ident = Matrix.identity(n)
-        units = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
+        N = m * n
 
         # bilinear Clifford relation (creation/annihilation squared scalings)
-        for k, l in units:
-            terms = [(-1, ident)] if k == l else []
-            if p <= m - 1:
-                terms.append((p + 1, plus.p_star_p(p + 1, k, l)))
-            if p >= 1:
-                terms.append((m - p + 1, minus.p_star_p(p, l, k)))
-            _check_zero(report, "clifford-anticommutation", {**base, "k": k, "l": l},
-                        linear_combination(terms, n, n))
+        terms = [(-1, Matrix.identity(N))]
+        if p <= m - 1:
+            terms.append((p + 1, plus.p_star_p_matrix(p + 1)))
+        if p >= 1:
+            terms.append((m - p + 1, minus.p_star_p_matrix(p).block_transpose(n)))
+        _check_blocks(report, "clifford-anticommutation", _by_unit(base, m),
+                      linear_combination(terms, N, N), n, n)
 
         # the matrix units through the annihilation pair
         if p >= 1:
-            for k, l in units:
-                _check_zero(report, "unit-action", {**base, "k": k, "l": l},
-                            linear_combination([(m - p + 1, minus.p_star_p(p, k, l)),
-                                                (-1, rep_.gen[(k, l)])], n, n))
+            _check_blocks(report, "unit-action", _by_unit(base, m),
+                          linear_combination([(m - p + 1, minus.p_star_p_matrix(p)),
+                                              (-1, block_powers(rep_, 1)[1])], N, N), n, n)
 
         # degree-1 trace identity with the closed-form weights
-        degree0, degree1 = e_power_matrices(rep_, 1, "tilde")
+        degree0, degree1 = block_powers(rep_, 1, "tilde")
         _check_moments(report, "spinor-moment-identity-q1", base, plus, 1, degree1)
 
         # completeness (both signs) and the projection formula

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from operator import gt
-from math import comb, factorial
+from math import comb
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .report import VerificationReport
@@ -49,8 +49,6 @@ __all__ = [
     "casimir_element",
     "commutator",
     "k_eval",
-    "k_eval_table",
-    "k_multi_indices",
     "k_series",
     "k_of_casimirs",
     "k_central",
@@ -368,39 +366,6 @@ def k_eval(n: int, xs: Sequence) -> Fraction:
     return _k_series([-Fraction(x) for x in xs[:n]], Fraction(1))[n]
 
 
-def k_multi_indices(n: int):
-    """All (i_1..i_n) multiplicity tuples with sum_p p*i_p = n, as dicts."""
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield {}
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for count in range(remaining // part, 0, -1):
-                for rest in rec(remaining - part * count, part - 1):
-                    d = dict(rest)
-                    d[part] = count
-                    yield d
-    yield from rec(n, n)
-
-
-def k_eval_table(n: int, xs: Sequence) -> Fraction:
-    """K_n from the explicit multinomial coefficient table; must agree with
-    the recursion (tested propertywise)."""
-    if n == 0:
-        return Fraction(1)
-    xs = [Fraction(x) for x in xs]
-    total = Fraction(0)
-    for d in k_multi_indices(n):
-        s = sum(d.values())
-        coeff = Fraction(factorial(s))
-        term = Fraction(1)
-        for p, cnt in d.items():
-            coeff /= factorial(cnt)
-            term *= (-xs[p - 1]) ** cnt
-        total += coeff * term
-    return total
-
-
 def k_series(table, n: int) -> list:
     """K_0(-c) .. K_n(-c) on one module, c_p = table.casimir(p) the Casimir
     scalars of one conformal table."""
@@ -418,11 +383,16 @@ def k_of_casimirs(n: int, rho, variant: str = "plain") -> Fraction:
 def k_central(n: int, m: int, variant: str = "plain",
               budget: Optional[int] = None) -> PBWElement:
     """K_n(-c) as a central element of the algebra itself, by the recursion
-    of `_k_series` on the Casimir elements c_0 .. c_{n-1}."""
+    of `_k_series` on the Casimir elements c_0 .. c_{n-1}, read from one
+    degree series of each row."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _k_series([casimir_element(p, m, variant, budget) for p in range(n)],
-                     PBWElement.one(m))[n]
+    if variant not in ("plain", "tilde"):
+        raise ValueError("variant must be 'plain' or 'tilde'")
+    rows = [_rows(k, n - 1, m, budget, variant == "tilde", k) for k in range(1, m + 1)] if n else []
+    cs = [_combine(m, [(1, PBWElement(m, row[p][k])) for k, row in enumerate(rows, 1)])
+          for p in range(n)]
+    return _k_series(cs, PBWElement.one(m))[n]
 
 
 # ---------------------------------------------------------------------------

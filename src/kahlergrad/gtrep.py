@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .linalg import Matrix, gram_adjoint, linear_combination
 from .envalg import PBWElement
@@ -38,6 +38,7 @@ __all__ = [
     "build_rep",
     "invariant_gram",
     "evaluate",
+    "block_powers",
     "e_power_matrices",
     "e_power_matrix",
     "casimir_matrix",
@@ -276,71 +277,48 @@ def evaluate(rep: Representation, x: PBWElement) -> Matrix:
     return linear_combination(terms, n, n)
 
 
-def _block_matrix(rep: Representation, variant: str) -> Matrix:
-    """m*dim square matrix whose (k,l) block is gen[(k,l)] (plain) or
-    gen[(l,k)] (tilde); its q-th power tabulates all degree-q elements via
-    the composition law."""
-    m, n = rep.m, rep.dim
-    big = Matrix.zeros(m * n, m * n)
-    for k in range(m):
-        for l in range(m):
-            g = rep.gen[(k + 1, l + 1)] if variant == "plain" else rep.gen[(l + 1, k + 1)]
-            for a, b, x in g.nonzero_entries():
-                big[k * n + a, l * n + b] = x
-    return big
-
-
-def _block_powers(rep: Representation, q_max: int, variant: str):
-    """Yield the powers P^0 .. P^q_max of the block matrix P of `_block_matrix`,
-    multiplying up from one P; None stands for P^0."""
+def block_powers(rep: Representation, q_max: int, variant: str = "plain") -> List[Matrix]:
+    """The powers P^0 = I .. P^q_max of the m*dim square matrix P whose (k,l)
+    block is the matrix of e_kl (plain) or of ~e_kl = -e_lk (tilde),
+    multiplied up from one P; by the composition law, block (k,l) of P^q is
+    the matrix of e^q_kl (or ~e^q_kl)."""
     if q_max < 0:
         raise ValueError("q must be nonnegative")
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
-    yield None
-    if q_max:
-        base = power = _block_matrix(rep, variant)
-        yield power
-        for _ in range(q_max - 1):
-            power = power * base
-            yield power
+    keys = range(1, rep.m + 1)
+    base = Matrix.block([[rep.gen[(k, l) if variant == "plain" else (l, k)] for l in keys]
+                         for k in keys])
+    powers = [Matrix.identity(rep.m * rep.dim), base if variant == "plain" else -base]
+    while len(powers) <= q_max:
+        powers.append(powers[-1] * powers[1])
+    return powers[:q_max + 1]
 
 
-def _power_blocks(rep: Representation, q: int, power: Optional[Matrix],
-                  variant: str) -> Dict[Tuple[int, int], Matrix]:
-    """The (k,l) blocks of the q-th block power, signed for the tilde family."""
-    m, n = rep.m, rep.dim
-    negate = variant == "tilde" and q % 2 == 1
-    out = {}
-    for k in range(m):
-        for l in range(m):
-            if power is None:
-                blk = Matrix.identity(n) if k == l else Matrix.zeros(n, n)
-            else:
-                blk = power.submatrix(range(k * n, (k + 1) * n), range(l * n, (l + 1) * n))
-            out[(k + 1, l + 1)] = -blk if negate else blk
-    return out
+def _block(power: Matrix, n: int, k: int, l: int) -> Matrix:
+    """Block (k,l), counted from 1, of a matrix of n x n blocks."""
+    return power.submatrix(range((k - 1) * n, k * n), range((l - 1) * n, l * n))
 
 
 def e_power_matrix(rep: Representation, q: int, variant: str = "plain") -> Dict[Tuple[int, int], Matrix]:
-    """Matrices of all e_{kl}^q (or tilde) at once, via block powers."""
-    *_, power = _block_powers(rep, q, variant)
-    return _power_blocks(rep, q, power, variant)
+    """Matrices of all e_{kl}^q (or tilde) at once, the blocks of one block power."""
+    return e_power_matrices(rep, q, variant)[q]
 
 
 def e_power_matrices(rep: Representation, q_max: int,
                      variant: str = "plain") -> List[Dict[Tuple[int, int], Matrix]]:
-    """`e_power_matrix` of every degree 0..q_max, from one run of block powers."""
-    return [_power_blocks(rep, q, power, variant)
-            for q, power in enumerate(_block_powers(rep, q_max, variant))]
+    """`e_power_matrix` of every degree 0..q_max, the blocks of `block_powers`."""
+    keys = range(1, rep.m + 1)
+    return [{(k, l): _block(power, rep.dim, k, l) for k in keys for l in keys}
+            for power in block_powers(rep, q_max, variant)]
 
 
 def casimir_matrices(rep: Representation, q_max: int, variant: str = "plain") -> List[Matrix]:
     """Matrices of c_0 .. c_q_max (plain) or of their involution images
-    (tilde), the traces of one run of block powers."""
+    (tilde), the block traces of one run of block powers."""
     n = rep.dim
-    return [linear_combination([(1, blocks[(k, k)]) for k in range(1, rep.m + 1)], n, n)
-            for blocks in e_power_matrices(rep, q_max, variant)]
+    return [linear_combination([(1, _block(power, n, k, k)) for k in range(1, rep.m + 1)], n, n)
+            for power in block_powers(rep, q_max, variant)]
 
 
 def casimir_matrix(rep: Representation, q: int, variant: str = "plain") -> Matrix:

@@ -13,7 +13,9 @@ stored entries.  The layout is private to this module: other code reads with
 ``m[i, j]`` and ``nonzero_entries()`` and writes with ``m[i, j] = x``.
 ``Matrix.data`` is a dense view built on that reader and writer, for code
 that indexes rows: ``m.data[i][j]`` reads or writes one entry, and a row
-iterates over all its entries.
+iterates over all its entries.  ``Matrix.from_rows`` builds a matrix from
+dicts of its rows' entries, ``Matrix.block`` from a grid of blocks, and
+``block_transpose`` swaps block (k, l) with block (l, k).
 
 Sums are accumulated in Python ints over a common denominator and turned
 into one Fraction per nonzero result entry.  ``matmul`` brings the stored
@@ -103,6 +105,47 @@ class Matrix:
         for i, x in enumerate(ents):
             m[i, i] = x
         return m
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[dict], cols: int) -> "Matrix":
+        """The matrix whose row i holds the entries {column: value} of
+        ``rows[i]``; zero values are dropped."""
+        if any(not 0 <= j < cols for row in rows for j in row):
+            raise ValueError(f"column index outside 0..{cols - 1}")
+        out = cls.zeros(len(rows), cols)
+        out._sparse_rows = [{j: x if isinstance(x, Fraction) else Fraction(x)
+                             for j, x in row.items() if x} for row in rows]
+        return out
+
+    @classmethod
+    def block(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
+        """The block matrix with the given rows of blocks: the blocks of one
+        grid row share a height, and those of one grid column a width."""
+        heights = [row[0].rows for row in grid]
+        widths = [a.cols for a in grid[0]]
+        for row, h in zip(grid, heights):
+            if [(a.rows, a.cols) for a in row] != [(h, w) for w in widths]:
+                raise ValueError("the blocks of a grid row need one height, "
+                                 "and those of a grid column one width")
+        offsets = [sum(widths[:t]) for t in range(len(widths))]
+        out = cls.zeros(sum(heights), sum(widths))
+        out._sparse_rows = [
+            {o + j: x for o, a in zip(offsets, row) for j, x in a._sparse_rows[r].items()}
+            for row, h in zip(grid, heights) for r in range(h)]
+        return out
+
+    def block_transpose(self, n: int) -> "Matrix":
+        """The square matrix of n x n blocks with block (l, k) moved to (k, l);
+        each block itself is kept as it is."""
+        if self.rows != self.cols or self.rows % n:
+            raise ValueError(f"{self.rows}x{self.cols} matrix is no square grid of {n}x{n} blocks")
+        out = Matrix.zeros(self.rows, self.cols)
+        for r, row in enumerate(self._sparse_rows):
+            k, a = divmod(r, n)
+            for c, x in row.items():
+                l, b = divmod(c, n)
+                out._sparse_rows[l * n + a][k * n + b] = x
+        return out
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at the given rows and distinct columns, in that order."""

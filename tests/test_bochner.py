@@ -32,6 +32,12 @@ def by_label(idents):
     return {x.label: x for x in idents}
 
 
+def template(rho, q_max, sign):
+    """The binomial template of the ``sign`` maps on rho."""
+    other = "+" if sign == "-" else "-"
+    return binomial_template(conformal_table(rho, sign), conformal_table(rho, other), q_max)
+
+
 def test_degree_0_family():
     idents = by_label(bochner_identity((1, 0), 0))
     assert set(idents) == {
@@ -86,9 +92,9 @@ def test_binomial_template_matches_the_records(m):
         for q in range(2, q_max + 1):
             (record,) = bochner_identity(rho, q)
             records.append((record.minus_coeffs, record.plus_coeffs))
-        assert binomial_template(rho, q_max, "-") == records, rho
-        dual = binomial_template(transpose_weight(rho), q_max, "-")
-        assert binomial_template(rho, q_max, "+") == [
+        assert template(rho, q_max, "-") == records, rho
+        dual = template(transpose_weight(rho), q_max, "-")
+        assert template(rho, q_max, "+") == [
             (near[::-1], far[::-1]) for near, far in dual], rho
 
 
@@ -107,12 +113,15 @@ def test_binomial_template_matches_per_degree_k(rho):
                        for w in far_w))
                 for q in range(q_max + 1)
             ]
-            assert binomial_template(rho, q_max, sign) == expected, (sign, q_max)
+            assert template(rho, q_max, sign) == expected, (sign, q_max)
 
 
 def test_binomial_template_rejects_bad_sign():
-    with pytest.raises(ValueError, match="sign"):
-        binomial_template((1, 0), 1, "x")
+    # the near and far tables must be the two signs of one weight
+    plus, minus = conformal_table((1, 0), "+"), conformal_table((1, 0), "-")
+    for near, far in ((plus, plus), (minus, minus), (plus, conformal_table((2, 0), "-"))):
+        with pytest.raises(ValueError, match="both signs on one weight"):
+            binomial_template(near, far, 1)
 
 
 # order-two symbol of each curvature token: nabla*nabla is the sum of the two

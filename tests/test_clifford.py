@@ -318,10 +318,7 @@ def _dense_p_star_p(sys, i, k, l):
     t = sys.targets[i - 1]
     if t is None:
         return [[F(0)] * n for _ in range(n)]
-    gs, gt = sys.rep.gram.diagonal_entries(), t.gram.diagonal_entries()
-    pk, pl = _dense(t.pmaps[k - 1]), _dense(t.pmaps[l - 1])
-    adjoint = [[pk[y][x] * gt[y] / gs[x] for y in range(t.dim)] for x in range(n)]
-    return _dmul(adjoint, pl)
+    return _dmul(_dense_adjoint(sys, t, k), _dense(t.pmaps[l - 1]))
 
 
 def _lagrange_coefficients(ws, i):
@@ -335,29 +332,56 @@ def _lagrange_coefficients(ws, i):
     return poly
 
 
-def _expected_differences(plus, minus, q_max):
-    """Dense difference of each item of the five tags below, by (tag, params)."""
+def _dense_adjoint(sys, t, k):
+    """p(k)^* from the map and the two Gram forms, entry by entry."""
+    gs, gt = sys.rep.gram.diagonal_entries(), t.gram.diagonal_entries()
+    pk = _dense(t.pmaps[k - 1])
+    return [[pk[y][x] * gt[y] / gs[x] for y in range(t.dim)] for x in range(sys.rep.dim)]
+
+
+def _expected_differences(plus, minus, q_max, sign="+"):
+    """Dense difference of each item of the tags below, by (tag, params): the
+    relations of the ``sign`` system and the cross-sign relations."""
     rep = plus.rep
     m, n = rep.m, rep.dim
     rho = rep.rho
     units = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
+    sys = plus if sign == "+" else minus
+    ws = [F(w) for w in sys.table.w]
     wp = [F(w) for w in plus.table.w]
     wm = [F(w) for w in minus.table.w]
-    powers = e_power_matrices(rep, max(q_max, m - 1), "tilde")
+    powers = e_power_matrices(rep, max(q_max, m - 1), FAMILY[sign])
+    gen = {key: _dense(g) for key, g in rep.gen.items()}
     psp = {(s.sign, i, k, l): _dense_p_star_p(s, i, k, l)
            for s in (plus, minus) for i in range(1, m + 1) for k, l in units}
     out = {}
-    for q in range(1, q_max + 1):
+    for q in range(q_max + 1):
         for k, l in units:
-            out[("moment-identity", q, k, l)] = _dsum(
-                [(wp[i - 1] ** q, psp[("+", i, k, l)]) for i in range(1, m + 1)]
+            out[("completeness" if q == 0 else "moment-identity", q, k, l)] = _dsum(
+                [(ws[i - 1] ** q, psp[(sign, i, k, l)]) for i in range(1, m + 1)]
                 + [(-1, _dense(powers[q][(k, l)]))])
     for i in range(1, m + 1):
-        coeffs = _lagrange_coefficients(wp, i)
+        t = sys.targets[i - 1]
+        coeffs = _lagrange_coefficients(ws, i)
         for k, l in units:
             out[("vandermonde-solved", i, k, l)] = _dsum(
-                [(1, psp[("+", i, k, l)])]
+                [(1, psp[(sign, i, k, l)])]
                 + [(-c, _dense(powers[d][(k, l)])) for d, c in enumerate(coeffs)])
+        out[("gamma-trace", i)] = _dsum(
+            [(1, psp[(sign, i, k, k)]) for k in range(1, m + 1)]
+            + [(-sys.table.gamma[i - 1], _dense(Matrix.identity(n)))])
+        if t is None:
+            continue
+        maps = [_dense(p) for p in t.pmaps]
+        for k in range(1, m + 1):
+            if sign == "+":
+                terms = [(1, _dmul(maps[l - 1], gen[(k, l)])) for l in range(1, m + 1)]
+            else:
+                terms = [(-1, _dmul(maps[l - 1], gen[(l, k)])) for l in range(1, m + 1)]
+            out[("intertwining", i, k)] = _dsum([(ws[i - 1], maps[k - 1])] + terms)
+        out[("target-completeness", i)] = _dsum(
+            [(1, _dmul(maps[k - 1], _dense_adjoint(sys, t, k))) for k in range(1, m + 1)]
+            + [(-1, _dense(Matrix.identity(t.dim)))])
     for q in range(q_max + 1):
         for tag, left, wl, right, wr, variant in (
             ("cross-sign-plus", plus, wp, minus, wm, "plain"),
@@ -370,22 +394,28 @@ def _expected_differences(plus, minus, q_max):
                         psp[(right.sign, i, l, k)]) for i in range(1, m + 1)]
                 out[(tag, q, k, l)] = _dsum(lhs + rhs)
     for i in range(1, m + 1):
-        proj = _dense(plus.projectors[i - 1])
+        proj = _dense(sys.projectors[i - 1])
         for l in range(1, m + 1):
             out[("projection-formula", i, l)] = _dsum(
                 [(1, _dmul(proj, _dense(_embed_column(m, l, n))))]
-                + [(-1, _dmul(_dense(_embed_column(m, k, n)), psp[("+", i, k, l)]))
+                + [(-1, _dmul(_dense(_embed_column(m, k, n)), psp[(sign, i, k, l)]))
                    for k in range(1, m + 1)])
     return out
 
 
 CHECKED_TAGS = {
+    "completeness": ("q", "k", "l"),
     "moment-identity": ("q", "k", "l"),
     "vandermonde-solved": ("i", "k", "l"),
+    "gamma-trace": ("i",),
+    "target-completeness": ("i",),
+    "projection-formula": ("i", "l"),
     "cross-sign-plus": ("q", "k", "l"),
     "cross-sign-minus": ("q", "k", "l"),
-    "projection-formula": ("i", "l"),
 }
+# the map corruption of the plus test below keeps the intertwining exactly
+# (the dense differences vanish too), so the minus test checks this tag
+INTERTWINING = {"intertwining": ("i", "k")}
 
 
 def test_corrupted_map_fails_with_dense_witnesses():
@@ -443,3 +473,39 @@ def test_projection_formula_selection_equals_products(rho):
                     selected = proj.submatrix(rows, range(l - 1, N, m))
                     assert product.submatrix(rows, range(n)) == selected
                     assert diff.submatrix(rows, range(n)) == selected - sys.p_star_p(i, k, l)
+
+
+def _assert_items_match_dense(out, expected, tags):
+    """Each item of ``tags`` (tag -> its keys of ``expected``) passes exactly
+    when its dense difference vanishes, and a failure's witness counts it;
+    returns the tags that failed."""
+    failed = set()
+    for it in out.items:
+        if it.status == "pass":
+            assert it.witness is None
+        if it.tag not in tags:
+            continue
+        diff = expected[(it.tag, *(it.params[p] for p in tags[it.tag]))]
+        zero = all(x == 0 for row in diff for x in row)
+        assert (it.status == "pass") == zero, it.describe()
+        if not zero:
+            assert it.witness == _witness(diff), it.describe()
+            failed.add(it.tag)
+    return failed
+
+
+def test_corrupted_minus_map_fails_with_dense_witnesses():
+    # the lowering side, whose intertwining and moments read the plain family
+    rep = build_rep((1, 0, -1))
+    plus, minus = build_system(rep, "+"), build_system(rep, "-")
+    assert all(plus.targets) and all(minus.targets)
+    t = minus.targets[2]
+    pmap = t.pmaps[1]
+    pmap[0, 1] = pmap[0, 1] - 2
+    t.adjoints[1][1, 0] = pmap[0, 1] * t.gram[0, 0] / rep.gram[1, 1]
+    out = verify_relations(minus, q_max=2)
+    out.extend(verify_cross_relations(plus, minus, q_max=2))
+    tags = {**CHECKED_TAGS, **INTERTWINING}
+    assert _assert_items_match_dense(out, _expected_differences(plus, minus, 2, "-"), tags) \
+        == set(tags)
+    assert all(it.status == "pass" for it in out.items if it.tag.startswith("projector-"))

@@ -16,14 +16,45 @@ from kahlergrad.envalg import (
     e_power,
     k_central,
     k_eval,
-    k_eval_table,
-    k_multi_indices,
     k_of_casimirs,
     pbw_normalize,
     tilde_e_power,
     verify_binomial_relations,
 )
 from kahlergrad.weights import casimir_eigenvalue
+
+
+# the multinomial form of K_n, an oracle for the recursion of the library
+def k_multi_indices(n: int):
+    """All (i_1..i_n) multiplicity tuples with sum_p p*i_p = n, as dicts."""
+    def rec(remaining, max_part):
+        if remaining == 0:
+            yield {}
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            for count in range(remaining // part, 0, -1):
+                for rest in rec(remaining - part * count, part - 1):
+                    d = dict(rest)
+                    d[part] = count
+                    yield d
+    yield from rec(n, n)
+
+
+def k_eval_table(n: int, xs) -> F:
+    """K_n from the explicit multinomial coefficient table."""
+    if n == 0:
+        return F(1)
+    xs = [F(x) for x in xs]
+    total = F(0)
+    for d in k_multi_indices(n):
+        s = sum(d.values())
+        coeff = F(factorial(s))
+        term = F(1)
+        for p, cnt in d.items():
+            coeff /= factorial(cnt)
+            term *= (-xs[p - 1]) ** cnt
+        total += coeff * term
+    return total
 
 
 def gen(m, k, l):
@@ -202,6 +233,34 @@ def test_k_central_matches_multinomial_formula(m, variant):
         assert k_central(n, m, variant) == expected
     with pytest.raises(ValueError):
         k_central(-1, m, variant)
+
+
+def _k_central_per_element(n, m, variant, budget=None):
+    """K_n(-c) by its recursion, with each c_p built by its own casimir_element call."""
+    cs = [casimir_element(p, m, variant, budget) for p in range(n)]
+    ks = [PBWElement.one(m)]
+    for q in range(1, n + 1):
+        total = PBWElement.zero(m)
+        for p in range(q):
+            total = total + ks[p] * cs[q - p - 1]
+        ks.append(total)
+    return ks[n]
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_k_central_matches_the_per_element_form(m, variant):
+    for n in range(6):
+        assert k_central(n, m, variant) == _k_central_per_element(n, m, variant), n
+    # over budget, both name the same first element: degree p needs m^(p-1)
+    # words, so each budget below stops at another degree
+    for budget in sorted({0, m - 1, m * m - 1, m ** 3 - 1}):
+        messages = []
+        for build in (k_central, _k_central_per_element):
+            with pytest.raises(BudgetExceededError) as exc:
+                build(5, m, variant, budget)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], budget
 
 
 def test_k_of_casimirs_matches_scalars():

@@ -544,3 +544,67 @@ def test_all_projectors_residual_with_moved_eigenvalue(case, data):
         lagrange_projectors(a, wrong)
     assert f"({count} nonzero residual entries)" in str(err.value)
     assert err.value.residual.data == residual and _stores_no_zero(err.value.residual)
+
+
+@st.composite
+def block_grids(draw):
+    """A grid of sparse blocks: one height per grid row, one width per grid column."""
+    heights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return [[draw(sparse_matrices(h, w)) for w in widths] for h in heights]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_grids())
+def test_block_round_trips_with_submatrix(grid):
+    big = Matrix.block(grid)
+    assert _stores_no_zero(big)
+    top = 0
+    for row in grid:
+        left = 0
+        for a in row:
+            assert big.submatrix(range(top, top + a.rows), range(left, left + a.cols)) == a
+            left += a.cols
+        top += row[0].rows
+    assert (big.rows, big.cols) == (top, left)
+
+
+def test_block_rejects_mismatched_shapes():
+    a, b = Matrix.identity(2), Matrix.zeros(2, 3)
+    assert Matrix.block([[a, b]]) == Matrix([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    for grid in ([[a, Matrix.zeros(3, 3)]],         # one grid row, two heights
+                 [[a, b], [b, a]],                  # one grid column, two widths
+                 [[a, b], [a]]):                    # grid rows of two lengths
+        with pytest.raises(ValueError, match="one height"):
+            Matrix.block(grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_block_transpose_moves_blocks(m, n, data):
+    a = data.draw(sparse_matrices(m * n, m * n))
+    flipped = a.block_transpose(n)
+    assert _stores_no_zero(flipped)
+
+    def block(x, k, l):
+        return x.submatrix(range(k * n, (k + 1) * n), range(l * n, (l + 1) * n))
+
+    for k in range(m):
+        for l in range(m):
+            assert block(flipped, k, l) == block(a, l, k)
+    assert flipped.block_transpose(n) == a
+
+
+def test_block_transpose_rejects_a_bad_grid():
+    for a, n in ((Matrix.zeros(4, 2), 2), (Matrix.identity(4), 3)):
+        with pytest.raises(ValueError, match="square grid"):
+            a.block_transpose(n)
+
+
+def test_from_rows_keeps_the_storage_rules():
+    a = Matrix.from_rows([{0: 2, 2: F(0)}, {}, {1: F(-1, 3), 2: "1/2"}], 3)
+    assert _stores_no_zero(a)
+    assert a == Matrix([[2, 0, 0], [0, 0, 0], [0, F(-1, 3), F(1, 2)]])
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="column index"):
+            Matrix.from_rows([{bad: 1}], 3)
