@@ -17,13 +17,12 @@ from .envalg import (
     casimir_element,
     e_power,
     k_central,
-    k_eval,
     k_of_casimirs,
     pbw_normalize,
     tilde_e_power,
     verify_binomial_relations,
 )
-from .gtrep import Representation, build_rep, casimir_matrix, evaluate, gt_patterns
+from .gtrep import Representation, build_rep, casimir_matrix, gt_patterns
 from .clifford import (
     CliffordSystem,
     build_system,

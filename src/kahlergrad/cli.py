@@ -16,7 +16,9 @@ import json
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from itertools import islice
 from typing import List, Optional
 
 from . import bochner, clifford, envalg, gtrep, weights
@@ -39,8 +41,13 @@ def frac(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+def dump_json(obj, out):
+    """Write ``obj`` and a newline to the text file ``out``, as
+    ``json.dumps(obj, indent=2, ensure_ascii=False)``, 4096 chunks a write."""
+    chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(obj)
+    while batch := list(islice(chunks, 4096)):
+        out.write("".join(batch))
+    out.write("\n")
 
 
 def parse_weight(text: str):
@@ -388,6 +395,17 @@ def _run_task(task) -> tuple:
     return (task, rep)
 
 
+def _run_alone(task) -> tuple:
+    """`_run_task` in a one-worker pool; a worker that dies fails the task."""
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return next(pool.map(_run_task, [task]))
+    except BrokenProcessPool as exc:
+        rep = VerificationReport()
+        rep.check(task[0], {"arg": str(task[1])}, False, witness=f"worker process died: {exc}")
+        return (task, rep)
+
+
 def _verify_tasks(suites, ms, bound: int, q_max: int, budget) -> list:
     tasks = []
     for m in ms:
@@ -441,8 +459,12 @@ def cmd_verify(args) -> tuple:
     tasks = _verify_tasks(suites, ms, args.bound, args.q, budget)
     total = VerificationReport()
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
+        results = []
+        try:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                results.extend(pool.map(_run_task, tasks))
+        except BrokenProcessPool:  # the tasks left rerun alone, to find the one that kills
+            results += map(_run_alone, tasks[len(results):])
     else:
         results = [_run_task(t) for t in tasks]
     lines = []
@@ -532,7 +554,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(dump_json(payload) if args.json else "\n".join(lines))
+    if args.json:
+        dump_json(payload, sys.stdout)
+    else:
+        print("\n".join(lines))
     # only a verify payload carries "passed"
     return EXIT_VERIFY_FAIL if payload.get("passed") is False else EXIT_OK
 

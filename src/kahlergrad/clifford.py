@@ -138,12 +138,12 @@ class CliffordSystem:
 def _aux_generator(m: int, sign: str, k: int, l: int) -> Matrix:
     """Action of e_{kl} on the auxiliary module: the natural one for sign +,
     its contragredient (X |-> -X^T on the conjugate basis) for sign -."""
-    out = Matrix.zeros(m, m)
+    rows = [{} for _ in range(m)]
     if sign == "+":
-        out[k - 1, l - 1] = 1
+        rows[k - 1][l - 1] = 1
     else:
-        out[l - 1, k - 1] = -1
-    return out
+        rows[l - 1][k - 1] = -1
+    return Matrix.from_rows(rows, m)
 
 
 def build_system(rep: Representation, sign: str) -> CliffordSystem:

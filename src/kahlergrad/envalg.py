@@ -48,7 +48,6 @@ __all__ = [
     "tilde_e_power",
     "casimir_element",
     "commutator",
-    "k_eval",
     "k_series",
     "k_of_casimirs",
     "k_central",
@@ -354,16 +353,6 @@ def _k_series(cs, unit) -> list:
             total = total + ks[p] * cs[q - p - 1]
         ks.append(total)
     return ks
-
-
-def k_eval(n: int, xs: Sequence) -> Fraction:
-    """K_n at the point (x_1..x_n), by the recursion of `_k_series`:
-    K_0 = 1, K_q = -sum_{p<q} K_p x_{q-p}."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if len(xs) < n:
-        raise ValueError(f"need at least {n} coordinates, got {len(xs)}")
-    return _k_series([-Fraction(x) for x in xs[:n]], Fraction(1))[n]
 
 
 def k_series(table, n: int) -> list:

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .linalg import Matrix, gram_adjoint, linear_combination
-from .envalg import PBWElement
 from .weights import HighestWeight, weyl_dimension
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "gt_patterns",
     "build_rep",
     "invariant_gram",
-    "evaluate",
     "block_powers",
     "e_power_matrices",
     "e_power_matrix",
@@ -158,19 +156,18 @@ def _ladder(pats, index, k, step):
     """E_{k,k+1} (step 1) or E_{k+1,k} (step -1) by the formulas of the module
     docstring: the numerator runs over row k+step, the sign is -step, and
     lambda_{k,j} moves by step."""
-    n = len(pats)
-    mat = Matrix.zeros(n, n)
+    out = [{} for _ in pats]
     for c, p in enumerate(pats):
         lk = [p.rows[k - 1][j] - (j + 1) for j in range(k)]
         near = p.rows[k + step - 1] if k + step >= 1 else ()
         ln = [x - (i + 1) for i, x in enumerate(near)]
         for j in range(k):
-            num = Fraction(-step)
+            num = -step
             for v in ln:
                 num *= v - lk[j]
             if not num:
                 continue
-            den = Fraction(1)
+            den = 1
             for i in range(k):
                 if i != j:
                     den *= lk[i] - lk[j]
@@ -178,9 +175,9 @@ def _ladder(pats, index, k, step):
             rows[k - 1][j] += step
             if not _interlaces(rows):
                 continue
-            target = tuple(tuple(r) for r in rows)
-            mat[index[target], c] += num / den
-    return mat
+            target = out[index[tuple(tuple(r) for r in rows)]]
+            target[c] = target.get(c, 0) + Fraction(num, den)
+    return Matrix.from_rows(out, len(pats))
 
 
 def invariant_gram(m: int, gen: Dict[Tuple[int, int], Matrix]) -> Matrix:
@@ -196,23 +193,28 @@ def invariant_gram(m: int, gen: Dict[Tuple[int, int], Matrix]) -> Matrix:
     n = gen[(1, 1)].rows
     weights = list(zip(*(gen[(k, k)].diagonal_entries() for k in range(1, m + 1))))
     hw = max(range(n), key=lambda b: weights[b])
+    # the lowering edges y -> x of each k, as the nonzero entries of column y
+    edges = {k: [[] for _ in range(n)] for k in range(1, m)}
+    for k, columns in edges.items():
+        for x, y, b in gen[(k + 1, k)].nonzero_entries():
+            columns[y].append((x, b))
     G: list = [None] * n
     G[hw] = Fraction(1)
     frontier = [hw]
     while frontier:
         nxt = []
         for y in frontier:
-            for k in range(1, m):
+            for k, columns in edges.items():
                 A = gen[(k, k + 1)]
-                B = gen[(k + 1, k)]
-                for x in range(n):
-                    if G[x] is None and B[x, y]:
-                        if not A[y, x]:
+                for x, b in columns[y]:
+                    if G[x] is None:
+                        a = A[y, x]
+                        if not a:
                             raise ValueError(
                                 "inconsistent adjoint system: one-sided edge "
                                 f"{y}->{x} at k={k}"
                             )
-                        G[x] = G[y] * A[y, x] / B[x, y]
+                        G[x] = G[y] * a / b
                         nxt.append(x)
         frontier = nxt
     if any(g is None for g in G):
@@ -255,26 +257,6 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
     rep = Representation(rho=rho, dim=dim, gen=gen, gram=gram)
     rep.check_invariants()
     return rep
-
-
-def evaluate(rep: Representation, x: PBWElement) -> Matrix:
-    """Apply the module action to a normal-ordered element."""
-    if x.m != rep.m:
-        raise ValueError(f"rank mismatch: element has m={x.m}, module m={rep.m}")
-    n = rep.dim
-    terms = []
-    cache: Dict[tuple, Matrix] = {(): Matrix.identity(n)}
-    for word, coeff in x.terms.items():
-        # monomials share sorted prefixes heavily; cache prefix products
-        k = len(word)
-        while k > 0 and word[:k] not in cache:
-            k -= 1
-        mat = cache[word[:k]]
-        for j in range(k, len(word)):
-            mat = mat * rep.gen[word[j]]
-            cache[word[: j + 1]] = mat
-        terms.append((coeff, mat))
-    return linear_combination(terms, n, n)
 
 
 def block_powers(rep: Representation, q_max: int, variant: str = "plain") -> List[Matrix]:

@@ -4,36 +4,26 @@ Everything downstream (weight tables, enveloping-algebra coefficients,
 representation matrices, spectral projectors) lives over the rationals, so
 this module deliberately offers no floating-point mode.
 
-Each row of a :class:`Matrix` is a dict {column: Fraction} of its nonzero
-entries, and a stored entry is never zero: constructors and kernels store
-nonzero results only, and ``m[i, j] = x``, the one entry writer, deletes the
-entry when x is zero.  So ``==``, ``is_zero``, ``is_diagonal`` and
-``nonzero_count`` are tests on the storage, and every kernel iterates the
-stored entries.  The layout is private to this module: other code reads with
-``m[i, j]`` and ``nonzero_entries()`` and writes with ``m[i, j] = x``.
-``Matrix.data`` is a dense view built on that reader and writer, for code
-that indexes rows: ``m.data[i][j]`` reads or writes one entry, and a row
-iterates over all its entries.  ``Matrix.from_rows`` builds a matrix from
-dicts of its rows' entries, ``Matrix.block`` from a grid of blocks, and
-``block_transpose`` swaps block (k, l) with block (l, k).
+A :class:`Matrix` is sparse integer rows, one dict {column: nonzero int} per
+row, over one positive denominator for the whole matrix, kept canonical: the
+gcd of the denominator and all numerators is 1 (so the zero matrix has
+denominator 1), and ``==``, ``is_zero``, ``is_diagonal`` and
+``nonzero_count`` are tests on the storage.  The layout is private to this
+module: other code reads Fractions with ``m[i, j]``, ``nonzero_entries()``
+and ``diagonal_entries()`` and writes any rational with ``m[i, j] = x``.
+``Matrix.data`` is a dense view on that reader and writer: ``m.data[i][j]``
+reads or writes one entry, and a row iterates over all its entries.
 
-Sums are accumulated in Python ints over a common denominator and turned
-into one Fraction per nonzero result entry.  ``matmul`` brings the stored
-entries of its right operand over one denominator once per call and those of
-each left row over that row's own.  :func:`linear_combination` sums c * A
-over many terms in one pass, each output row over its common denominator;
-``+``, ``-`` and ``scale`` are its one- and two-term cases.  The values are
-the same exact rationals as with Fraction arithmetic, and no result depends
-on the order in which a row's entries are stored.
-
-:func:`lagrange_projectors` gives every spectral projector of a matrix from
-one power series: the powers of the whole matrix are formed once by sparse
-``matmul`` (a product never leaves the blocks of the nonzero pattern, so no
-block split is needed), and the completeness residual and each projector are
-one ``linear_combination`` of them, with the coefficients of
-:func:`lagrange_coefficients`.  ``rref`` is a fraction-free reduction over
-integer rows, each divided by its content after every elimination, that
-turns a row into Fractions only once, when it is scaled to a leading 1.
+The kernels work on the numerators, make no Fraction and end with at most
+one division by gcd(denominator, numerators): ``matmul`` over the product
+of the denominators, :func:`linear_combination` (``+``, ``-`` and ``scale``
+are its one- and two-term cases) in one pass over one lcm, ``kron``,
+``submatrix`` and :func:`gram_adjoint` in integers; ``Matrix.block`` (over
+the lcm of its blocks) and ``block_transpose`` need no division.
+:func:`lagrange_projectors` forms the powers of a matrix once by sparse
+``matmul`` and gives the completeness residual and every spectral projector
+as one ``linear_combination`` of them.  ``rref`` is a fraction-free
+reduction of the stored rows over the lcm of its pivot rows' leads.
 """
 
 from __future__ import annotations
@@ -68,9 +58,10 @@ class SpectralCompletenessError(ValueError):
 
 
 class Matrix:
-    """Exact rational matrix stored as sparse rows; see the module docstring."""
+    """Exact rational matrix: sparse integer rows over one denominator; see
+    the module docstring."""
 
-    __slots__ = ("rows", "cols", "_sparse_rows")
+    __slots__ = ("rows", "cols", "_nums", "_den")
 
     def __init__(self, data: Sequence[Sequence]):
         dense = [list(row) for row in data]
@@ -80,10 +71,7 @@ class Matrix:
         if any(len(r) != ncol for r in dense):
             raise ValueError("ragged rows")
         self.rows, self.cols = len(dense), ncol
-        self._sparse_rows = [{} for _ in dense]
-        for i, row in enumerate(dense):
-            for j, x in enumerate(row):
-                self[i, j] = x
+        self._nums, self._den = _integer_rows(enumerate(row) for row in dense)
 
     # -- constructors ------------------------------------------------------
 
@@ -91,20 +79,17 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         m = cls.__new__(cls)
         m.rows, m.cols = rows, cols
-        m._sparse_rows = [{} for _ in range(rows)]
+        m._nums, m._den = [{} for _ in range(rows)], 1
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.diagonal([_ONE] * n)
+        return cls.from_rows([{i: 1} for i in range(n)], n)
 
     @classmethod
     def diagonal(cls, entries: Iterable) -> "Matrix":
         ents = list(entries)
-        m = cls.zeros(len(ents), len(ents))
-        for i, x in enumerate(ents):
-            m[i, i] = x
-        return m
+        return cls.from_rows([{i: x} for i, x in enumerate(ents)], len(ents))
 
     @classmethod
     def from_rows(cls, rows: Sequence[dict], cols: int) -> "Matrix":
@@ -113,8 +98,7 @@ class Matrix:
         if any(not 0 <= j < cols for row in rows for j in row):
             raise ValueError(f"column index outside 0..{cols - 1}")
         out = cls.zeros(len(rows), cols)
-        out._sparse_rows = [{j: x if isinstance(x, Fraction) else Fraction(x)
-                             for j, x in row.items() if x} for row in rows]
+        out._nums, out._den = _integer_rows(row.items() for row in rows)
         return out
 
     @classmethod
@@ -128,10 +112,14 @@ class Matrix:
                 raise ValueError("the blocks of a grid row need one height, "
                                  "and those of a grid column one width")
         offsets = [sum(widths[:t]) for t in range(len(widths))]
+        # canonical over the lcm d: for each prime power p^e of d, a block whose
+        # denominator p^e divides has a numerator and a factor d / den prime to p
+        d = lcm(*(a._den for row in grid for a in row))
+        scaled = [[(o, d // a._den, a._nums) for o, a in zip(offsets, row)] for row in grid]
         out = cls.zeros(sum(heights), sum(widths))
-        out._sparse_rows = [
-            {o + j: x for o, a in zip(offsets, row) for j, x in a._sparse_rows[r].items()}
-            for row, h in zip(grid, heights) for r in range(h)]
+        out._nums = [{o + j: f * x for o, f, nums in blocks for j, x in nums[r].items()}
+                     for blocks, h in zip(scaled, heights) for r in range(h)]
+        out._den = d
         return out
 
     def block_transpose(self, n: int) -> "Matrix":
@@ -140,41 +128,45 @@ class Matrix:
         if self.rows != self.cols or self.rows % n:
             raise ValueError(f"{self.rows}x{self.cols} matrix is no square grid of {n}x{n} blocks")
         out = Matrix.zeros(self.rows, self.cols)
-        for r, row in enumerate(self._sparse_rows):
+        out._den = self._den
+        for r, row in enumerate(self._nums):
             k, a = divmod(r, n)
             for c, x in row.items():
                 l, b = divmod(c, n)
-                out._sparse_rows[l * n + a][k * n + b] = x
+                out._nums[l * n + a][k * n + b] = x
         return out
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at the given rows and distinct columns, in that order."""
         pos = {c: k for k, c in enumerate(cols)}
-        out = Matrix.zeros(len(rows), len(cols))
-        out._sparse_rows = [{pos[c]: x for c, x in self._sparse_rows[r].items() if c in pos}
-                            for r in rows]
-        return out
+        return _canonical(len(rows), len(cols),
+                          [{pos[c]: x for c, x in self._nums[r].items() if c in pos}
+                           for r in rows], self._den)
 
     def __getitem__(self, ij) -> Fraction:
         """The entry at (i, j); negative indices count from the end."""
         i, j = ij
-        return self._sparse_rows[i].get(range(self.cols)[index(j)], ZERO)
+        x = self._nums[i].get(range(self.cols)[index(j)])
+        return Fraction(x, self._den) if x else ZERO
 
     def __setitem__(self, ij, x):
-        """The one entry writer: stores x as a Fraction, or deletes the entry if x is 0."""
+        """The one entry writer: stores any rational x, or deletes the entry
+        if x is 0, and brings the matrix back to canonical form."""
         i, j = ij
-        row = self._sparse_rows[i]
         j = range(self.cols)[index(j)]
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        if x._numerator:
-            row[j] = x
-        else:
-            row.pop(j, None)
+        p, q = Fraction(x).as_integer_ratio()
+        d = lcm(self._den, q)
+        f = d // self._den
+        nums = [{c: f * y for c, y in row.items()} for row in self._nums] if f > 1 else self._nums
+        nums[i].pop(j, None)
+        if p:
+            nums[i][j] = p * (d // q)
+        self._nums, self._den = _reduced(nums, d)
 
     def nonzero_entries(self) -> list:
         """(i, j, x) for every nonzero entry, row by row."""
-        return [(i, j, x) for i, row in enumerate(self._sparse_rows) for j, x in row.items()]
+        d = self._den
+        return [(i, j, Fraction(x, d)) for i, row in enumerate(self._nums) for j, x in row.items()]
 
     @property
     def data(self) -> list:
@@ -188,7 +180,8 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._sparse_rows == other._sparse_rows
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __repr__(self):
@@ -223,70 +216,62 @@ class Matrix:
                 f"dimension mismatch in product: {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}"
             )
-        out = Matrix.zeros(self.rows, other.cols)
-        # the right operand's entries as integers over one denominator db
-        db = lcm(*{x._denominator for row in other._sparse_rows for x in row.values()})
-        brows = [[(j, x._numerator * (db // x._denominator)) for j, x in row.items()]
-                 for row in other._sparse_rows]
-        for i, arow in enumerate(self._sparse_rows):
-            if not arow:
-                continue
-            da = lcm(*{a._denominator for a in arow.values()})
+        bnums = other._nums
+        nums = []
+        for arow in self._nums:
             acc = {}
             for k, a in arow.items():
-                ai = a._numerator * (da // a._denominator)
-                for j, b in brows[k]:
-                    acc[j] = acc.get(j, 0) + ai * b
-            d = da * db
-            out._sparse_rows[i] = {j: Fraction(v, d) for j, v in acc.items() if v}
-        return out
+                for j, b in bnums[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            nums.append({j: x for j, x in acc.items() if x} if 0 in acc.values() else acc)
+        return _canonical(self.rows, other.cols, nums, self._den * other._den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         bc = other.cols
-        out = Matrix.zeros(self.rows * other.rows, self.cols * bc)
-        out._sparse_rows = [
-            {j * bc + l: a * b for j, a in arow.items() for l, b in brow.items()}
-            for arow in self._sparse_rows for brow in other._sparse_rows
-        ]
-        return out
+        return _canonical(
+            self.rows * other.rows, self.cols * bc,
+            [{j * bc + l: a * b for j, a in arow.items() for l, b in brow.items()}
+             for arow in self._nums for brow in other._nums],
+            self._den * other._den)
 
     # -- predicates and reductions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self._sparse_rows)
+        return not any(self._nums)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_diagonal(self) -> bool:
         # row i may store its diagonal entry and nothing else
-        return all(len(row) == (i in row) for i, row in enumerate(self._sparse_rows))
+        return all(len(row) == (i in row) for i, row in enumerate(self._nums))
 
     def diagonal_entries(self) -> list:
-        return [self._sparse_rows[i].get(i, ZERO) for i in range(min(self.rows, self.cols))]
+        d = self._den
+        return [Fraction(x, d) if (x := self._nums[i].get(i)) else ZERO
+                for i in range(min(self.rows, self.cols))]
 
     def is_scalar(self) -> bool:
         """Square, diagonal and constant on the diagonal."""
-        d = self.diagonal_entries()
-        return self.is_square() and self.is_diagonal() and all(x == d[0] for x in d)
+        diagonal = {row.get(i, 0) for i, row in enumerate(self._nums)}
+        return self.is_square() and self.is_diagonal() and len(diagonal) <= 1
 
     def nonzero_count(self) -> int:
-        return sum(map(len, self._sparse_rows))
+        return sum(map(len, self._nums))
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list).
 
-        Fraction-free, row at a time (Bareiss, Math. Comp. 22, 1968): a row in
-        integers over its denominators' lcm is reduced by the pivot rows so
-        far; a remainder becomes the pivot row of its leading column, cleared
-        from the others.  Each elimination divides out the row's content; a
-        pivot row becomes Fractions once, scaled to a leading 1."""
+        Fraction-free, row at a time (Bareiss, Math. Comp. 22, 1968): a stored
+        integer row is reduced by the pivot rows so far; a remainder becomes
+        the pivot row of its leading column, cleared from the others, and each
+        elimination divides out the row's content.  Row r of the result is
+        pivot row r over its lead: over the lcm of the leads, canonical."""
         found = {}  # pivot column -> integer row, zero at every other pivot
-        for row in self._sparse_rows:
+        for row in self._nums:
             if not row:
                 continue
-            d = lcm(*{x._denominator for x in row.values()})
-            v = _primitive({j: x._numerator * (d // x._denominator) for j, x in row.items()})
+            v = _primitive(row)
             for c in [c for c in v if c in found]:
                 v = _eliminate(v, found[c], c)
             if v:
@@ -296,14 +281,42 @@ class Matrix:
                         found[k] = _eliminate(u, v, c)
                 found[c] = v
         pivots = sorted(found)
+        d = lcm(*(found[c][c] for c in pivots))
         out = Matrix.zeros(self.rows, self.cols)
         for r, c in enumerate(pivots):
-            lead = found[c][c]
-            out._sparse_rows[r] = {j: Fraction(x, lead) for j, x in found[c].items()}
+            f = d // found[c][c]
+            out._nums[r] = {j: f * x for j, x in found[c].items()}
+        out._den = d
         return out, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
+
+
+def _integer_rows(rows) -> tuple:
+    """Integer rows over one denominator for rows of (column, rational) pairs,
+    zeros dropped; canonical, as each entry is in lowest terms."""
+    rows = [{j: y for j, x in row if (y := x if isinstance(x, (int, Fraction)) else Fraction(x))}
+            for row in rows]
+    d = lcm(*{x.denominator for row in rows for x in row.values()})
+    return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+            for row in rows], d
+
+
+def _reduced(nums: list, d: int) -> tuple:
+    """Zero-free integer rows ``nums`` over ``d`` > 0, divided by gcd(d, nums)."""
+    g = d
+    for row in nums:
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    return (nums, d) if g == 1 else ([{j: x // g for j, x in row.items()} for row in nums], d // g)
+
+
+def _canonical(rows: int, cols: int, nums: list, d: int) -> "Matrix":
+    out = Matrix.zeros(rows, cols)
+    out._nums, out._den = _reduced(nums, d)
+    return out
 
 
 def _primitive(v: dict) -> dict:
@@ -339,8 +352,9 @@ class _DenseRow:
         return self._m.cols
 
     def __iter__(self):
-        row = self._m._sparse_rows[self._i]
-        return map(row.get, range(self._m.cols), repeat(ZERO))
+        m = self._m
+        row, d = m._nums[self._i], m._den
+        return (Fraction(x, d) if x else ZERO for x in map(row.get, range(m.cols), repeat(0)))
 
     def __getitem__(self, j):
         if isinstance(j, slice):
@@ -361,7 +375,7 @@ def _check_gram(g: Matrix, name: str):
         raise ValueError(f"{name} gram must be square")
     if not g.is_diagonal():
         raise ValueError(f"{name} gram must be diagonal")
-    if any(x <= 0 for x in g.diagonal_entries()):
+    if any(row.get(i, 0) <= 0 for i, row in enumerate(g._nums)):
         raise ValueError(f"{name} gram must have positive diagonal entries")
 
 
@@ -379,15 +393,16 @@ def gram_adjoint(a: Matrix, gram_source: Matrix, gram_target: Matrix) -> Matrix:
             f"adjoint dimension mismatch: map is {a.rows}x{a.cols}, grams are "
             f"{gram_source.rows} (source) and {gram_target.rows} (target)"
         )
-    gs = gram_source.diagonal_entries()
-    out = Matrix.zeros(a.cols, a.rows)
-    for y, (row, g) in enumerate(zip(a._sparse_rows, gram_target.diagonal_entries())):
+    # with G_source = s_x / ds, G_target = t_y / dt and a = n / da, entry
+    # (x, y) is n_yx t_y ds / (s_x da dt), over the lcm of the s_x
+    s = [row[x] for x, row in enumerate(gram_source._nums)]
+    d = lcm(*s)
+    f = [gram_source._den * (d // sx) for sx in s]
+    nums = [{} for _ in range(a.cols)]
+    for y, (row, t) in enumerate(zip(a._nums, gram_target._nums)):
         for x, v in row.items():
-            s = gs[x]
-            out._sparse_rows[x][y] = Fraction(
-                v._numerator * g._numerator * s._denominator,
-                v._denominator * g._denominator * s._numerator)
-    return out
+            nums[x][y] = v * t[y] * f[x]
+    return _canonical(a.cols, a.rows, nums, d * a._den * gram_target._den)
 
 
 def _monic(roots: Sequence) -> list:
@@ -456,11 +471,8 @@ def lagrange_projector(a: Matrix, eigenvalues: Sequence, target_index: int) -> M
 
 def linear_combination(terms, rows: int, cols: int) -> Matrix:
     """The sum of c * A over the (c, A) pairs of ``terms``, each A rows x cols
-    and each c an int or a Fraction.
-
-    One pass over each A's stored entries: every output row is summed in
-    Python ints over that row's common denominator.  Zero coefficients are
-    skipped and coefficient-1 terms are added without a multiplication.
+    and each c an int or a Fraction: one pass over each A's numerators, over
+    the one lcm of c's denominator times A's.  Zero coefficients are skipped.
     """
     parts = []
     for c, a in terms:
@@ -470,21 +482,14 @@ def linear_combination(terms, rows: int, cols: int) -> Matrix:
             )
         cn, cd = c.as_integer_ratio()
         if cn:
-            parts.append((cn, cd, a._sparse_rows))
-    out = Matrix.zeros(rows, cols)
+            parts.append((cn, cd * a._den, a._nums))
+    d = lcm(*{den for _, den, _ in parts})
+    parts = [(cn * (d // den), data) for cn, den, data in parts]
+    nums = []
     for r in range(rows):
-        row_terms = [(cn, cd, data[r]) for cn, cd, data in parts if data[r]]
-        if not row_terms:
-            continue
-        d = lcm(*{cd * x._denominator for _, cd, row in row_terms for x in row.values()})
         acc = {}
-        for cn, cd, row in row_terms:
-            if cn == 1 and cd == 1:
-                for j, x in row.items():
-                    acc[j] = acc.get(j, 0) + x._numerator * (d // x._denominator)
-            else:
-                f = d // cd
-                for j, x in row.items():
-                    acc[j] = acc.get(j, 0) + cn * x._numerator * (f // x._denominator)
-        out._sparse_rows[r] = {j: Fraction(v, d) for j, v in acc.items() if v}
-    return out
+        for f, data in parts:
+            for j, x in data[r].items():
+                acc[j] = acc.get(j, 0) + f * x
+        nums.append({j: x for j, x in acc.items() if x} if 0 in acc.values() else acc)
+    return _canonical(rows, cols, nums, d)

@@ -6,6 +6,7 @@ a runtime cap; each test prints one [ACCEPTANCE] pass/fail line.  Run with
 """
 
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -21,7 +22,7 @@ from kahlergrad.clifford import (
     verify_spinor_model,
 )
 from kahlergrad.envalg import casimir_element, verify_binomial_relations
-from kahlergrad.gtrep import build_rep, evaluate
+from kahlergrad.gtrep import build_rep
 from kahlergrad.bochner import kirchberg_bound
 from kahlergrad.cli import dump_json
 from kahlergrad.weights import (
@@ -30,6 +31,7 @@ from kahlergrad.weights import (
     conformal_table,
     dominant_weights,
 )
+from test_gtrep import evaluate
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 CLI = [sys.executable, "-m", "kahlergrad"]
@@ -193,7 +195,9 @@ def test_criterion_8_cli_contract():
         assert batch.returncode == 0, batch.stdout[-2000:]
         payload = json.loads(batch.stdout)
         assert payload["passed"] is True
-        assert dump_json(payload) + "\n" == batch.stdout
+        rendered = io.StringIO()
+        dump_json(payload, rendered)
+        assert rendered.getvalue() == batch.stdout
 
         usage = subprocess.run(
             CLI + ["weights", "not-a-weight"], capture_output=True, text=True
@@ -207,8 +211,10 @@ def test_criterion_8_cli_contract():
 
 
 def test_verify_output_is_pinned():
-    """The stdout of four ``verify --json`` runs (one of them the envalg
-    suite at m = 4, q = 5), five ``identity --json``
+    """The stdout of six ``verify --json`` runs (among them the commands of
+    the four benchmark workloads: the clifford suite at m = 3, bound 2,
+    q = 3, the gtrep suite at m = 4, q = 4, the envalg suite at m = 4,
+    q = 5 and the adjoint suite at m = 3), five ``identity --json``
     runs (degrees 0, 2, 3 and 4 and the Weitzenboeck record, on weights of
     rank 3 and 4) and nine more runs, every command in text mode (with
     ``identity`` as text and as LaTeX, and ``verify`` over all suites) plus

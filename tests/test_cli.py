@@ -1,5 +1,7 @@
+import io
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -239,8 +241,9 @@ def test_verify_budget_exhaustion_is_not_applicable():
 def test_json_round_trip_byte_identical(args):
     out = run(*args)
     assert out.returncode == 0
-    rendered = dump_json(json.loads(out.stdout)) + "\n"
-    assert rendered == out.stdout
+    rendered = io.StringIO()
+    dump_json(json.loads(out.stdout), rendered)
+    assert rendered.getvalue() == out.stdout
 
 
 def test_dimension_budget_task_is_not_applicable():
@@ -270,6 +273,30 @@ def test_failing_task_does_not_abort_the_batch(monkeypatch, capsys, jobs):
     failed = [it for it in payload["items"] if it["status"] == "fail"]
     assert failed == [{"tag": "gtrep", "params": {"arg": "(1, 0)"},
                        "status": "fail", "witness": "RuntimeError: boom"}]
+    others = {it["params"]["rho"] for it in payload["items"] if it["status"] == "pass"}
+    assert len(others) == 5 and "(1,0)" not in others
+
+
+def test_dead_worker_fails_only_its_task(monkeypatch, capsys):
+    # a worker that dies breaks the pool; each task still without a result
+    # reruns alone, and the one whose worker dies again is one failed item
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patched task only when forked")
+    real = cli._TASK_FUNCS["gtrep"]
+
+    def dying(rho, bound, q_max, budget):
+        if tuple(rho) == (1, 0):
+            os._exit(3)
+        return real(rho, bound, q_max, budget)
+
+    monkeypatch.setitem(cli._TASK_FUNCS, "gtrep", dying)
+    code = cli.main(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1",
+                     "--q", "1", "--jobs", "2", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["passed"] is False
+    failed = [it for it in payload["items"] if it["status"] == "fail"]
+    assert [(it["tag"], it["params"]) for it in failed] == [("gtrep", {"arg": "(1, 0)"})]
+    assert failed[0]["witness"].startswith("worker process died")
     others = {it["params"]["rho"] for it in payload["items"] if it["status"] == "pass"}
     assert len(others) == 5 and "(1,0)" not in others
 

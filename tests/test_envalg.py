@@ -15,13 +15,18 @@ from kahlergrad.envalg import (
     commutator,
     e_power,
     k_central,
-    k_eval,
     k_of_casimirs,
     pbw_normalize,
     tilde_e_power,
     verify_binomial_relations,
 )
 from kahlergrad.weights import casimir_eigenvalue
+
+
+def k_eval(n: int, xs) -> F:
+    """K_n at the point (x_1..x_n) by the library's recursion:
+    K_0 = 1, K_q = -sum_{p<q} K_p x_{q-p}."""
+    return envalg._k_series([-F(x) for x in xs[:n]], F(1))[n]
 
 
 # the multinomial form of K_n, an oracle for the recursion of the library

@@ -11,11 +11,10 @@ from kahlergrad.gtrep import (
     casimir_matrix,
     e_power_matrices,
     e_power_matrix,
-    evaluate,
     gt_patterns,
     invariant_gram,
 )
-from kahlergrad.linalg import Matrix
+from kahlergrad.linalg import Matrix, linear_combination
 from kahlergrad.weights import (
     casimir_eigenvalue,
     casimir_quadratic_closed_form,
@@ -23,6 +22,27 @@ from kahlergrad.weights import (
     transpose_weight,
     weyl_dimension,
 )
+
+
+def evaluate(rep, x: PBWElement) -> Matrix:
+    """The module action on a normal-ordered element: the sum of its terms'
+    coefficients times the products of generator matrices."""
+    if x.m != rep.m:
+        raise ValueError(f"rank mismatch: element has m={x.m}, module m={rep.m}")
+    n = rep.dim
+    terms = []
+    cache = {(): Matrix.identity(n)}
+    for word, coeff in x.terms.items():
+        # monomials share sorted prefixes heavily; cache prefix products
+        k = len(word)
+        while k > 0 and word[:k] not in cache:
+            k -= 1
+        mat = cache[word[:k]]
+        for j in range(k, len(word)):
+            mat = mat * rep.gen[word[j]]
+            cache[word[: j + 1]] = mat
+        terms.append((coeff, mat))
+    return linear_combination(terms, n, n)
 
 
 def test_patterns_and_validation():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,6 +327,67 @@ def test_kernels_keep_the_zero_convention(pair, prod):
                 gram_adjoint(a, grams[1], grams[0]),
                 linear_combination([(2, a), (-1, b), (F(1, 3), a)], a.rows, a.cols)):
         assert _stores_no_zero(out)
+
+
+def _is_canonical(a):
+    """The storage rules: integer numerators, none of them zero, over one
+    positive denominator that shares no factor with all of them."""
+    nums = [x for row in a._nums for x in row.values()]
+    return (type(a._den) is int and a._den > 0 and all(type(x) is int and x for x in nums)
+            and gcd(a._den, *nums) == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_pairs(WIDE_ENTRY), sparse_matrices(entries=WIDE_ENTRY), COEFF, st.data())
+def test_every_result_is_canonical(pair, c, s, data):
+    a, b = pair
+    n = data.draw(st.integers(1, 2))
+    square = data.draw(sparse_matrices(2 * n, 2 * n, WIDE_ENTRY))
+    positive = st.fractions(min_value=F(1, 4), max_value=6, max_denominator=6)
+    grams = [Matrix.diagonal(data.draw(st.lists(positive, min_size=k, max_size=k)))
+             for k in (a.cols, a.rows)]
+    doubled = a.scale(2)
+    results = [
+        a.matmul(b), doubled.matmul(b.scale(F(1, 2))),
+        a.kron(c), c.scale(s), c.scale(6), a - a, -doubled,
+        linear_combination([(s, a), (F(1, 2), doubled), (-1, a)], a.rows, a.cols),
+        Matrix.block([[a, doubled], [doubled.scale(F(1, 3)), a.scale(s)]]),
+        square.block_transpose(n), square.scale(6).block_transpose(n),
+        doubled.submatrix(range(a.rows), range(0, a.cols, 2)),
+        a.rref()[0], doubled.rref()[0], gram_adjoint(doubled, *grams),
+        Matrix.from_rows([{j: 2 * x for j, x in enumerate(row)} for row in a.data], a.cols),
+        Matrix.diagonal([F(2, 3), 0, 4]), Matrix.identity(2), Matrix.zeros(2, 2),
+    ]
+    for out in results:
+        assert _is_canonical(out) and _stores_no_zero(out)
+    # the writer: each write, including one that drops the entry holding the
+    # gcd at 1, leaves the storage canonical
+    for i, j, x in data.draw(st.lists(
+        st.tuples(st.integers(0, c.rows - 1), st.integers(0, c.cols - 1),
+                  st.one_of(st.just(0), WIDE)), max_size=6,
+    )):
+        c[i, j] = x
+        assert _is_canonical(c) and c[i, j] == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_pairs(WIDE_ENTRY), st.data())
+def test_equal_values_reached_two_ways_compare_equal(pair, data):
+    a, b = pair
+    c = data.draw(sparse_matrices(b.cols, data.draw(st.integers(1, 4)), WIDE_ENTRY))
+    assert a.scale(F(2, 4)) == a.scale(F(1, 2))
+    assert a.scale(6).scale(F(1, 6)) == a == a.scale(F(1, 3)).scale(3)
+    assert (a * b) * c == a * (b * c)
+    assert (a + a) - a == a and (a - a).scale(F(1, 7)) == Matrix.zeros(a.rows, a.cols)
+    assert linear_combination([(F(1, 3), a), (F(2, 3), a)], a.rows, a.cols) == a
+    assert Matrix(_dense(a)) == a == Matrix.block([[a, a.scale(3)]]).submatrix(
+        range(a.rows), range(a.cols))
+    # entry by entry through the writer, in reverse order, from a scaled copy
+    rebuilt = a.scale(5)
+    for i in reversed(range(a.rows)):
+        for j in reversed(range(a.cols)):
+            rebuilt[i, j] = a[i, j]
+    assert rebuilt == a
 
 
 def _ref_combination(terms, rows, cols):

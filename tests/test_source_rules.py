@@ -5,7 +5,7 @@
   runtime dependency.
 - Every name in a module's `__all__` is defined in that module.
 - The storage layout of `Matrix` stays in `linalg.py`: no other module names
-  `ZERO` or the row-storage attribute.
+  `ZERO` or a storage attribute (the integer rows and their denominator).
 """
 
 import ast
@@ -18,7 +18,7 @@ from kahlergrad.linalg import Matrix
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kahlergrad"
 MODULES = sorted(SRC.glob("*.py"))
-ROW_STORAGE = "_sparse_rows"
+ROW_STORAGE = ("_nums", "_den")
 
 
 def _asserts(tree) -> list:
@@ -53,14 +53,14 @@ def _undefined_exports(tree) -> list:
 
 
 def _layout_names(tree) -> list:
-    """Lines that import or read `ZERO` or name the row-storage attribute."""
+    """Lines that import or read `ZERO` or name a storage attribute."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             lines += [node.lineno for alias in node.names if alias.name == "ZERO"]
-        elif isinstance(node, ast.Attribute) and node.attr in ("ZERO", ROW_STORAGE):
+        elif isinstance(node, ast.Attribute) and node.attr in ("ZERO", *ROW_STORAGE):
             lines.append(node.lineno)
-        elif isinstance(node, ast.Constant) and node.value == ROW_STORAGE:
+        elif isinstance(node, ast.Constant) and node.value in ROW_STORAGE:
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -93,7 +93,7 @@ def test_all_names_are_defined(path):
 @pytest.mark.parametrize("path", [path for path in MODULES if path.name != "linalg.py"],
                          ids=lambda path: path.name)
 def test_matrix_layout_stays_in_linalg(path):
-    assert ROW_STORAGE in Matrix.__slots__
+    assert set(ROW_STORAGE) <= set(Matrix.__slots__)
     assert _layout_names(_parse(path)) == []
 
 
@@ -111,9 +111,11 @@ def test_rules_flag_a_module_that_breaks_them():
         "    return x\n"
         "def g(m):\n"
         "    from .linalg import Matrix, ZERO\n"
-        "    return m._sparse_rows, linalg.ZERO, getattr(m, '_sparse_rows')\n"
+        "    return m._nums, linalg.ZERO, getattr(m, '_nums')\n"
+        "def h(m):\n"
+        "    return m._den, getattr(m, '_den')\n"
     )
     assert _asserts(tree) == [8]
     assert _outside_stdlib(tree) == ["numpy", "sympy.core", "hypothesis"]
     assert _undefined_exports(tree) == ["Rational"]
-    assert _layout_names(tree) == [12, 13, 13, 13]
+    assert _layout_names(tree) == [12, 13, 13, 13, 15, 15]

@@ -61,7 +61,8 @@ def ident(label, minus, plus, curvature):
 def write(name, obj):
     GOLDEN.mkdir(parents=True, exist_ok=True)
     path = GOLDEN / name
-    path.write_text(dump_json(obj) + "\n")
+    with path.open("w") as fh:
+        dump_json(obj, fh)
     print(f"wrote {path}")
 
 
