@@ -78,9 +78,10 @@ def shift(rho, sign: str, i: int) -> Optional[HighestWeight]:
     rho = HighestWeight.coerce(rho)
     if not 1 <= i <= rho.m:
         raise ValueError(f"index i={i} out of range 1..{rho.m}")
-    delta = 1 if sign == "+" else -1
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
     ents = list(rho.entries)
-    ents[i - 1] += delta
+    ents[i - 1] += 1 if sign == "+" else -1
     if not is_dominant(ents):
         return None
     return HighestWeight(tuple(ents))

@@ -211,10 +211,12 @@ def test_criterion_8_cli_contract():
 
 
 def test_verify_output_is_pinned():
-    """The stdout of six ``verify --json`` runs (among them the commands of
+    """The stdout of nine ``verify --json`` runs (among them the commands of
     the four benchmark workloads: the clifford suite at m = 3, bound 2,
     q = 3, the gtrep suite at m = 4, q = 4, the envalg suite at m = 4,
-    q = 5 and the adjoint suite at m = 3), five ``identity --json``
+    q = 5 and the adjoint suite at m = 3; also the spinor suite at
+    m = 2..5, the adjoint suite at m = 4 and the clifford suite at q = 5,
+    above m = 3), five ``identity --json``
     runs (degrees 0, 2, 3 and 4 and the Weitzenboeck record, on weights of
     rank 3 and 4) and nine more runs, every command in text mode (with
     ``identity`` as text and as LaTeX, and ``verify`` over all suites) plus

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from kahlergrad.clifford import (
 )
 from kahlergrad.envalg import k_of_casimirs
 from kahlergrad.gtrep import build_rep, e_power_matrices
-from kahlergrad.linalg import Matrix, gram_adjoint
+from kahlergrad.linalg import Matrix, gram_adjoint, lagrange_projectors
 from kahlergrad.weights import FAMILY, HighestWeight, weyl_dimension
 
 
@@ -116,6 +117,16 @@ def test_cross_sign_rank_fails_on_a_corrupted_coefficient_row(monkeypatch):
     assert bochner.bochner_identity((1, 0, 0), 2) != emitted
 
 
+def _aux(m, sign, k, l):
+    """e_kl on the natural module (sign +) or its conjugate (sign -)."""
+    out = Matrix.zeros(m, m)
+    if sign == "+":
+        out[k - 1, l - 1] = 1
+    else:
+        out[l - 1, k - 1] = -1
+    return out
+
+
 @pytest.mark.parametrize("rho", [(1, 0), (1, 0, 0), (2, 0, -1)])
 def test_target_generator_built_on_first_use(rho):
     rep = build_rep(rho)
@@ -128,13 +139,8 @@ def test_target_generator_built_on_first_use(rho):
                 continue
             for k in range(1, m + 1):
                 for l in range(1, m + 1):
-                    aux = Matrix.zeros(m, m)
-                    if sign == "+":
-                        aux.data[k - 1][l - 1] = F(1)
-                    else:
-                        aux.data[l - 1][k - 1] = F(-1)
-                    tensor = (rep.gen[(k, l)].kron(Matrix.identity(m))
-                              + Matrix.identity(n).kron(aux))
+                    tensor = (Matrix.identity(m).kron(rep.gen[(k, l)])
+                              + _aux(m, sign, k, l).kron(Matrix.identity(n)))
                     assert target_generator(sys, i, k, l) == t.coords * tensor * t.basis
 
 
@@ -220,27 +226,28 @@ def test_component_index_outside_1_to_m_raises():
         calls = (lambda: derived_representation(plus, i),
                  lambda: target_generator(plus, i, 1, 1),
                  lambda: plus.p_star_p(i, 1, 1),
-                 lambda: plus.p_adjoint(i, 1))
+                 lambda: plus.target(i))
         for call in calls:
             with pytest.raises(ValueError, match=f"component index i={i} outside 1..3"):
                 call()
-    assert plus.p_star_p(3, 1, 1) == plus.p_adjoint(3, 1) * plus.targets[2].pmaps[0]
+    t, n = plus.target(3), plus.rep.dim
+    assert plus.p_star_p(3, 1, 1) == _adjoint(t, 1, n) * _map(t, 1, n)
 
 
 @pytest.mark.parametrize("rho", [(2, 1, 0), (2, 0, -1)])
 def test_adjoints_are_row_blocks_of_the_basis(rho):
-    # p_adjoint reads the basis; it must equal the Gram adjoint of the map,
-    # also over a derived module, whose form is the induced one
+    # row block k of the basis must equal the Gram adjoint of column block k
+    # of the coordinate map, also over a derived module, whose form is the
+    # induced one
     rep = build_rep(rho)
     plus = build_system(rep, "+")
     systems = (plus, build_system(rep, "-"),
                build_system(derived_representation(plus, 1), "-"))
     for sys in systems:
-        for i, t in enumerate(sys.targets, 1):
-            if t is None:
-                continue
+        n = sys.rep.dim
+        for t in filter(None, sys.targets):
             for k in range(1, sys.m + 1):
-                assert sys.p_adjoint(i, k) == gram_adjoint(t.pmaps[k - 1], sys.rep.gram, t.gram)
+                assert _adjoint(t, k, n) == gram_adjoint(_map(t, k, n), sys.rep.gram, t.gram)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -253,6 +260,16 @@ def _transpose(a):
     return Matrix([list(col) for col in zip(*a.data)])
 
 
+def _map(t, k, n):
+    """p_i(basis_k): column block k of the coordinate map."""
+    return t.coords.submatrix(range(t.dim), range((k - 1) * n, k * n))
+
+
+def _adjoint(t, k, n):
+    """p_i(basis_k)^*: row block k of the basis."""
+    return t.basis.submatrix(range((k - 1) * n, k * n), range(t.dim))
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("rho", [(2, 1, 0), (2, 0, -1)])
 def test_build_system_basis(rho, sign):
@@ -261,7 +278,7 @@ def test_build_system_basis(rho, sign):
     rep = build_rep(rho)
     sys = build_system(rep, sign)
     m, n = sys.m, rep.dim
-    tensor_gram = Matrix.diagonal([g for g in rep.gram.diagonal_entries() for _ in range(m)])
+    tensor_gram = Matrix.diagonal([g for _ in range(m) for g in rep.gram.diagonal_entries()])
     assert sum(t is not None for t in sys.targets) >= 2
     for i, t in enumerate(sys.targets, 1):
         if t is None:
@@ -272,6 +289,60 @@ def test_build_system_basis(rho, sign):
         assert t.coords * t.basis == Matrix.identity(t.dim)
         assert sys.projectors[i - 1] * t.basis == t.basis
         assert t.basis.rows == m * n and t.dim == weyl_dimension(t.weight)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("rho", [(1, 0), (2, 0, -1), (1, 0, 0, -1)])
+def test_chat_is_the_kron_sum_regrouped(rho, sign):
+    # Chat = 2 sum_kl e_kl (x) e_lk as a sum of Kronecker products, in the
+    # tensor index a*m + k-1, regrouped to the k-major (k-1)*n + a: it is
+    # -2 P, and its projectors at -2 w_i, regrouped, are the system's
+    rep = build_rep(rho)
+    m, n = rep.m, rep.dim
+    sys = build_system(rep, sign)
+    chat = Matrix.zeros(m * n, m * n)
+    for k in range(1, m + 1):
+        for l in range(1, m + 1):
+            chat = chat + rep.gen[(k, l)].kron(_aux(m, sign, l, k)).scale(2)
+    k_major = [a * m + k for k in range(m) for a in range(n)]
+    assert chat.submatrix(k_major, k_major) == sys.chat
+    projectors = lagrange_projectors(chat, [-2 * w for w in sys.table.w])
+    assert [x.submatrix(k_major, k_major) for x in projectors] == sys.projectors
+
+
+# Gram diagonals of every target, as SHA-256 of their "p/q" strings: the
+# induced form depends on which pivot columns rref picks, so a change of the
+# pivot order (as in a k-major read of the projector) changes these digests
+GRAM_DIGESTS = {
+    ((2, 1, 0, -1), "+"): {
+        1: "4e6b33b1a8c72df7066d3af03b5285d4ae493a8e17f038a0412c0fca5ac54c2a",
+        2: "b67013327e0c2b09743bf87a638098c76a25ba43d46cb6c06dd8ce5051b7182e",
+        3: "301c8e2ab1af2075610dd12c714b1d617ec13c5a7733aca2801e7d8ad63270c6",
+        4: "50061ec4af017ee58807457fdc1fa00c72aee6b968e48bf9284014dfcef496a7"},
+    ((2, 1, 0, -1), "-"): {
+        1: "63cc5a933f1d6d15be2d6997ecbb6703e64ccbdfb6aea00e2aeeea511688410f",
+        2: "fcb459165d7b3351d5b0ad45c34ac100983e7b88b280d80344263c2d1838d228",
+        3: "95c1260ac3f093d3e44705eb35b702420ef7accf9911e4ae4ae71642eaec3be3",
+        4: "822c190f366ce9ba2661e56c44dce0f043580a232010bd45270b3d9603e62a57"},
+    ((2, 0, -2), "+"): {
+        1: "da88e5eccc4fddd8e42912d35e9d247ec401137139331996de233b903e16596b",
+        2: "6edc964ff56be38cbfdd8a365c04f9d7533f5ffbefbc4b8df7aed8ed45b666ff",
+        3: "04bb381152ca4835fa678ee4701b9e29ae903db6347709cb6f45c73f68c9c0ff"},
+    ((2, 0, -2), "-"): {
+        1: "a91d40f2cfd3630a0c813aee66b1ef443a926c7dd454f1d7be4934dbfd808500",
+        2: "4dee036be862e95152a801b25b4b85b886f688abd7e87bf4a11f4ff4ba2ae12a",
+        3: "e5281f7dd003bcb59e837ed56575632e0a5a1e31947d58d13831190c68752de7"},
+}
+
+
+@pytest.mark.parametrize("rho, sign", sorted(GRAM_DIGESTS))
+def test_pivot_order_pins_the_gram_form(rho, sign):
+    sys = build_system(build_rep(rho), sign)
+    digests = {}
+    for t in filter(None, sys.targets):
+        text = " ".join(f"{x.numerator}/{x.denominator}" for x in t.gram.diagonal_entries())
+        digests[t.index] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GRAM_DIGESTS[(rho, sign)]
 
 
 def test_build_system_rejects_bad_sign():
@@ -289,10 +360,10 @@ def _dense(a):
 
 
 def _embed_column(m, k, n):
-    """Matrix of phi |-> phi (x) basis_k, with tensor index a*m + (k-1)."""
+    """Matrix of phi |-> phi (x) basis_k, with tensor index (k-1)*n + a."""
     out = Matrix.zeros(n * m, n)
     for a in range(n):
-        out.data[a * m + (k - 1)][a] = F(1)
+        out.data[(k - 1) * n + a][a] = F(1)
     return out
 
 
@@ -318,7 +389,7 @@ def _dense_p_star_p(sys, i, k, l):
     t = sys.targets[i - 1]
     if t is None:
         return [[F(0)] * n for _ in range(n)]
-    return _dmul(_dense_adjoint(sys, t, k), _dense(t.pmaps[l - 1]))
+    return _dmul(_dense_adjoint(sys, t, k), _dense(_map(t, l, n)))
 
 
 def _lagrange_coefficients(ws, i):
@@ -335,7 +406,7 @@ def _lagrange_coefficients(ws, i):
 def _dense_adjoint(sys, t, k):
     """p(k)^* from the map and the two Gram forms, entry by entry."""
     gs, gt = sys.rep.gram.diagonal_entries(), t.gram.diagonal_entries()
-    pk = _dense(t.pmaps[k - 1])
+    pk = _dense(_map(t, k, sys.rep.dim))
     return [[pk[y][x] * gt[y] / gs[x] for y in range(t.dim)] for x in range(sys.rep.dim)]
 
 
@@ -372,7 +443,7 @@ def _expected_differences(plus, minus, q_max, sign="+"):
             + [(-sys.table.gamma[i - 1], _dense(Matrix.identity(n)))])
         if t is None:
             continue
-        maps = [_dense(p) for p in t.pmaps]
+        maps = [_dense(_map(t, k, n)) for k in range(1, m + 1)]
         for k in range(1, m + 1):
             if sign == "+":
                 terms = [(1, _dmul(maps[l - 1], gen[(k, l)])) for l in range(1, m + 1)]
@@ -423,11 +494,10 @@ def test_corrupted_map_fails_with_dense_witnesses():
     plus, minus = build_system(rep, "+"), build_system(rep, "-")
     assert all(plus.targets) and all(minus.targets)
     t = plus.targets[0]
-    pmap = t.pmaps[0]
-    pmap.data[0][0] = pmap.data[0][0] + 1  # a fresh object, as a caller would write
-    # the adjoint is stored beside the map: change it to match, so the dense
+    t.coords.data[0][0] = t.coords.data[0][0] + 1  # a fresh object, as a caller would write
+    # the adjoint is stored in the basis: change it to match, so the dense
     # reference below, which derives it from the map, sees the same system
-    t.adjoints[0].data[0][0] = pmap[0, 0] * t.gram[0, 0] / rep.gram[0, 0]
+    t.basis.data[0][0] = t.coords[0, 0] * t.gram[0, 0] / rep.gram[0, 0]
     out = verify_relations(plus, q_max=2)
     out.extend(verify_cross_relations(plus, minus, q_max=2))
     expected = _expected_differences(plus, minus, 2)
@@ -452,12 +522,11 @@ def test_corrupted_map_fails_with_dense_witnesses():
 
 @pytest.mark.parametrize("rho", [(1, 0, 0), (2, 0, -1)])
 def test_projection_formula_selection_equals_products(rho):
-    # the projection-formula item compares, for each k, the rows k-1, k-1+m,
-    # ... of P_i at the columns l-1, l-1+m, ... with p_i(k)^* p_i(l): that is
-    # row block k of P_i E_l - sum_k E_k p_i(k)^* p_i(l)
+    # the projection-formula item compares, for each k, block (k, l) of P_i
+    # with p_i(k)^* p_i(l): that is row block k of P_i E_l - sum_k E_k
+    # p_i(k)^* p_i(l)
     rep = build_rep(rho)
     m, n = rep.m, rep.dim
-    N = n * m
     for sign in "+-":
         sys = build_system(rep, sign)
         for i, t in enumerate(sys.targets, 1):
@@ -469,8 +538,8 @@ def test_projection_formula_selection_equals_products(rho):
                 for k in range(1, m + 1):
                     diff = diff - _embed_column(m, k, n) * sys.p_star_p(i, k, l)
                 for k in range(1, m + 1):
-                    rows = range(k - 1, N, m)
-                    selected = proj.submatrix(rows, range(l - 1, N, m))
+                    rows = range((k - 1) * n, k * n)
+                    selected = proj.submatrix(rows, range((l - 1) * n, l * n))
                     assert product.submatrix(rows, range(n)) == selected
                     assert diff.submatrix(rows, range(n)) == selected - sys.p_star_p(i, k, l)
 
@@ -499,10 +568,9 @@ def test_corrupted_minus_map_fails_with_dense_witnesses():
     rep = build_rep((1, 0, -1))
     plus, minus = build_system(rep, "+"), build_system(rep, "-")
     assert all(plus.targets) and all(minus.targets)
-    t = minus.targets[2]
-    pmap = t.pmaps[1]
-    pmap[0, 1] = pmap[0, 1] - 2
-    t.adjoints[1][1, 0] = pmap[0, 1] * t.gram[0, 0] / rep.gram[1, 1]
+    t, n = minus.targets[2], rep.dim
+    t.coords[0, n + 1] = t.coords[0, n + 1] - 2  # entry (0, 1) of the second map
+    t.basis[n + 1, 0] = t.coords[0, n + 1] * t.gram[0, 0] / rep.gram[1, 1]
     out = verify_relations(minus, q_max=2)
     out.extend(verify_cross_relations(plus, minus, q_max=2))
     tags = {**CHECKED_TAGS, **INTERTWINING}

@@ -30,6 +30,8 @@ def test_shift():
     assert shift((1, 0, 0), "-", 2) is None
     with pytest.raises(ValueError):
         shift((1, 0, 0), "+", 4)
+    with pytest.raises(ValueError, match="sign must be"):
+        shift((1, 0), "x", 1)
 
 
 def test_conformal_table_examples():
