@@ -452,16 +452,15 @@ def cmd_verify(args) -> tuple:
         raise InputError("need --bound >= 0 and --q >= 0")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
-    budget = envalg.term_budget(args.budget)  # resolved once, for every task
-    if budget < 0:
-        source = "--budget" if args.budget is not None else "KAHLERGRAD_BUDGET"
-        raise InputError(f"{source} must be >= 0, got {budget}")
-    tasks = _verify_tasks(suites, ms, args.bound, args.q, budget)
+    if args.budget < 0:
+        raise InputError(f"--budget must be >= 0, got {args.budget}")
+    tasks = _verify_tasks(suites, ms, args.bound, args.q, args.budget)
     total = VerificationReport()
-    if args.jobs > 1:
+    if args.jobs > 1 and tasks:
         results = []
         try:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # a forked pool starts all its workers at once: no more than tasks
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
                 results.extend(pool.map(_run_task, tasks))
         except BrokenProcessPool:  # the tasks left rerun alone, to find the one that kills
             results += map(_run_alone, tasks[len(results):])
@@ -524,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help=f"one of {', '.join(SUITES)} or 'all'")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None,
-                   help="term budget (default KAHLERGRAD_BUDGET or 10^7)")
+    p.add_argument("--budget", type=int, default=envalg.DEFAULT_TERM_BUDGET,
+                   help="term budget (default 10^7)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("estimate", help="Dirac eigenvalue bound coefficient")

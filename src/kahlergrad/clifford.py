@@ -29,7 +29,9 @@ unit-scalar ambiguity of the splitting.
 The identities among the symbols are checked as identities of mn x mn block
 matrices: block (k, l) of S_i = A_i C_i, which is the projector P_i, is
 p_i(basis_k)^* p_i(basis_l), and of a block power one family element.  Each
-identity is one exact sum, reported block by block.
+identity is one exact sum, reported block by block.  The checks read P and
+the P_i that `build_system` stored, so the Vandermonde-solved form (P_i as a
+polynomial of degree < m in P) is the difference S_i - P_i.
 """
 
 from __future__ import annotations
@@ -40,13 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .linalg import (
-    Matrix,
-    gram_adjoint,
-    lagrange_coefficients,
-    lagrange_projectors,
-    linear_combination,
-)
+from .linalg import Matrix, gram_adjoint, lagrange_projectors, linear_combination
 from .report import VerificationReport
 from .weights import (
     FAMILY,
@@ -57,7 +53,7 @@ from .weights import (
     weyl_dimension,
 )
 from .bochner import binomial_template
-from .gtrep import Representation, block_powers
+from .gtrep import Representation, block_powers, build_rep
 
 __all__ = [
     "TargetData",
@@ -308,12 +304,13 @@ def _check_moments(report: VerificationReport, tag: str, params: dict,
 def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
     """Exact matrix checks of the algebraic identities satisfied by one
     system: completeness, the degree-q trace identities against the
-    enveloping-algebra elements, the Vandermonde-solved form, the gamma
-    trace constants, the target-side completeness and the projection
+    enveloping-algebra elements, the Vandermonde-solved form S_i - P_i, the
+    gamma trace constants, the target-side completeness and the projection
     formula, each one sum of mn x mn block matrices reported block by
-    block; the intertwining is w_i C_i - C_i P^1 by column block k.  The
-    cross-sign relations, which need both systems, are
-    `verify_cross_relations`.
+    block; the intertwining is w_i C_i - C_i P by column block k.  P and
+    the projectors P_i are the ones the system was built from; only the
+    block powers of degree 0 .. q_max are formed here.  The cross-sign
+    relations, which need both systems, are `verify_cross_relations`.
     """
     rep_ = sys.rep
     m, n = sys.m, rep_.dim
@@ -321,7 +318,6 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
     rho = rep_.rho
     report = VerificationReport()
     base = {"rho": str(rho), "sign": sys.sign}
-    ws = [Fraction(w) for w in sys.table.w]
     gammas = sys.table.gamma
     valid = [i for i in range(1, m + 1) if sys.targets[i - 1] is not None]
 
@@ -339,9 +335,7 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
             _check_zero(report, "projector-orthogonal", {**base, "i": i, "j": j},
                         proj * sys.projectors[j - 1])
 
-    # degrees up to m-1 are also needed by the Vandermonde-solved form, and
-    # degree 1 by the intertwining
-    powers = block_powers(rep_, max(q_max, m - 1, 1), FAMILY[sys.sign])
+    powers = block_powers(rep_, q_max, FAMILY[sys.sign])
 
     for q in range(q_max + 1):
         _check_moments(report, "completeness" if q == 0 else "moment-identity",
@@ -351,16 +345,14 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
     for i in valid:
         maps = sys.targets[i - 1].coords
         _check_blocks(report, "intertwining", ({**base, "i": i, "k": k} for k in range(1, m + 1)),
-                      linear_combination([(ws[i - 1], maps), (-1, maps * powers[1])],
+                      linear_combination([(sys.table.w[i - 1], maps), (-1, maps * sys.p)],
                                          maps.rows, N), maps.rows, n)
 
-    # Vandermonde-solved form: p_i^* p_i as a combination of degrees < m
+    # Vandermonde-solved form: p_i^* p_i is the Lagrange basis polynomial of
+    # w_i in P, the projector build_system formed from degrees < m
     for i in valid:
-        # minus the Lagrange basis polynomial of w_i, degree by degree
-        terms = [(-c, power) for c, power in zip(lagrange_coefficients(ws, i - 1), powers)]
-        terms.append((1, sys.p_star_p_matrix(i)))
         _check_blocks(report, "vandermonde-solved", _by_unit({**base, "i": i}, m),
-                      linear_combination(terms, N, N), n, n)
+                      sys.p_star_p_matrix(i) - sys.projectors[i - 1], n, n)
 
     # trace constants
     ident = Matrix.identity(n)
@@ -527,8 +519,6 @@ def verify_spinor_model(m: int) -> VerificationReport:
     and whose bilinear combinations reproduce the Clifford relation and the
     diagonal action of the matrix units.
     """
-    from .gtrep import build_rep
-
     if m < 2:
         raise ValueError("need m >= 2")
     report = VerificationReport()
@@ -574,15 +564,15 @@ def verify_spinor_model(m: int) -> VerificationReport:
         if p >= 1:
             _check_blocks(report, "unit-action", _by_unit(base, m),
                           linear_combination([(m - p + 1, minus.p_star_p_matrix(p)),
-                                              (-1, block_powers(rep_, 1)[1])], N, N), n, n)
+                                              (-1, minus.p)], N, N), n, n)
 
-        # degree-1 trace identity with the closed-form weights
-        degree0, degree1 = block_powers(rep_, 1, "tilde")
-        _check_moments(report, "spinor-moment-identity-q1", base, plus, 1, degree1)
+        # degree-1 trace identity with the closed-form weights; the plus
+        # system's P is the tilde one
+        _check_moments(report, "spinor-moment-identity-q1", base, plus, 1, plus.p)
 
         # completeness (both signs) and the projection formula
         for sysx in (plus, minus):
             params = {**base, "sign": sysx.sign}
-            _check_moments(report, "spinor-completeness", params, sysx, 0, degree0)
+            _check_moments(report, "spinor-completeness", params, sysx, 0, Matrix.identity(N))
             _check_projection_formula(report, "spinor-projection-formula", params, sysx)
     return report

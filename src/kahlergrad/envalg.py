@@ -27,7 +27,6 @@ dict, however many scaled elements and products it sums.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from operator import gt
 from math import comb
@@ -53,10 +52,9 @@ __all__ = [
     "k_central",
     "binomial_shift",
     "verify_binomial_relations",
-    "term_budget",
+    "DEFAULT_TERM_BUDGET",
 ]
 
-_ENV_BUDGET = "KAHLERGRAD_BUDGET"
 DEFAULT_TERM_BUDGET = 10_000_000
 
 
@@ -64,23 +62,10 @@ class BudgetExceededError(RuntimeError):
     """An expansion would exceed the configured term budget."""
 
 
-def term_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(_ENV_BUDGET)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{_ENV_BUDGET} must be an integer, got {env!r}")
-    return DEFAULT_TERM_BUDGET
-
-
-def _guard(count: int, budget: Optional[int], what: str):
-    limit = term_budget(budget)
-    if count > limit:
+def _guard(count: int, budget: int, what: str):
+    if count > budget:
         raise BudgetExceededError(
-            f"{what} needs {count} words, exceeding the term budget {limit}"
+            f"{what} needs {count} words, exceeding the term budget {budget}"
         )
 
 
@@ -269,7 +254,7 @@ def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
     return PBWElement(m, out)
 
 
-def _rows(k: int, q: int, m: int, budget: Optional[int], tilde: bool,
+def _rows(k: int, q: int, m: int, budget: int, tilde: bool,
           l: Optional[int] = None) -> list:
     """Row k of e^p, or of its involution image when ``tilde``, for every
     degree p = 0 .. q: rows[p][j] holds the terms of e^p_kj.  By recursion on
@@ -301,7 +286,7 @@ def _rows(k: int, q: int, m: int, budget: Optional[int], tilde: bool,
     return rows
 
 
-def _element(k: int, l: int, q: int, m: int, budget: Optional[int], tilde: bool) -> PBWElement:
+def _element(k: int, l: int, q: int, m: int, budget: int, tilde: bool) -> PBWElement:
     """e^q_kl, or ~e^q_kl when ``tilde``, from the series of row k, with the
     index and degree checks of both builders and the guard of degree q."""
     _check_index(k, m)
@@ -314,19 +299,19 @@ def _element(k: int, l: int, q: int, m: int, budget: Optional[int], tilde: bool)
     return PBWElement(m, _rows(k, q, m, budget, tilde, l)[q][l])
 
 
-def e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
+def e_power(k: int, l: int, q: int, m: int, budget: int = DEFAULT_TERM_BUDGET) -> PBWElement:
     """Degree-q element: sum over index paths e_{k i_1} e_{i_1 i_2} ... e_{i_{q-1} l}."""
     return _element(k, l, q, m, budget, tilde=False)
 
 
-def tilde_e_power(k: int, l: int, q: int, m: int, budget: Optional[int] = None) -> PBWElement:
+def tilde_e_power(k: int, l: int, q: int, m: int, budget: int = DEFAULT_TERM_BUDGET) -> PBWElement:
     """Involution image of e_power, from its defining sum
     (-1)^q sum e_{i_1 k} e_{i_2 i_1} ... e_{l i_{q-1}}."""
     return _element(k, l, q, m, budget, tilde=True)
 
 
 def casimir_element(q: int, m: int, variant: str = "plain",
-                    budget: Optional[int] = None) -> PBWElement:
+                    budget: int = DEFAULT_TERM_BUDGET) -> PBWElement:
     """Central trace element c_q = sum_k e_{kk}^q (or its involution image)."""
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
@@ -370,7 +355,7 @@ def k_of_casimirs(n: int, rho, variant: str = "plain") -> Fraction:
 
 
 def k_central(n: int, m: int, variant: str = "plain",
-              budget: Optional[int] = None) -> PBWElement:
+              budget: int = DEFAULT_TERM_BUDGET) -> PBWElement:
     """K_n(-c) as a central element of the algebra itself, by the recursion
     of `_k_series` on the Casimir elements c_0 .. c_{n-1}, read from one
     degree series of each row."""
@@ -404,7 +389,8 @@ def _binomial_diff(q, m, family, dual, ks) -> PBWElement:
                     [(-(-1) ** q, ks[q - p], dual[p]) for p in range(q + 1)])
 
 
-def verify_binomial_relations(m: int, q_max: int, budget: Optional[int] = None) -> VerificationReport:
+def verify_binomial_relations(m: int, q_max: int,
+                              budget: int = DEFAULT_TERM_BUDGET) -> VerificationReport:
     """Machine check of the degree-q relations between the e and tilde-e
     families, their trace forms, and the solved expressions, all as exact
     normal-form identities.

@@ -37,7 +37,6 @@ __all__ = [
     "build_rep",
     "invariant_gram",
     "block_powers",
-    "e_power_matrices",
     "e_power_matrix",
     "casimir_matrix",
     "casimir_matrices",
@@ -173,10 +172,10 @@ def _ladder(pats, index, k, step):
                     den *= lk[i] - lk[j]
             rows = [list(r) for r in p.rows]
             rows[k - 1][j] += step
-            if not _interlaces(rows):
-                continue
-            target = out[index[tuple(tuple(r) for r in rows)]]
-            target[c] = target.get(c, 0) + Fraction(num, den)
+            # index holds every pattern with this top row, which a step keeps
+            r = index.get(tuple(map(tuple, rows)))
+            if r is not None:
+                out[r][c] = out[r].get(c, 0) + Fraction(num, den)
     return Matrix.from_rows(out, len(pats))
 
 
@@ -284,15 +283,9 @@ def _block(power: Matrix, n: int, k: int, l: int) -> Matrix:
 
 def e_power_matrix(rep: Representation, q: int, variant: str = "plain") -> Dict[Tuple[int, int], Matrix]:
     """Matrices of all e_{kl}^q (or tilde) at once, the blocks of one block power."""
-    return e_power_matrices(rep, q, variant)[q]
-
-
-def e_power_matrices(rep: Representation, q_max: int,
-                     variant: str = "plain") -> List[Dict[Tuple[int, int], Matrix]]:
-    """`e_power_matrix` of every degree 0..q_max, the blocks of `block_powers`."""
+    power = block_powers(rep, q, variant)[q]
     keys = range(1, rep.m + 1)
-    return [{(k, l): _block(power, rep.dim, k, l) for k in keys for l in keys}
-            for power in block_powers(rep, q_max, variant)]
+    return {(k, l): _block(power, rep.dim, k, l) for k in keys for l in keys}
 
 
 def casimir_matrices(rep: Representation, q_max: int, variant: str = "plain") -> List[Matrix]:

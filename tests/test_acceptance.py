@@ -211,12 +211,15 @@ def test_criterion_8_cli_contract():
 
 
 def test_verify_output_is_pinned():
-    """The stdout of nine ``verify --json`` runs (among them the commands of
-    the four benchmark workloads: the clifford suite at m = 3, bound 2,
+    """The stdout of eleven ``verify --json`` runs (among them the commands
+    of the four benchmark workloads: the clifford suite at m = 3, bound 2,
     q = 3, the gtrep suite at m = 4, q = 4, the envalg suite at m = 4,
     q = 5 and the adjoint suite at m = 3; also the spinor suite at
-    m = 2..5, the adjoint suite at m = 4 and the clifford suite at q = 5,
-    above m = 3), five ``identity --json``
+    m = 2..5, the adjoint suite at m = 4, the clifford suite at q = 5,
+    above m = 3, the clifford suite at m = 4, q = 0, below m - 1, and the
+    envalg suite at m = 3, q = 4 under a term budget of 20, whose one item
+    is not applicable, so it checks nothing and exits 1), five
+    ``identity --json``
     runs (degrees 0, 2, 3 and 4 and the Weitzenboeck record, on weights of
     rank 3 and 4) and nine more runs, every command in text mode (with
     ``identity`` as text and as LaTeX, and ``verify`` over all suites) plus
@@ -225,10 +228,11 @@ def test_verify_output_is_pinned():
     command.  The digests hold under any PYTHONHASHSEED and on Python 3.10
     to 3.13."""
     pinned = json.loads((GOLDEN / "verify_sha256.json").read_text())
+    exits = {"verify --suite envalg --m 3 --q 4 --budget 20 --json": 1}
     drifted = []
     for command, digest in pinned.items():
         out = subprocess.run(CLI + command.split(), capture_output=True, timeout=60)
-        assert out.returncode == 0, (command, out.stderr[-2000:])
+        assert out.returncode == exits.get(command, 0), (command, out.stderr[-2000:])
         if hashlib.sha256(out.stdout).hexdigest() != digest:
             drifted.append(command)
     assert not drifted, f"verify output drifted from its pinned digest: {drifted}"

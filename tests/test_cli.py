@@ -157,22 +157,54 @@ def test_verify_negative_budget_exits_2(capsys):
 
 
 def test_verify_bad_budget_environment_exits_2(monkeypatch, capsys):
-    # the environment variable is resolved once, before any task runs
-    for value, message in (("junk", "KAHLERGRAD_BUDGET must be an integer, got 'junk'"),
-                           ("-3", "KAHLERGRAD_BUDGET must be >= 0, got -3")):
+    # the term budget is --budget or its default, whatever the environment
+    # holds: a bad KAHLERGRAD_BUDGET changes no byte of a run, and only a bad
+    # --budget exits 2
+    argv = ["verify", "--suite", "envalg", "--m", "2", "--q", "1", "--json"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+    for value in ("junk", "-3"):
         monkeypatch.setenv("KAHLERGRAD_BUDGET", value)
-        assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1"]) == 2
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert cli.main(argv + ["--budget", "-3"]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert f"error: {message}" in out.err
-    # a valid value still runs, and an explicit --budget wins over it
-    monkeypatch.setenv("KAHLERGRAD_BUDGET", "1000")
-    assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1"]) == 0
+        assert out.err.endswith("error: --budget must be >= 0, got -3\n")
+        assert "KAHLERGRAD_BUDGET" not in out.err
+
+
+def test_verify_pool_has_no_more_workers_than_tasks(monkeypatch, capsys):
+    # a forked pool starts every worker at once, so it is sized to the task
+    # list; an in-process stand-in records each pool's size and starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    gtrep_m2 = ["verify", "--suite", "gtrep", "--m", "2", "--q", "1"]
+    assert cli.main(gtrep_m2 + ["--bound", "1"]) == 0  # six tasks, no pool
+    serial = capsys.readouterr().out
+    for jobs in ("2", "1000"):
+        assert cli.main(gtrep_m2 + ["--bound", "1", "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == serial
+    # one task keeps its one-worker pool, and no task starts none
+    assert cli.main(gtrep_m2 + ["--bound", "0", "--jobs", "4"]) == 0
     assert "TOTAL PASS" in capsys.readouterr().out
-    monkeypatch.setenv("KAHLERGRAD_BUDGET", "-3")
-    assert cli.main(["verify", "--suite", "envalg", "--m", "2", "--q", "1",
-                     "--budget", "0"]) == 1
+    assert cli.main(["verify", "--suite", "spinor", "--m", "1", "--jobs", "2"]) == 1
     assert "TOTAL EMPTY" in capsys.readouterr().out
+    assert sizes == [2, 6, 1]
 
 
 def test_verify_jobs_parallel():

@@ -15,8 +15,14 @@ from kahlergrad.clifford import (
     verify_spinor_model,
 )
 from kahlergrad.envalg import k_of_casimirs
-from kahlergrad.gtrep import build_rep, e_power_matrices
-from kahlergrad.linalg import Matrix, gram_adjoint, lagrange_projectors
+from kahlergrad.gtrep import block_powers, build_rep, e_power_matrix
+from kahlergrad.linalg import (
+    Matrix,
+    gram_adjoint,
+    lagrange_coefficients,
+    lagrange_projectors,
+    linear_combination,
+)
 from kahlergrad.weights import FAMILY, HighestWeight, weyl_dimension
 
 
@@ -310,6 +316,21 @@ def test_chat_is_the_kron_sum_regrouped(rho, sign):
     assert [x.submatrix(k_major, k_major) for x in projectors] == sys.projectors
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("rho", [(1, 0), (2, 0, -1), (1, 0, 0, -1)])
+def test_projectors_are_lagrange_polynomials_of_the_block_powers(rho, sign):
+    # each stored projector is the Lagrange basis polynomial of w_i in P,
+    # recombined from the block powers of degree < m: the form that the
+    # vandermonde-solved items compare S_i with
+    rep = build_rep(rho)
+    m, N = rep.m, rep.m * rep.dim
+    sys = build_system(rep, sign)
+    powers = block_powers(rep, m - 1, FAMILY[sign])
+    for i in range(1, m + 1):
+        assert sys.projectors[i - 1] == linear_combination(
+            zip(lagrange_coefficients(sys.table.w, i - 1), powers), N, N), i
+
+
 # Gram diagonals of every target, as SHA-256 of their "p/q" strings: the
 # induced form depends on which pivot columns rref picks, so a change of the
 # pivot order (as in a k-major read of the projector) changes these digests
@@ -421,7 +442,7 @@ def _expected_differences(plus, minus, q_max, sign="+"):
     ws = [F(w) for w in sys.table.w]
     wp = [F(w) for w in plus.table.w]
     wm = [F(w) for w in minus.table.w]
-    powers = e_power_matrices(rep, max(q_max, m - 1), FAMILY[sign])
+    powers = [e_power_matrix(rep, d, FAMILY[sign]) for d in range(max(q_max, m - 1) + 1)]
     gen = {key: _dense(g) for key, g in rep.gen.items()}
     psp = {(s.sign, i, k, l): _dense_p_star_p(s, i, k, l)
            for s in (plus, minus) for i in range(1, m + 1) for k, l in units}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kahlergrad import envalg
 from kahlergrad.envalg import (
+    DEFAULT_TERM_BUDGET,
     BudgetExceededError,
     PBWElement,
     casimir_element,
@@ -240,7 +241,7 @@ def test_k_central_matches_multinomial_formula(m, variant):
         k_central(-1, m, variant)
 
 
-def _k_central_per_element(n, m, variant, budget=None):
+def _k_central_per_element(n, m, variant, budget=DEFAULT_TERM_BUDGET):
     """K_n(-c) by its recursion, with each c_p built by its own casimir_element call."""
     cs = [casimir_element(p, m, variant, budget) for p in range(n)]
     ks = [PBWElement.one(m)]
@@ -377,16 +378,16 @@ def test_budget_guard_names_the_first_degree_over_budget():
 
 
 def test_budget_from_environment(monkeypatch):
-    from kahlergrad.envalg import term_budget
-
-    monkeypatch.setenv("KAHLERGRAD_BUDGET", "123")
-    assert term_budget() == 123
-    assert term_budget(7) == 7  # explicit argument wins
-    monkeypatch.setenv("KAHLERGRAD_BUDGET", "junk")
-    with pytest.raises(ValueError):
-        term_budget()
-    monkeypatch.delenv("KAHLERGRAD_BUDGET")
-    assert term_budget() == 10_000_000
+    # the library reads no environment: the budget is its argument or
+    # DEFAULT_TERM_BUDGET, whatever KAHLERGRAD_BUDGET holds
+    assert DEFAULT_TERM_BUDGET == 10**7
+    assert not hasattr(envalg, "term_budget")
+    expected = e_power(1, 1, 4, 3)  # 27 words
+    for value in ("20", "junk", "-3"):
+        monkeypatch.setenv("KAHLERGRAD_BUDGET", value)
+        assert e_power(1, 1, 4, 3) == expected
+        with pytest.raises(BudgetExceededError):
+            e_power(1, 1, 4, 3, budget=20)
 
 
 def test_verify_binomial_relations_smoke():

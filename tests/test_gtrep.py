@@ -7,9 +7,9 @@ from kahlergrad.envalg import PBWElement, casimir_element, e_power
 from kahlergrad.gtrep import (
     DimensionBudgetError,
     GTPattern,
+    block_powers,
     build_rep,
     casimir_matrix,
-    e_power_matrices,
     e_power_matrix,
     gt_patterns,
     invariant_gram,
@@ -142,11 +142,14 @@ def test_evaluate_matches_block_powers():
 
 def test_block_power_series_matches_single_degrees():
     rep = build_rep((1, 0, -1))
+    n, keys = rep.dim, range(1, 4)
     for variant in ("plain", "tilde"):
-        series = e_power_matrices(rep, 3, variant)
-        assert series == [e_power_matrix(rep, q, variant) for q in range(4)]
+        for q, power in enumerate(block_powers(rep, 3, variant)):
+            assert e_power_matrix(rep, q, variant) == {
+                (k, l): power.submatrix(range((k - 1) * n, k * n), range((l - 1) * n, l * n))
+                for k in keys for l in keys}, (variant, q)
     with pytest.raises(ValueError):
-        e_power_matrices(rep, -1)
+        e_power_matrix(rep, -1)
     with pytest.raises(ValueError):
         e_power_matrix(rep, 2, "other")
 

@@ -6,6 +6,8 @@
 - Every name in a module's `__all__` is defined in that module.
 - The storage layout of `Matrix` stays in `linalg.py`: no other module names
   `ZERO` or a storage attribute (the integer rows and their denominator).
+- The library reads no environment: no module names `os.environ`,
+  `os.environb` or `os.getenv`, so every setting is an argument.
 """
 
 import ast
@@ -19,6 +21,7 @@ from kahlergrad.linalg import Matrix
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "kahlergrad"
 MODULES = sorted(SRC.glob("*.py"))
 ROW_STORAGE = ("_nums", "_den")
+ENVIRONMENT = ("environ", "environb", "getenv")
 
 
 def _asserts(tree) -> list:
@@ -65,6 +68,18 @@ def _layout_names(tree) -> list:
     return sorted(lines)
 
 
+def _environment_reads(tree) -> list:
+    """Lines that import or read `os.environ`, `os.environb` or `os.getenv`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines += [node.lineno for alias in node.names if alias.name in ENVIRONMENT]
+        elif (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -97,6 +112,11 @@ def test_matrix_layout_stays_in_linalg(path):
     assert _layout_names(_parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_environment_read(path):
+    assert _environment_reads(_parse(path)) == []
+
+
 def test_rules_flag_a_module_that_breaks_them():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -114,8 +134,12 @@ def test_rules_flag_a_module_that_breaks_them():
         "    return m._nums, linalg.ZERO, getattr(m, '_nums')\n"
         "def h(m):\n"
         "    return m._den, getattr(m, '_den')\n"
+        "from os import environ, path\n"
+        "def e(os):\n"
+        "    return os.environ.get('X'), os.getenv('Y', os.environb), os.sep\n"
     )
     assert _asserts(tree) == [8]
     assert _outside_stdlib(tree) == ["numpy", "sympy.core", "hypothesis"]
     assert _undefined_exports(tree) == ["Rational"]
     assert _layout_names(tree) == [12, 13, 13, 13, 15, 15]
+    assert _environment_reads(tree) == [16, 18, 18, 18]
