@@ -285,18 +285,12 @@ def dolbeault_identities(m: int, p: int) -> List[BochnerIdentity]:
         mk("dolbeault-degree-1", w_minus, w_plus, r0_terms(Fraction(1))),
     ]
 
-    # top/bottom cancellation; at the boundary degrees only one operator
-    # remains and the combination degenerates to sum +- difference
-    if 1 <= p <= m - 1:
-        out.append(mk("dolbeault-weitzenboeck",
-                      {p: 2 * (m - p + 1)}, {p + 1: 2 * (p + 1)},
-                      [CurvatureTerm("nabla*nabla", Fraction(1))] + r0_terms(Fraction(1))))
-    elif p == 0:
-        out.append(mk("dolbeault-weitzenboeck", {}, {1: 2},
-                      [CurvatureTerm("nabla*nabla", Fraction(1))] + r0_terms(Fraction(-1))))
-    else:
-        out.append(mk("dolbeault-weitzenboeck", {m: 2}, {},
-                      [CurvatureTerm("nabla*nabla", Fraction(1))] + r0_terms(Fraction(1))))
+    # top/bottom cancellation, on the operator side of the Lichnerowicz
+    # record; at p = 0 and p = m only one operator remains
+    lich_minus = {p: 2 * (m - p + 1)} if p >= 1 else {}
+    lich_plus = {p + 1: 2 * (p + 1)} if p <= m - 1 else {}
+    out.append(mk("dolbeault-weitzenboeck", lich_minus, lich_plus,
+                  [CurvatureTerm("nabla*nabla", Fraction(1))] + r0_terms(Fraction(1))))
 
     # square-root twist: degree-0 pieces gain -kappa/4, degree-1 gains -R^0/2
     out.append(mk("spin-laplacian", minus_ops, plus_ops,
@@ -306,8 +300,6 @@ def dolbeault_identities(m: int, p: int) -> List[BochnerIdentity]:
                   r0_terms(Fraction(1)) + [CurvatureTerm("kappa", Fraction(-1, 4))]))
     out.append(mk("spin-degree-1", w_minus, w_plus, r0_terms(Fraction(1, 2))))
 
-    lich_minus = {p: 2 * (m - p + 1)} if p >= 1 else {}
-    lich_plus = {p + 1: 2 * (p + 1)} if p <= m - 1 else {}
     out.append(mk("lichnerowicz", lich_minus, lich_plus,
                   [CurvatureTerm("nabla*nabla", Fraction(1)),
                    CurvatureTerm("kappa", Fraction(1, 4))]))

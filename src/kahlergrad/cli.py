@@ -6,13 +6,15 @@ prints one of them: every command has a --json mode with a stable, versioned
 schema in which all rationals appear as "p/q" strings (never floats) and
 integers as JSON integers.  Exit codes: 0 all good, 1 a verification failed
 or checked nothing (a payload with "passed": false, which only verify
-emits), 2 usage or input error.
+emits), 2 usage or input error, 141 (128 + SIGPIPE) stdout closed by its
+reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +32,7 @@ SCHEMA = "kahlergrad/v1"
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141      # 128 + SIGPIPE
 
 
 class InputError(ValueError):
@@ -283,9 +286,6 @@ def cmd_cpm(args) -> tuple:
 # verify
 # ---------------------------------------------------------------------------
 
-SUITES = ("weights", "gtrep", "envalg", "clifford", "spinor", "adjoint")
-
-
 def _task_weights(m: int, bound: int, q_max: int, budget) -> VerificationReport:
     rep = VerificationReport()
     for rho in weights.dominant_weights(m, bound):
@@ -369,13 +369,15 @@ def _task_adjoint(rho_entries, bound: int, q_max: int, budget) -> VerificationRe
     return rep
 
 
-_TASK_FUNCS = {
-    "weights": _task_weights,
-    "gtrep": _task_gtrep,
-    "envalg": _task_envalg,
-    "clifford": _task_clifford,
-    "spinor": _task_spinor,
-    "adjoint": _task_adjoint,
+# each suite's task function, and whether it runs once per rank or once per
+# weight of the family
+SUITES = {
+    "weights": (_task_weights, "rank"),
+    "gtrep": (_task_gtrep, "weight"),
+    "envalg": (_task_envalg, "rank"),
+    "clifford": (_task_clifford, "weight"),
+    "spinor": (_task_spinor, "rank"),
+    "adjoint": (_task_adjoint, "weight"),
 }
 
 
@@ -385,7 +387,7 @@ def _run_task(task) -> tuple:
     suite, arg, q_max, bound, budget = task
     rep = VerificationReport()
     try:
-        rep = _TASK_FUNCS[suite](arg, bound, q_max, budget)
+        rep = SUITES[suite][0](arg, bound, q_max, budget)
     except (envalg.BudgetExceededError, gtrep.DimensionBudgetError) as exc:
         rep.skip(suite, {"arg": str(arg)}, f"budget exceeded: {exc}")
     except Exception as exc:
@@ -411,14 +413,10 @@ def _verify_tasks(suites, ms, bound: int, q_max: int, budget) -> list:
     for m in ms:
         family = [rho.entries for rho in weights.dominant_weights(m, bound)]
         for suite in suites:
-            if suite in ("weights", "envalg"):
-                tasks.append((suite, m, q_max, bound, budget))
-            elif suite == "spinor":
-                if m >= 2:
-                    tasks.append((suite, m, q_max, bound, budget))
-            else:
-                for entries in family:
-                    tasks.append((suite, entries, q_max, bound, budget))
+            if suite == "spinor" and m < 2:     # the spinor model starts at m = 2
+                continue
+            args = [m] if SUITES[suite][1] == "rank" else family
+            tasks += [(suite, arg, q_max, bound, budget) for arg in args]
     return tasks
 
 
@@ -553,10 +551,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        dump_json(payload, sys.stdout)
-    else:
-        print("\n".join(lines))
+    try:
+        if args.json:
+            dump_json(payload, sys.stdout)
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, which fails no check; what is still buffered
+        # goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     # only a verify payload carries "passed"
     return EXIT_VERIFY_FAIL if payload.get("passed") is False else EXIT_OK
 

@@ -20,9 +20,9 @@ row k of e^p (or of ~e^p) is built for p = 0, 1, 2, ... by recursion on the
 degree, e^p_kl = sum_i e^(p-1)_ki e_il, rather than by normal-ordering each of
 the m^(p-1) index-path words.  The verifier builds the series of every row
 once, sums its diagonal into the Casimir elements, which give the K_n by
-recursion, and drops the families of each index pair once the checks of
-(k,l) and (l,k) have read them.  Each checked difference is collected in one
-dict, however many scaled elements and products it sums.
+recursion, and checks each relation in the order it reports them.  Each
+checked difference is collected in one dict, however many scaled elements and
+products it sums.
 """
 
 from __future__ import annotations
@@ -397,10 +397,9 @@ def verify_binomial_relations(m: int, q_max: int,
 
     The series of each row k is built once, for every degree p <= q_max and
     every column, so each family element is built once.  The diagonal
-    elements sum to the Casimir elements, which give K_0 .. K_{q_max+1}; the
-    index pairs are then taken unordered, and the families e_kl, e_lk, ~e_kl
-    and ~e_lk are dropped once the checks of (k,l) and (l,k) have read them.
-    The items are reported degree by degree, in the fixed order of the tags.
+    elements sum to the Casimir elements, which give K_0 .. K_{q_max+1}.
+    Each relation is then checked where it is reported: degree by degree, in
+    the fixed order of the tags.
     """
     if m < 1 or q_max < 0:
         raise ValueError("need m >= 1 and q_max >= 0")
@@ -426,54 +425,24 @@ def verify_binomial_relations(m: int, q_max: int,
     # of e^p_lk in the solved form of ~e^q_kl
     solved = [[_combine(m, [(binomial_shift(q, s, m), kc[s - p]) for s in range(p, q + 1)])
                for p in range(q + 1)] for q in degrees]
-    witness = {}    # (tag, q, k, l) -> None when the difference is zero, else its repr
-
-    def record(key, diff):
-        witness[key] = None if diff.is_zero() else repr(diff)
-
-    def check(a, b):
-        """Every check of (a, b), on its families and those of (b, a)."""
-        for q in degrees:
-            record(("binomial-tilde-to-plain", q, a, b),
-                   _binomial_diff(q, m, tilde[a, b], plain[b, a], kc))
-            record(("binomial-plain-to-tilde", q, a, b),
-                   _binomial_diff(q, m, plain[a, b], tilde[b, a], kct))
-            record(("solved-tilde-elements", q, a, b),
-                   _combine(m, [(1, tilde[a, b][q])],
-                            [(-(-1) ** q, solved[q][p], plain[b, a][p]) for p in range(q + 1)]))
-
-    for k in cols:              # the diagonal first, then each unordered pair
-        for l in range(k, m + 1):
-            pair = {(k, l), (l, k)}
-            for a, b in pair:
-                check(a, b)
-            for key in pair:
-                del plain[key], tilde[key]
-
-    for q in degrees:
-        sign = (-1) ** q
-        record(("casimir-binomial-tilde", q), _combine(m, _shifted(q, m, cas_t) + [(-sign, kc[q + 1])]))
-        record(("casimir-binomial-plain", q), _combine(m, _shifted(q, m, cas) + [(-sign, kct[q + 1])]))
-        record(("solved-tilde-casimir", q),
-               _combine(m, [(1, cas_t[q])] + [(-sign * s, x) for s, x in _shifted(q, m, kc[1:])]))
-
     rep = VerificationReport()
-    pairs = [(k, l) for k in range(1, m + 1) for l in range(1, m + 1)]
-
-    def emit(tag, q, k=None, l=None):
-        if k is None:
-            params, w = {"m": m, "q": q}, witness[tag, q]
-        else:
-            params, w = {"m": m, "q": q, "k": k, "l": l}, witness[tag, q, k, l]
-        rep.check(tag, params, w is None, witness=w)
-
+    pairs = [(k, l) for k in cols for l in cols]
     for q in degrees:
+        sign, at = (-1) ** q, {"m": m, "q": q}
         for k, l in pairs:
-            emit("binomial-tilde-to-plain", q, k, l)
-            emit("binomial-plain-to-tilde", q, k, l)
-        emit("casimir-binomial-tilde", q)
-        emit("casimir-binomial-plain", q)
+            for tag, diff in (
+                    ("binomial-tilde-to-plain", _binomial_diff(q, m, tilde[k, l], plain[l, k], kc)),
+                    ("binomial-plain-to-tilde", _binomial_diff(q, m, plain[k, l], tilde[l, k], kct))):
+                rep.check(tag, {**at, "k": k, "l": l}, diff.is_zero(), witness=repr(diff))
+        for tag, diff in (
+                ("casimir-binomial-tilde", _combine(m, _shifted(q, m, cas_t) + [(-sign, kc[q + 1])])),
+                ("casimir-binomial-plain", _combine(m, _shifted(q, m, cas) + [(-sign, kct[q + 1])]))):
+            rep.check(tag, at, diff.is_zero(), witness=repr(diff))
         for k, l in pairs:
-            emit("solved-tilde-elements", q, k, l)
-        emit("solved-tilde-casimir", q)
+            diff = _combine(m, [(1, tilde[k, l][q])],
+                            [(-sign, solved[q][p], plain[l, k][p]) for p in range(q + 1)])
+            rep.check("solved-tilde-elements", {**at, "k": k, "l": l}, diff.is_zero(),
+                      witness=repr(diff))
+        diff = _combine(m, [(1, cas_t[q])] + [(-sign * s, x) for s, x in _shifted(q, m, kc[1:])])
+        rep.check("solved-tilde-casimir", at, diff.is_zero(), witness=repr(diff))
     return rep

@@ -2,10 +2,11 @@
 
 The basis is indexed by Gelfand-Tsetlin patterns: triangular integer arrays
 whose row r has r entries, whose top row equals the highest weight, and whose
-adjacent rows interlace.  The raising/lowering matrix elements use the
-classical rational (non-orthonormal) normalization, so every entry stays in
-Q; unitarity is recovered by solving separately for the invariant diagonal
-Gram form instead of orthonormalizing, which would need square roots.
+adjacent rows interlace, each stored as its tuple of rows, bottom-up.  The
+raising/lowering matrix elements use the classical rational (non-orthonormal)
+normalization, so every entry stays in Q; unitarity is recovered by solving
+separately for the invariant diagonal Gram form instead of orthonormalizing,
+which would need square roots.
 
 Conventions for the matrix-element formulas, with shifted entries
 l_{k,j} = lambda_{k,j} - j:
@@ -25,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Tuple
 
 from .linalg import Matrix, gram_adjoint, linear_combination
 from .weights import HighestWeight, weyl_dimension
 
 __all__ = [
-    "GTPattern",
     "Representation",
     "gt_patterns",
     "build_rep",
@@ -51,61 +52,17 @@ class DimensionBudgetError(ValueError):
     """Raised when a module's Weyl dimension exceeds the build budget."""
 
 
-@dataclass(frozen=True)
-class GTPattern:
-    """Rows stored bottom-up: rows[r] has r+1 entries; rows[-1] is the label."""
-
-    rows: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for r, row in enumerate(self.rows):
-            if len(row) != r + 1:
-                raise ValueError("row lengths must be 1..m")
-        if not _interlaces(self.rows):
-            raise ValueError(f"interlacing violated in {self.rows}")
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    def weight(self) -> Tuple[int, ...]:
-        sums = [0] + [sum(row) for row in self.rows]
-        return tuple(sums[r + 1] - sums[r] for r in range(self.m))
-
-
-def _interlaces(rows) -> bool:
-    for r in range(len(rows) - 1):
-        low, high = rows[r], rows[r + 1]
-        for i in range(r + 1):
-            if not (high[i] >= low[i] >= high[i + 1]):
-                return False
-    return True
-
-
 def gt_patterns(rho) -> list:
-    """All patterns with top row rho, highest-weight pattern first."""
+    """All patterns with top row rho, highest-weight pattern first.  A pattern
+    is a tuple of rows, bottom-up: row r has r + 1 entries and the last row is
+    rho.  Each row ranges over the entries interlacing the row above it, its
+    first entry varying slowest."""
     rho = HighestWeight.coerce(rho)
-    out = []
-
-    def descend(rows_topdown):
-        top = rows_topdown[-1]
-        if len(top) == 1:
-            out.append(GTPattern(tuple(reversed(rows_topdown))))
-            return
-        r = len(top)
-        choices = [range(top[i], top[i + 1] - 1, -1) for i in range(r - 1)]
-
-        def rec(i, acc):
-            if i == r - 1:
-                descend(rows_topdown + [tuple(acc)])
-                return
-            for v in choices[i]:
-                rec(i + 1, acc + [v])
-
-        rec(0, [])
-
-    descend([rho.entries])
-    return out
+    pats = [(rho.entries,)]
+    for _ in range(rho.m - 1):
+        pats = [(row,) + rows for rows in pats
+                for row in product(*(range(a, b - 1, -1) for a, b in zip(rows[0], rows[0][1:])))]
+    return pats
 
 
 @dataclass
@@ -157,8 +114,8 @@ def _ladder(pats, index, k, step):
     lambda_{k,j} moves by step."""
     out = [{} for _ in pats]
     for c, p in enumerate(pats):
-        lk = [p.rows[k - 1][j] - (j + 1) for j in range(k)]
-        near = p.rows[k + step - 1] if k + step >= 1 else ()
+        lk = [p[k - 1][j] - (j + 1) for j in range(k)]
+        near = p[k + step - 1] if k + step >= 1 else ()
         ln = [x - (i + 1) for i, x in enumerate(near)]
         for j in range(k):
             num = -step
@@ -170,7 +127,7 @@ def _ladder(pats, index, k, step):
             for i in range(k):
                 if i != j:
                     den *= lk[i] - lk[j]
-            rows = [list(r) for r in p.rows]
+            rows = [list(r) for r in p]
             rows[k - 1][j] += step
             # index holds every pattern with this top row, which a step keeps
             r = index.get(tuple(map(tuple, rows)))
@@ -237,10 +194,12 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
         raise AssertionError(
             f"pattern count {len(pats)} != Weyl dimension {dim} for {rho}"
         )
-    index = {p.rows: i for i, p in enumerate(pats)}
+    index = {p: i for i, p in enumerate(pats)}
     gen: Dict[Tuple[int, int], Matrix] = {}
+    # the weight of a pattern: the differences of its row sums, bottom-up
+    sums = [[0] + [sum(row) for row in p] for p in pats]
     for k in range(1, m + 1):
-        gen[(k, k)] = Matrix.diagonal([Fraction(p.weight()[k - 1]) for p in pats])
+        gen[(k, k)] = Matrix.diagonal([s[k] - s[k - 1] for s in sums])
     for k in range(1, m):
         gen[(k, k + 1)] = _ladder(pats, index, k, 1)
         gen[(k + 1, k)] = _ladder(pats, index, k, -1)

@@ -287,6 +287,19 @@ def test_dolbeault_boundary_pm():
     assert curvature_dict(lich) == {"nabla*nabla": F(1), "kappa": F(1, 4)}
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_dolbeault_weitzenboeck_at_boundary_degrees(m):
+    zero = (F(0),) * m
+    bottom = by_label(dolbeault_identities(m, 0))["dolbeault-weitzenboeck"]
+    assert bottom.minus_coeffs == zero
+    assert bottom.plus_coeffs == (F(2),) + (F(0),) * (m - 1)
+    assert curvature_dict(bottom) == {"nabla*nabla": F(1)}
+    top = by_label(dolbeault_identities(m, m))["dolbeault-weitzenboeck"]
+    assert top.minus_coeffs == (F(0),) * (m - 1) + (F(2),)
+    assert top.plus_coeffs == zero
+    assert curvature_dict(top) == {"nabla*nabla": F(1), "kappa": F(1, 2)}
+
+
 @pytest.mark.parametrize("m,p", [(3, 1), (3, 2), (4, 2), (5, 3)])
 def test_dolbeault_generic(m, p):
     idents = by_label(dolbeault_identities(m, p))

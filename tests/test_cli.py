@@ -226,9 +226,27 @@ def test_verify_exit_code_on_failure(monkeypatch):
         rep.check("synthetic", {"m": m}, False, witness="forced failure")
         return rep
 
-    monkeypatch.setitem(cli._TASK_FUNCS, "weights", broken)
+    monkeypatch.setitem(cli.SUITES, "weights", (broken, "rank"))
     code = cli.main(["verify", "--m", "1", "--bound", "0", "--suite", "weights"])
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("weights", "2,1,0"),
+    ("verify", "--suite", "weights", "--m", "2", "--json"),
+], ids=["weights", "verify-json"])
+def test_closed_stdout_pipe_exits_141_without_traceback(args):
+    # a reader that leaves before the output is written is no failed check:
+    # the exit code is 128 + SIGPIPE, and nothing is printed on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(CLI + list(args), stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=600)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141, out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_report_verdicts():
@@ -290,14 +308,14 @@ def test_dimension_budget_task_is_not_applicable():
 def test_failing_task_does_not_abort_the_batch(monkeypatch, capsys, jobs):
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers inherit the patched task only when forked")
-    real = cli._TASK_FUNCS["gtrep"]
+    real, per = cli.SUITES["gtrep"]
 
     def flaky(rho, bound, q_max, budget):
         if tuple(rho) == (1, 0):
             raise RuntimeError("boom")
         return real(rho, bound, q_max, budget)
 
-    monkeypatch.setitem(cli._TASK_FUNCS, "gtrep", flaky)
+    monkeypatch.setitem(cli.SUITES, "gtrep", (flaky, per))
     code = cli.main(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1",
                      "--q", "1", "--jobs", jobs, "--json"])
     payload = json.loads(capsys.readouterr().out)
@@ -314,14 +332,14 @@ def test_dead_worker_fails_only_its_task(monkeypatch, capsys):
     # reruns alone, and the one whose worker dies again is one failed item
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers inherit the patched task only when forked")
-    real = cli._TASK_FUNCS["gtrep"]
+    real, per = cli.SUITES["gtrep"]
 
     def dying(rho, bound, q_max, budget):
         if tuple(rho) == (1, 0):
             os._exit(3)
         return real(rho, bound, q_max, budget)
 
-    monkeypatch.setitem(cli._TASK_FUNCS, "gtrep", dying)
+    monkeypatch.setitem(cli.SUITES, "gtrep", (dying, per))
     code = cli.main(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1",
                      "--q", "1", "--jobs", "2", "--json"])
     payload = json.loads(capsys.readouterr().out)

@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -6,7 +8,6 @@ import pytest
 from kahlergrad.envalg import PBWElement, casimir_element, e_power
 from kahlergrad.gtrep import (
     DimensionBudgetError,
-    GTPattern,
     block_powers,
     build_rep,
     casimir_matrix,
@@ -45,13 +46,11 @@ def evaluate(rep, x: PBWElement) -> Matrix:
     return linear_combination(terms, n, n)
 
 
-def test_patterns_and_validation():
+def test_patterns_are_row_tuples():
     pats = gt_patterns((1, 0))
-    assert len(pats) == 2
-    assert pats[0].weight() == (1, 0)  # highest-weight pattern first
-    assert pats[1].weight() == (0, 1)
-    with pytest.raises(ValueError):
-        GTPattern(((2,), (1, 0)))  # 2 not between 1 and 0
+    assert pats == [((1,), (1, 0)), ((0,), (1, 0))]  # highest-weight pattern first
+    # the weight of a pattern: the differences of its row sums, bottom-up
+    assert [(p[0][0], sum(p[1]) - p[0][0]) for p in pats] == [(1, 0), (0, 1)]
 
 
 def test_natural_representation():
@@ -214,3 +213,49 @@ def test_check_invariants_catches_every_single_entry_change():
                 bad = replace(model, gen={**model.gen, key: changed})
                 with pytest.raises(AssertionError):
                     bad.check_invariants()
+
+
+def _complete_symmetric(k: int, m: int) -> dict:
+    """h_k(x_1..x_m) as {exponent tuple: 1}; zero for k < 0."""
+    if k < 0:
+        return {}
+    if m == 1:
+        return {(k,): 1}
+    return {(a,) + rest: 1 for a in range(k + 1)
+            for rest in _complete_symmetric(k - a, m - 1)}
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _jacobi_trudi(partition) -> dict:
+    """s_lambda = det(h_{lambda_i - i + j}), expanded over the permutations."""
+    m = len(partition)
+    total = {}
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[a] > perm[b] for a in range(m) for b in range(a + 1, m))
+        term = {(0,) * m: (-1) ** inversions}
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, _complete_symmetric(partition[i] - i + j, m))
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+@pytest.mark.parametrize("m,bound", [(2, 3), (3, 2), (4, 1)])
+def test_weight_multiplicities_match_jacobi_trudi(m, bound):
+    # an oracle independent of the patterns: the character of the module
+    # rho - rho_m is the Schur polynomial, whose monomial coefficients are
+    # the multiplicities of the diagonal action of the e_kk
+    for rho in dominant_weights(m, bound):
+        rep = build_rep(rho)
+        diagonals = [rep.gen[(k, k)].diagonal_entries() for k in range(1, m + 1)]
+        found = Counter(tuple(int(x) - rho.entries[-1] for x in w) for w in zip(*diagonals))
+        shifted = tuple(x - rho.entries[-1] for x in rho.entries)
+        assert dict(found) == _jacobi_trudi(shifted), rho
