@@ -17,15 +17,17 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from importlib import import_module
 from itertools import islice
 from typing import List, Optional
 
-from . import bochner, clifford, envalg, gtrep, weights
-from .linalg import Matrix
+from . import weights
 from .report import VerificationReport
+
+# each command imports the library modules it runs, and only the --jobs N > 1
+# path loads the pool; perfbench/tracing.py swaps in its own pool class here
+ProcessPoolExecutor = BrokenProcessPool = None
 
 SCHEMA = "kahlergrad/v1"
 
@@ -115,24 +117,13 @@ def cmd_casimir(args) -> tuple:
 # identity
 # ---------------------------------------------------------------------------
 
-def _identity_record(ident: bochner.BochnerIdentity) -> dict:
-    m = ident.m
-    rec = {
-        "label": ident.label,
-        "minus": [
-            {"i": i + 1, "coeff": frac(ident.minus_coeffs[i]),
-             "valid": ident.minus_valid[i]}
-            for i in range(m)
-        ],
-        "plus": [
-            {"i": i + 1, "coeff": frac(ident.plus_coeffs[i]),
-             "valid": ident.plus_valid[i]}
-            for i in range(m)
-        ],
-        "curvature": [
-            {"token": t.token, "coeff": frac(t.coeff)} for t in ident.curvature
-        ],
-    }
+def _identity_record(ident) -> dict:
+    rec = {"label": ident.label}
+    for side, coeffs, valid in (("minus", ident.minus_coeffs, ident.minus_valid),
+                                ("plus", ident.plus_coeffs, ident.plus_valid)):
+        rec[side] = [{"i": i, "coeff": frac(c), "valid": ok}
+                     for i, (c, ok) in enumerate(zip(coeffs, valid), start=1)]
+    rec["curvature"] = [{"token": t.token, "coeff": frac(t.coeff)} for t in ident.curvature]
     if ident.dbar is not None:
         rec["dbar"] = {k: frac(v) for k, v in sorted(ident.dbar.items())}
     return rec
@@ -153,7 +144,7 @@ _TOKEN_LATEX = {
 }
 
 
-def _identity_sides(ident: bochner.BochnerIdentity) -> tuple:
+def _identity_sides(ident) -> tuple:
     """The (coefficient, term) pairs of each side: the nonzero D_t^* D_t with
     t the sign and index, e.g. "-1", then every curvature token."""
     lhs = [(c, f"{sign}{i}")
@@ -173,7 +164,7 @@ def _latex_sum(terms) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _identity_latex(ident: bochner.BochnerIdentity) -> str:
+def _identity_latex(ident) -> str:
     lhs, rhs = _identity_sides(ident)
     lhs = [(c, f"D_{{{t}}}^{{*}}D_{{{t}}}") for c, t in lhs]
     rhs = [(c, f"R^{{{t[2:]}}}" if t.startswith("R^") else _TOKEN_LATEX[t]) for c, t in rhs]
@@ -181,22 +172,16 @@ def _identity_latex(ident: bochner.BochnerIdentity) -> str:
 
 
 def _latex_document(rho, idents) -> str:
-    lines = [
-        "\\documentclass{article}",
-        "\\usepackage{amsmath}",
-        "\\begin{document}",
-        f"% weight {rho}",
-    ]
+    lines = ["\\documentclass{article}", "\\usepackage{amsmath}", "\\begin{document}",
+             f"% weight {rho}"]
     for ident in idents:
-        lines.append(f"% {ident.label}")
-        lines.append("\\begin{equation}")
-        lines.append(_identity_latex(ident))
-        lines.append("\\end{equation}")
+        lines += [f"% {ident.label}", "\\begin{equation}", _identity_latex(ident),
+                  "\\end{equation}"]
     lines.append("\\end{document}")
     return "\n".join(lines)
 
 
-def _identity_text(ident: bochner.BochnerIdentity) -> str:
+def _identity_text(ident) -> str:
     lhs, rhs = _identity_sides(ident)
     left = " + ".join(f"({c})*D[{t}]*D[{t}]" for c, t in lhs) or "0"
     right = " + ".join(f"({c})*{token}" for c, token in rhs) or "0"
@@ -208,6 +193,7 @@ def cmd_identity(args) -> tuple:
         raise InputError("--json and --latex cannot be combined")
     if args.weitzenboeck and args.q is not None:
         raise InputError("--weitzenboeck takes no --q")
+    from . import bochner
     rho = parse_weight(args.rho)
     if args.weitzenboeck:
         idents = [bochner.weitzenboeck(rho)]
@@ -234,6 +220,7 @@ def cmd_identity(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(args) -> tuple:
+    from . import bochner
     bound = bochner.kirchberg_bound(args.m)
     coefficient = frac(bound.bound_coefficient)
     payload = {
@@ -268,6 +255,7 @@ def cmd_spinor_table(args) -> tuple:
 
 
 def cmd_cpm(args) -> tuple:
+    from . import bochner
     rho = parse_weight(args.rho)
     r = Fraction(args.r)
     value = frac(bochner.cpm_holomorphic_eigenvalue(rho, args.i, r))
@@ -311,6 +299,8 @@ def _task_weights(m: int, bound: int, q_max: int, budget) -> VerificationReport:
 
 
 def _task_gtrep(rho_entries, bound: int, q_max: int, budget) -> VerificationReport:
+    from . import gtrep
+    from .linalg import Matrix
     rep = VerificationReport()
     rho = weights.HighestWeight(rho_entries)
     base = {"rho": str(rho)}
@@ -340,10 +330,12 @@ def _task_gtrep(rho_entries, bound: int, q_max: int, budget) -> VerificationRepo
 
 
 def _task_envalg(m: int, bound: int, q_max: int, budget) -> VerificationReport:
+    from . import envalg
     return envalg.verify_binomial_relations(m, q_max, budget=budget)
 
 
 def _task_clifford(rho_entries, bound: int, q_max: int, budget) -> VerificationReport:
+    from . import clifford, gtrep
     model = gtrep.build_rep(weights.HighestWeight(rho_entries))
     plus = clifford.build_system(model, "+")
     minus = clifford.build_system(model, "-")
@@ -354,10 +346,12 @@ def _task_clifford(rho_entries, bound: int, q_max: int, budget) -> VerificationR
 
 
 def _task_spinor(m: int, bound: int, q_max: int, budget) -> VerificationReport:
+    from . import clifford
     return clifford.verify_spinor_model(m)
 
 
 def _task_adjoint(rho_entries, bound: int, q_max: int, budget) -> VerificationReport:
+    from . import clifford, gtrep
     model = gtrep.build_rep(weights.HighestWeight(rho_entries))
     plus = clifford.build_system(model, "+")
     rep = VerificationReport()
@@ -381,6 +375,14 @@ SUITES = {
 }
 
 
+def _budget_errors() -> tuple:
+    """The term and dimension budget errors of the layers loaded so far: the
+    layer that raised one is loaded, and an envalg task loads no gtrep."""
+    return tuple(getattr(sys.modules[module], name) for module, name in
+                 ((f"{__package__}.envalg", "BudgetExceededError"),
+                  (f"{__package__}.gtrep", "DimensionBudgetError")) if module in sys.modules)
+
+
 def _run_task(task) -> tuple:
     """Run one task.  A term or dimension budget makes it not applicable;
     any other exception becomes one failed item, so the batch goes on."""
@@ -388,13 +390,24 @@ def _run_task(task) -> tuple:
     rep = VerificationReport()
     try:
         rep = SUITES[suite][0](arg, bound, q_max, budget)
-    except (envalg.BudgetExceededError, gtrep.DimensionBudgetError) as exc:
+    except _budget_errors() as exc:
         rep.skip(suite, {"arg": str(arg)}, f"budget exceeded: {exc}")
     except Exception as exc:
         traceback.print_exc()
         rep.check(suite, {"arg": str(arg)}, False,
                   witness=f"{type(exc).__name__}: {exc}")
     return (task, rep)
+
+
+def _load_pool(suites) -> None:
+    """Import the pool, and the modules of ``suites`` for its forked workers to inherit."""
+    global ProcessPoolExecutor, BrokenProcessPool
+    # suites first: after the pool modules they left a larger peak RSS
+    for suite in suites:    # spinor and adjoint run clifford, the others their namesakes
+        import_module(f".{'clifford' if suite in ('spinor', 'adjoint') else suite}", __package__)
+    from concurrent.futures.process import BrokenProcessPool
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
 
 
 def _run_alone(task) -> tuple:
@@ -455,6 +468,7 @@ def cmd_verify(args) -> tuple:
     tasks = _verify_tasks(suites, ms, args.bound, args.q, args.budget)
     total = VerificationReport()
     if args.jobs > 1 and tasks:
+        _load_pool(suites)
         results = []
         try:
             # a forked pool starts all its workers at once: no more than tasks
@@ -488,6 +502,7 @@ def cmd_verify(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import envalg
     parser = argparse.ArgumentParser(
         prog="kahlergrad",
         description=(

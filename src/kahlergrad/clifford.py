@@ -187,20 +187,25 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
         # orthogonalize the pivot columns against the tensor form; a column
         # is (v, dv, nv): integers {tensor index: nonzero entry} over the
         # denominator dv, and nv = dg dv^2 |v|^2.  Subtracting the projection
-        # onto (u, du, nu) gives (nu v - <g u, v> u) / (nu dv).
+        # onto (u, du, nu) gives (nu v - <g u, v> u) / (nu dv).  Only the
+        # earlier columns in `near`, those sharing an index with v, can have a
+        # nonzero product with it; holders[a] lists the columns nonzero at a.
         columns = {by_a[c]: {} for c in pivots}
         for a, c, x in proj.nonzero_entries():
             if c in columns:
                 columns[c][a] = x
         ortho: List[tuple] = []
+        holders: List[List[int]] = [[] for _ in range(N)]
         for col in columns.values():
             dv = lcm(*(x.denominator for x in col.values()))
             v = {a: x.numerator * (dv // x.denominator) for a, x in col.items()}
-            for u, _, nu in ortho:
-                if u.keys().isdisjoint(v):
+            near = set().union(*(holders[a] for a in v))
+            for j, (u, _, nu) in enumerate(ortho):
+                if j not in near:
                     continue
                 dot = sum(g[a] * y * v[a] for a, y in u.items() if a in v)
                 if dot:
+                    near.update(*(holders[a] for a in u.keys() - v.keys()))
                     w = {a: nu * v.get(a, 0) - dot * u.get(a, 0) for a in v.keys() | u.keys()}
                     h = gcd(dv * nu, *w.values())
                     v = {a: x // h for a, x in w.items() if x}
@@ -208,6 +213,8 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
             nv = sum(g[a] * x * x for a, x in v.items())
             if nv <= 0:
                 raise AssertionError("pivot columns not independent")
+            for a in v:
+                holders[a].append(len(ortho))
             ortho.append((v, dv, nv))
         d = len(ortho)
         basis_rows = [{} for _ in range(N)]
@@ -531,22 +538,18 @@ def verify_spinor_model(m: int) -> VerificationReport:
         wp, gp = plus.table.w, plus.table.gamma
         wm, gm = minus.table.w, minus.table.gamma
 
-        # closed-form table rows, whenever the row's index exists
+        # closed-form table rows (row, w, gamma, expected w, expected gamma),
+        # whenever the row's index exists
+        rows = []
         if p >= 1:
-            report.check("spinor-table", {**base, "row": "+1"},
-                         wp[0] == -1 and gp[0] == Fraction(p * (m + 1), p + 1),
-                         witness=f"w={wp[0]}, gamma={gp[0]}")
-            report.check("spinor-table", {**base, "row": f"-{p}"},
-                         wm[p - 1] == m - p + 1 and gm[p - 1] == Fraction(p, m - p + 1),
-                         witness=f"w={wm[p-1]}, gamma={gm[p-1]}")
+            rows += [("+1", wp[0], gp[0], -1, Fraction(p * (m + 1), p + 1)),
+                     (f"-{p}", wm[p - 1], gm[p - 1], m - p + 1, Fraction(p, m - p + 1))]
         if p <= m - 1:
-            report.check("spinor-table", {**base, "row": f"+{p+1}"},
-                         wp[p] == p and gp[p] == Fraction(m - p, p + 1),
-                         witness=f"w={wp[p]}, gamma={gp[p]}")
-            report.check("spinor-table", {**base, "row": f"-{m}"},
-                         wm[m - 1] == 0
-                         and gm[m - 1] == Fraction((m + 1) * (m - p), m - p + 1),
-                         witness=f"w={wm[m-1]}, gamma={gm[m-1]}")
+            rows += [(f"+{p+1}", wp[p], gp[p], p, Fraction(m - p, p + 1)),
+                     (f"-{m}", wm[m - 1], gm[m - 1], 0, Fraction((m + 1) * (m - p), m - p + 1))]
+        for row, w, gamma, w_0, gamma_0 in rows:
+            report.check("spinor-table", {**base, "row": row}, w == w_0 and gamma == gamma_0,
+                         witness=f"w={w}, gamma={gamma}")
 
         n = rep_.dim
         N = m * n

@@ -30,3 +30,18 @@ def test_traced_run_matches_the_untraced_one(tmp_path):
     # the largest tensor space at m = 2, bound 1: the adjoint suite's minus
     # system on the raised module (2, -1), of dimension 4
     assert json.loads(trace.read_text())["maxima"]["max_tensor_size"] == 8
+
+
+def test_traced_pool_records_what_its_workers_run(tmp_path):
+    # the pool path must build the pool through `cli.ProcessPoolExecutor`,
+    # where the tracer puts its own: else the workers' records are lost
+    runs = {}
+    for jobs in ("1", "2"):
+        trace = tmp_path / f"trace{jobs}.json"
+        out = _run([str(ROOT / "perfbench" / "traced_verify.py"), str(trace), *ARGS,
+                    "--jobs", jobs], tmp_path)
+        assert out.returncode == 0, out.stderr[-2000:]
+        stats = json.loads(trace.read_text())["stats"]
+        runs[jobs] = out.stdout, {group: calls for group, (calls, _) in stats.items()}
+    assert runs["2"] == runs["1"]
+    assert runs["1"][1]["cli.task"] == 21
