@@ -331,7 +331,8 @@ def _task_gtrep(rho_entries, bound: int, q_max: int, budget) -> VerificationRepo
 
 def _task_envalg(m: int, bound: int, q_max: int, budget) -> VerificationReport:
     from . import envalg
-    return envalg.verify_binomial_relations(m, q_max, budget=budget)
+    return envalg.verify_binomial_relations(
+        m, q_max, budget=envalg.DEFAULT_TERM_BUDGET if budget is None else budget)
 
 
 def _task_clifford(rho_entries, bound: int, q_max: int, budget) -> VerificationReport:
@@ -463,7 +464,7 @@ def cmd_verify(args) -> tuple:
         raise InputError("need --bound >= 0 and --q >= 0")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.budget < 0:
+    if args.budget is not None and args.budget < 0:
         raise InputError(f"--budget must be >= 0, got {args.budget}")
     tasks = _verify_tasks(suites, ms, args.bound, args.q, args.budget)
     total = VerificationReport()
@@ -502,7 +503,6 @@ def cmd_verify(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import envalg
     parser = argparse.ArgumentParser(
         prog="kahlergrad",
         description=(
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help=f"one of {', '.join(SUITES)} or 'all'")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=envalg.DEFAULT_TERM_BUDGET,
+    p.add_argument("--budget", type=int, default=None,
                    help="term budget (default 10^7)")
     p.set_defaults(func=cmd_verify)
 

@@ -362,12 +362,9 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
                       sys.p_star_p_matrix(i) - sys.projectors[i - 1], n, n)
 
     # trace constants
-    ident = Matrix.identity(n)
     for i in range(1, m + 1):
-        terms = [(1, sys.p_star_p(i, k, k)) for k in range(1, m + 1)]
-        terms.append((-gammas[i - 1], ident))
         _check_zero(report, "gamma-trace", {**base, "i": i, "gamma": gammas[i - 1]},
-                    linear_combination(terms, n, n))
+                    sys.p_star_p_matrix(i).block_trace(n) - gammas[i - 1] * Matrix.identity(n))
 
     # completeness on each component
     for i in range(1, m + 1):

@@ -17,16 +17,17 @@ l_{k,j} = lambda_{k,j} - j:
         prod_{i<=k-1} (l_{k-1,i} - l_{k,j}) / prod_{i != j} (l_{k,i} - l_{k,j})
 
 Terms whose target array is not a pattern are dropped (the classical
-convention); every build is then machine-checked against the commutation
-relations, the weight grading, and the adjoint condition, so a transcription
-error in the formulas cannot survive construction.
+convention); every build is then machine-checked against the weight grading,
+the adjoint condition and the commutation relations, one relation per class
+of the pairs the Gram adjoint maps onto each other, so a transcription error
+in the formulas cannot survive construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, List, Tuple
 
 from .linalg import Matrix, gram_adjoint, linear_combination
@@ -80,7 +81,15 @@ class Representation:
         return self.rho.m
 
     def check_invariants(self):
-        """Commutation, weight grading, unitarity; raises on violation."""
+        """Weight grading, unitarity, commutation; raises on violation.
+
+        Unitarity is checked as e_kl* = e_lk for k < l, where X* = G^-1 X^T G;
+        since ** = id and G and each e_kk are diagonal, that gives e_ij* = e_ji
+        for all i, j.  The anti-automorphism * then maps the relation
+        [e_ij, e_kl] = d_jk e_il - d_li e_kj onto that of (l,k), (j,i).  As a
+        relation is trivial at (i,j) = (k,l) and odd under swapping the pair,
+        one pair per class {{(i,j), (k,l)}, {(l,k), (j,i)}} carries them all;
+        one with no d term reads ab == ba."""
         m, n = self.m, self.dim
         for k in range(1, m + 1):
             if not self.gen[(k, k)].is_diagonal():
@@ -89,23 +98,20 @@ class Representation:
         expected = Fraction(sum(self.rho.entries))
         if any(x != expected for x in total.diagonal_entries()):
             raise AssertionError("weight grading: trace of diagonal action wrong")
-        # [e_ij, e_kl] = d_jk e_il - d_li e_kj; both sides change sign when the
-        # pair is swapped and vanish when (i,j) = (k,l), so (i,j) < (k,l) suffices
-        units = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-        for a, (i, j) in enumerate(units):
-            for k, l in units[a + 1:]:
-                terms = [(1, self.gen[(i, j)] * self.gen[(k, l)]),
-                         (-1, self.gen[(k, l)] * self.gen[(i, j)])]
-                if j == k:
-                    terms.append((-1, self.gen[(i, l)]))
-                if l == i:
-                    terms.append((1, self.gen[(k, j)]))
-                if not linear_combination(terms, n, n).is_zero():
-                    raise AssertionError(f"commutation fails at {(i,j,k,l)}")
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                if gram_adjoint(self.gen[(k, l)], self.gram, self.gram) != self.gen[(l, k)]:
-                    raise AssertionError(f"unitarity fails at {(k,l)}")
+        for k, l in combinations(range(1, m + 1), 2):
+            if gram_adjoint(self.gen[(k, l)], self.gram, self.gram) != self.gen[(l, k)]:
+                raise AssertionError(f"unitarity fails at {(k,l)}")
+        for (i, j), (k, l) in combinations(product(range(1, m + 1), repeat=2), 2):
+            if sorted([(l, k), (j, i)]) < [(i, j), (k, l)]:
+                continue  # the class is checked at its least pair
+            ab, ba = self.gen[(i, j)] * self.gen[(k, l)], self.gen[(k, l)] * self.gen[(i, j)]
+            terms = [(1, ab), (-1, ba)]
+            if j == k:
+                terms.append((-1, self.gen[(i, l)]))
+            if l == i:
+                terms.append((1, self.gen[(k, j)]))
+            if not (ab == ba if j != k and l != i else linear_combination(terms, n, n).is_zero()):
+                raise AssertionError(f"commutation fails at {(i,j,k,l)}")
 
 
 def _ladder(pats, index, k, step):
@@ -250,9 +256,7 @@ def e_power_matrix(rep: Representation, q: int, variant: str = "plain") -> Dict[
 def casimir_matrices(rep: Representation, q_max: int, variant: str = "plain") -> List[Matrix]:
     """Matrices of c_0 .. c_q_max (plain) or of their involution images
     (tilde), the block traces of one run of block powers."""
-    n = rep.dim
-    return [linear_combination([(1, _block(power, n, k, k)) for k in range(1, rep.m + 1)], n, n)
-            for power in block_powers(rep, q_max, variant)]
+    return [power.block_trace(rep.dim) for power in block_powers(rep, q_max, variant)]
 
 
 def casimir_matrix(rep: Representation, q: int, variant: str = "plain") -> Matrix:

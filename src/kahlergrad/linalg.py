@@ -15,10 +15,10 @@ and ``diagonal_entries()`` and writes any rational with ``m[i, j] = x``.
 reads or writes one entry, and a row iterates over all its entries.
 
 The kernels work on the numerators, make no Fraction and end with at most
-one division by gcd(denominator, numerators): ``matmul`` over the product
-of the denominators, :func:`linear_combination` (``+``, ``-`` and ``scale``
-are its one- and two-term cases) in one pass over one lcm, ``kron``,
-``submatrix`` and :func:`gram_adjoint` in integers; ``Matrix.block`` (over
+one division by gcd(denominator, numerators): ``matmul`` over the product of
+the denominators, :func:`linear_combination` (``+``, ``-`` and ``scale`` are
+its one- and two-term cases) in one pass over one lcm, ``kron``, ``submatrix``,
+``block_trace`` and :func:`gram_adjoint` in integers; ``Matrix.block`` (over
 the lcm of its blocks) and ``block_transpose`` need no division.
 :func:`lagrange_projectors` forms the powers of a matrix once by sparse
 ``matmul`` and gives the completeness residual and every spectral projector
@@ -125,8 +125,7 @@ class Matrix:
     def block_transpose(self, n: int) -> "Matrix":
         """The square matrix of n x n blocks with block (l, k) moved to (k, l);
         each block itself is kept as it is."""
-        if self.rows != self.cols or self.rows % n:
-            raise ValueError(f"{self.rows}x{self.cols} matrix is no square grid of {n}x{n} blocks")
+        self._check_grid(n)
         out = Matrix.zeros(self.rows, self.cols)
         out._den = self._den
         for r, row in enumerate(self._nums):
@@ -135,6 +134,21 @@ class Matrix:
                 l, b = divmod(c, n)
                 out._nums[l * n + a][k * n + b] = x
         return out
+
+    def block_trace(self, n: int) -> "Matrix":
+        """The sum of the diagonal blocks of a square grid of n x n blocks."""
+        self._check_grid(n)
+        nums = [{} for _ in range(n)]
+        for r, row in enumerate(self._nums):
+            lo, acc = r - r % n, nums[r % n]
+            for c, x in row.items():
+                if lo <= c < lo + n:
+                    acc[c - lo] = acc.get(c - lo, 0) + x
+        return _canonical(n, n, [{b: x for b, x in acc.items() if x} for acc in nums], self._den)
+
+    def _check_grid(self, n: int):
+        if self.rows != self.cols or self.rows % n:
+            raise ValueError(f"{self.rows}x{self.cols} matrix is no square grid of {n}x{n} blocks")
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The entries at the given rows and distinct columns, in that order."""

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
@@ -202,17 +203,59 @@ def test_dimension_budget():
         build_rep((9, 0, -9), dim_budget=10)
 
 
+def _changed(g: Matrix, a: int, b: int, by) -> Matrix:
+    """A copy of g with entry (a, b) changed by ``by``."""
+    changed = Matrix([row[:] for row in g.data])
+    changed.data[a][b] += by
+    return changed
+
+
 def test_check_invariants_catches_every_single_entry_change():
-    # every generator entry of an 8-dimensional model changed by one, in turn
-    model = build_rep((1, 0, -1))
-    for key, g in model.gen.items():
-        for a in range(model.dim):
-            for b in range(model.dim):
-                changed = Matrix([row[:] for row in g.data])
-                changed.data[a][b] += 1
-                bad = replace(model, gen={**model.gen, key: changed})
-                with pytest.raises(AssertionError):
-                    bad.check_invariants()
+    # every generator entry of an 8- and a 15-dimensional model changed by
+    # one, in turn
+    for rho in [(1, 0, -1), (1, 0, 0, -1)]:
+        model = build_rep(rho)
+        for key, g in model.gen.items():
+            for a in range(model.dim):
+                for b in range(model.dim):
+                    bad = replace(model, gen={**model.gen, key: _changed(g, a, b, 1)})
+                    with pytest.raises(AssertionError):
+                        bad.check_invariants()
+
+
+@pytest.mark.parametrize("rho, sample", [((1, 0, -1), None), ((2, 1, 0), None),
+                                         ((1, 0, 0, -1), 1000)])
+def test_check_invariants_catches_adjoint_consistent_changes(rho, sample):
+    # e_kl[a,b] changed by 1 and e_lk[b,a] by G_a / G_b keep e_kl* = e_lk, so
+    # only the commutation relations, one per mirror class, can see the change
+    model = build_rep(rho)
+    g = model.gram.diagonal_entries()
+    units = [(k, l) for k in range(1, model.m + 1) for l in range(1, model.m + 1) if k != l]
+    cases = list(itertools.product(units, range(model.dim), range(model.dim)))
+    if sample:
+        cases = random.Random(0).sample(cases, sample)
+    for (k, l), a, b in cases:
+        gen = {**model.gen, (k, l): _changed(model.gen[(k, l)], a, b, 1),
+               (l, k): _changed(model.gen[(l, k)], b, a, g[a] / g[b])}
+        with pytest.raises(AssertionError, match="commutation"):
+            replace(model, gen=gen).check_invariants()
+
+
+@pytest.mark.parametrize("rho, products, comparisons", [
+    ((1, 0), 8, 1 + 1), ((1, 0, -1), 42, 3 + 9), ((1, 0, 0, -1), 132, 6 + 36),
+    ((1, 0, 0, 0, 0), 320, 10 + 100)])
+def test_check_invariants_forms_one_relation_per_mirror_class(monkeypatch, rho, products,
+                                                              comparisons):
+    # two products per class {{(i,j), (k,l)}, {(l,k), (j,i)}}: 4, 21, 66 and
+    # 160 classes at m = 2..5, of the 6, 36, 120 and 300 relations; a matrix
+    # comparison per unitarity pair k < l and per class with no d term
+    model = build_rep(rho)
+    products_made, compared = [], []
+    matmul, eq = Matrix.matmul, Matrix.__eq__
+    monkeypatch.setattr(Matrix, "matmul", lambda a, b: products_made.append(1) or matmul(a, b))
+    monkeypatch.setattr(Matrix, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
+    model.check_invariants()
+    assert (len(products_made), len(compared)) == (products, comparisons)
 
 
 def _complete_symmetric(k: int, m: int) -> dict:

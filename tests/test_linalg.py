@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kahlergrad.gtrep import _block
 from kahlergrad.linalg import (
     ZERO,
     Matrix,
@@ -353,6 +354,7 @@ def test_every_result_is_canonical(pair, c, s, data):
         linear_combination([(s, a), (F(1, 2), doubled), (-1, a)], a.rows, a.cols),
         Matrix.block([[a, doubled], [doubled.scale(F(1, 3)), a.scale(s)]]),
         square.block_transpose(n), square.scale(6).block_transpose(n),
+        square.block_trace(n), square.scale(6).block_trace(n),
         doubled.submatrix(range(a.rows), range(0, a.cols, 2)),
         a.rref()[0], doubled.rref()[0], gram_adjoint(doubled, *grams),
         Matrix.from_rows([{j: 2 * x for j, x in enumerate(row)} for row in a.data], a.cols),
@@ -658,9 +660,21 @@ def test_block_transpose_moves_blocks(m, n, data):
 
 
 def test_block_transpose_rejects_a_bad_grid():
-    for a, n in ((Matrix.zeros(4, 2), 2), (Matrix.identity(4), 3)):
-        with pytest.raises(ValueError, match="square grid"):
-            a.block_transpose(n)
+    # and so does block_trace, on the same shapes
+    for a, n in ((Matrix.zeros(4, 2), 2), (Matrix.zeros(2, 4), 2), (Matrix.identity(4), 3)):
+        for kernel in (a.block_transpose, a.block_trace):
+            with pytest.raises(ValueError, match="square grid"):
+                kernel(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_block_trace_sums_the_diagonal_blocks(m, n, data):
+    a = data.draw(sparse_matrices(m * n, m * n, WIDE_ENTRY))
+    trace = a.block_trace(n)
+    assert _is_canonical(trace) and _stores_no_zero(trace)
+    assert trace == linear_combination([(1, _block(a, n, k, k)) for k in range(1, m + 1)], n, n)
+    assert a.block_trace(m * n) == a and a.block_transpose(n).block_trace(n) == trace
 
 
 def test_from_rows_keeps_the_storage_rules():

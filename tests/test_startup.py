@@ -29,12 +29,12 @@ def _loaded(code: str) -> set:
 @pytest.mark.parametrize("code, absent", [
     ("import kahlergrad", {f"kahlergrad.{name}" for name in LIBRARY | {"cli"}}),
     ("import kahlergrad.cli as cli; cli.build_parser()",
-     {"kahlergrad.clifford", "kahlergrad.bochner", "kahlergrad.gtrep", "kahlergrad.linalg",
-      "concurrent.futures"}),
+     {"kahlergrad.clifford", "kahlergrad.bochner", "kahlergrad.envalg", "kahlergrad.gtrep",
+      "kahlergrad.linalg", "concurrent.futures"}),
     (MAIN.format(["verify", "--suite", "envalg", "--m", "2", "--q", "1"]),
      {"kahlergrad.linalg", "kahlergrad.gtrep", "kahlergrad.clifford", "kahlergrad.bochner"}),
     (MAIN.format(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1", "--q", "1"]),
-     {"kahlergrad.clifford", "kahlergrad.bochner", "concurrent.futures"}),
+     {"kahlergrad.clifford", "kahlergrad.bochner", "kahlergrad.envalg", "concurrent.futures"}),
 ], ids=["package", "parser", "envalg-suite", "gtrep-suite"])
 def test_a_process_loads_only_what_it_runs(code, absent):
     loaded = _loaded(code)
