@@ -23,7 +23,7 @@ from itertools import islice
 from typing import List, Optional
 
 from . import weights
-from .report import VerificationReport
+from .report import BudgetError, VerificationReport
 
 # each command imports the library modules it runs, and only the --jobs N > 1
 # path loads the pool; perfbench/tracing.py swaps in its own pool class here
@@ -257,7 +257,10 @@ def cmd_spinor_table(args) -> tuple:
 def cmd_cpm(args) -> tuple:
     from . import bochner
     rho = parse_weight(args.rho)
-    r = Fraction(args.r)
+    try:
+        r = Fraction(args.r)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--r must be a rational number like 2 or 3/2, got {args.r!r}") from None
     value = frac(bochner.cpm_holomorphic_eigenvalue(rho, args.i, r))
     payload = {
         "schema": SCHEMA,
@@ -376,14 +379,6 @@ SUITES = {
 }
 
 
-def _budget_errors() -> tuple:
-    """The term and dimension budget errors of the layers loaded so far: the
-    layer that raised one is loaded, and an envalg task loads no gtrep."""
-    return tuple(getattr(sys.modules[module], name) for module, name in
-                 ((f"{__package__}.envalg", "BudgetExceededError"),
-                  (f"{__package__}.gtrep", "DimensionBudgetError")) if module in sys.modules)
-
-
 def _run_task(task) -> tuple:
     """Run one task.  A term or dimension budget makes it not applicable;
     any other exception becomes one failed item, so the batch goes on."""
@@ -391,7 +386,7 @@ def _run_task(task) -> tuple:
     rep = VerificationReport()
     try:
         rep = SUITES[suite][0](arg, bound, q_max, budget)
-    except _budget_errors() as exc:
+    except BudgetError as exc:
         rep.skip(suite, {"arg": str(arg)}, f"budget exceeded: {exc}")
     except Exception as exc:
         traceback.print_exc()
@@ -563,7 +558,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines = args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:  # InputError included
+    except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -32,7 +32,7 @@ from operator import gt
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .report import VerificationReport
+from .report import BudgetError, VerificationReport
 from .weights import family_table
 
 Generator = Tuple[int, int]          # (k, l), 1-based
@@ -58,7 +58,7 @@ __all__ = [
 DEFAULT_TERM_BUDGET = 10_000_000
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(BudgetError, RuntimeError):
     """An expansion would exceed the configured term budget."""
 
 
@@ -165,16 +165,6 @@ class PBWElement:
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def involution(self) -> "PBWElement":
-        """Transpose each generator, keep the order, weigh by (-1)^degree."""
-        gens = _generators(self.m)
-        out: Dict[Monomial, Coefficient] = {}
-        for w, c in self.terms.items():
-            sign = -c if len(w) % 2 else c
-            word = tuple(gens[l][k] for k, l in w)
-            _accumulate(out, word, sign, gens)
-        return PBWElement(self.m, out)
 
     def _same_rank(self, other: "PBWElement"):
         if self.m != other.m:

@@ -4,9 +4,9 @@ The basis is indexed by Gelfand-Tsetlin patterns: triangular integer arrays
 whose row r has r entries, whose top row equals the highest weight, and whose
 adjacent rows interlace, each stored as its tuple of rows, bottom-up.  The
 raising/lowering matrix elements use the classical rational (non-orthonormal)
-normalization, so every entry stays in Q; unitarity is recovered by solving
-separately for the invariant diagonal Gram form instead of orthonormalizing,
-which would need square roots.
+normalization, so every entry stays in Q; unitarity is recovered from the
+invariant diagonal Gram form of `invariant_gram`, a closed norm formula,
+instead of orthonormalizing, which would need square roots.
 
 Conventions for the matrix-element formulas, with shifted entries
 l_{k,j} = lambda_{k,j} - j:
@@ -17,20 +17,22 @@ l_{k,j} = lambda_{k,j} - j:
         prod_{i<=k-1} (l_{k-1,i} - l_{k,j}) / prod_{i != j} (l_{k,i} - l_{k,j})
 
 Terms whose target array is not a pattern are dropped (the classical
-convention); every build is then machine-checked against the weight grading,
-the adjoint condition and the commutation relations, one relation per class
-of the pairs the Gram adjoint maps onto each other, so a transcription error
-in the formulas cannot survive construction.
+convention); every build is then machine-checked, in one place, against the
+weight grading, the adjoint condition and the commutation relations, one
+relation per class of the pairs the Gram adjoint maps onto each other, so a
+transcription error in the formulas cannot survive construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial
 from typing import Dict, List, Tuple
 
 from .linalg import Matrix, gram_adjoint, linear_combination
+from .report import BudgetError
 from .weights import HighestWeight, weyl_dimension
 
 __all__ = [
@@ -49,7 +51,7 @@ __all__ = [
 DEFAULT_DIMENSION_BUDGET = 4000
 
 
-class DimensionBudgetError(ValueError):
+class DimensionBudgetError(BudgetError, ValueError):
     """Raised when a module's Weyl dimension exceeds the build budget."""
 
 
@@ -142,48 +144,30 @@ def _ladder(pats, index, k, step):
     return Matrix.from_rows(out, len(pats))
 
 
-def invariant_gram(m: int, gen: Dict[Tuple[int, int], Matrix]) -> Matrix:
-    """Diagonal positive G with G^-1 A_{kl}^T G = A_{lk}, normalized so the
-    highest-weight vector has norm 1.
+def invariant_gram(pats) -> Matrix:
+    """The invariant diagonal Gram form, G^-1 e_kl^T G = e_lk, on the patterns
+    ``pats`` by the Gelfand-Tsetlin norm formula (Molev, arXiv:math/0211289,
+    section 2).  With l_{k,i} = lambda_{k,i} - i, the norm of a pattern is
 
-    The ratio G_x / G_y along a lowering edge y -> x is forced by the adjoint
-    condition on the raising/lowering pair; the solution is propagated from
-    the highest-weight vector.  A one-sided edge on that walk, an unreached
-    vector or a non-positive entry raises; the full condition for every
-    generator is checked once, by `Representation.check_invariants`.
+      prod_{k=2..m} prod_{1<=i<=j<k} (l_{k,i} - l_{k-1,j})! (l_{k,i} - l_{k,j+1} - 1)!
+                                   / (l_{k-1,i} - l_{k-1,j})! (l_{k-1,i} - l_{k,j+1} - 1)!
+
+    Interlacing, lambda_{k,i} >= lambda_{k-1,i} >= lambda_{k,i+1}, makes every
+    argument nonnegative, so each norm is defined and positive; on the
+    highest-weight pattern row k-1 starts row k, so its norm is exactly 1.
+    The formula shares no code with the ladder formulas, and the adjoint
+    condition is checked once, by `Representation.check_invariants`.
     """
-    n = gen[(1, 1)].rows
-    weights = list(zip(*(gen[(k, k)].diagonal_entries() for k in range(1, m + 1))))
-    hw = max(range(n), key=lambda b: weights[b])
-    # the lowering edges y -> x of each k, as the nonzero entries of column y
-    edges = {k: [[] for _ in range(n)] for k in range(1, m)}
-    for k, columns in edges.items():
-        for x, y, b in gen[(k + 1, k)].nonzero_entries():
-            columns[y].append((x, b))
-    G: list = [None] * n
-    G[hw] = Fraction(1)
-    frontier = [hw]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for k, columns in edges.items():
-                A = gen[(k, k + 1)]
-                for x, b in columns[y]:
-                    if G[x] is None:
-                        a = A[y, x]
-                        if not a:
-                            raise ValueError(
-                                "inconsistent adjoint system: one-sided edge "
-                                f"{y}->{x} at k={k}"
-                            )
-                        G[x] = G[y] * a / b
-                        nxt.append(x)
-        frontier = nxt
-    if any(g is None for g in G):
-        raise ValueError("weight graph not connected; generators inconsistent")
-    if any(g <= 0 for g in G):
-        raise ValueError("invariant form not positive; generators inconsistent")
-    return Matrix.diagonal(G)
+    norms = []
+    for p in pats:
+        num = den = 1
+        rows = [[x - i for i, x in enumerate(row, 1)] for row in p]
+        for low, high in zip(rows, rows[1:]):
+            for i, j in combinations_with_replacement(range(len(low)), 2):
+                num *= factorial(high[i] - low[j]) * factorial(high[i] - high[j + 1] - 1)
+                den *= factorial(low[i] - low[j]) * factorial(low[i] - high[j + 1] - 1)
+        norms.append(Fraction(num, den))
+    return Matrix.diagonal(norms)
 
 
 def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation:
@@ -217,7 +201,7 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
                            - gen[(l - 1, l)] * gen[(k, l - 1)])
             gen[(l, k)] = (gen[(l, l - 1)] * gen[(l - 1, k)]
                            - gen[(l - 1, k)] * gen[(l, l - 1)])
-    gram = invariant_gram(m, gen)
+    gram = invariant_gram(pats)
     rep = Representation(rho=rho, dim=dim, gen=gen, gram=gram)
     rep.check_invariants()
     return rep

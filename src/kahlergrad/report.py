@@ -10,6 +10,11 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
+class BudgetError(Exception):
+    """A resource budget (terms or dimension) would be exceeded: the check
+    it stops is not applicable, not failed."""
+
+
 @dataclass
 class ReportItem:
     tag: str                 # identity being checked, e.g. "moment-identity"

@@ -105,6 +105,13 @@ def test_cpm_command():
     assert payload["eigenvalue"] == "3/4"
 
 
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_bad_cpm_curvature_names_the_option(text):
+    out = run("cpm", "1,0", "--i", "1", "--r", text)
+    assert out.returncode == 2
+    assert out.stderr == f"error: --r must be a rational number like 2 or 3/2, got {text!r}\n"
+
+
 def test_verify_m1_trivial():
     out = run("verify", "--m", "1", "--bound", "1", "--q", "2", "--suite", "all")
     assert out.returncode == 0
@@ -294,6 +301,15 @@ def test_json_round_trip_byte_identical(args):
     rendered = io.StringIO()
     dump_json(json.loads(out.stdout), rendered)
     assert rendered.getvalue() == out.stdout
+
+
+def test_budget_errors_share_one_class():
+    from kahlergrad.envalg import BudgetExceededError
+    from kahlergrad.gtrep import DimensionBudgetError
+    from kahlergrad.report import BudgetError
+    # one class for _run_task to catch, beside the bases each error had
+    assert BudgetExceededError.__mro__[1:3] == (BudgetError, RuntimeError)
+    assert DimensionBudgetError.__mro__[1:3] == (BudgetError, ValueError)
 
 
 def test_dimension_budget_task_is_not_applicable():

@@ -67,6 +67,16 @@ def gen(m, k, l):
     return PBWElement.generator(m, k, l)
 
 
+def involution(x: PBWElement) -> PBWElement:
+    """The involution image under the automorphism e_kl -> -e_lk: each
+    monomial's generators transposed in the same order, weighed by
+    (-1)^degree and normal-ordered again word by word."""
+    out = PBWElement.zero(x.m)
+    for word, c in x.terms.items():
+        out = out + pbw_normalize([(l, k) for k, l in word], x.m, (-1) ** len(word) * c)
+    return out
+
+
 def test_pbw_normalize_swap():
     # e21 e12 = e12 e21 + e22 - e11
     got = pbw_normalize([(2, 1), (1, 2)], m=2)
@@ -95,11 +105,11 @@ def test_e_power_base_cases():
 
 
 def test_involution_examples():
-    assert gen(2, 1, 2).involution() == -gen(2, 2, 1)
+    assert involution(gen(2, 1, 2)) == -gen(2, 2, 1)
     c1 = casimir_element(1, 2)
-    assert c1.involution() == -c1
+    assert involution(c1) == -c1
     x = pbw_normalize([(1, 2), (2, 1)], 2)
-    assert x.involution().involution() == x
+    assert involution(involution(x)) == x
 
 
 def test_tilde_e_power_examples():
@@ -124,7 +134,7 @@ def test_tilde_equals_involution_of_e_power(m):
     for q in range(4):
         for k in range(1, m + 1):
             for l in range(1, m + 1):
-                assert tilde_e_power(k, l, q, m) == e_power(k, l, q, m).involution()
+                assert tilde_e_power(k, l, q, m) == involution(e_power(k, l, q, m))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -439,7 +449,7 @@ def test_integral_coefficients_are_ints():
     built = [e_power(1, 2, 4, m), tilde_e_power(2, 2, 3, m), casimir_element(3, m, "tilde"),
              k_central(3, m), pbw_normalize([(3, 1), (1, 2), (2, 3)], m, F(4, 2)),
              gen(m, 2, 1) * gen(m, 1, 2), PBWElement.scalar(m, F(6, 3)),
-             e_power(2, 1, 2, m).scale(F(-6, 2)), e_power(3, 1, 2, m).involution()]
+             e_power(2, 1, 2, m).scale(F(-6, 2)), involution(e_power(3, 1, 2, m))]
     for x in built:
         assert x.terms and all(type(c) is int for c in x.terms.values()), x
 

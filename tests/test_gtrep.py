@@ -1,11 +1,16 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from kahlergrad import gtrep
 from kahlergrad.envalg import PBWElement, casimir_element, e_power
 from kahlergrad.gtrep import (
     DimensionBudgetError,
@@ -24,6 +29,8 @@ from kahlergrad.weights import (
     transpose_weight,
     weyl_dimension,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def evaluate(rep, x: PBWElement) -> Matrix:
@@ -83,10 +90,52 @@ def test_casimir_on_small_modules():
 
 def test_invariant_gram_solver():
     rep = build_rep((2, 0))
-    gram = invariant_gram(rep.m, rep.gen)
+    gram = invariant_gram(gt_patterns((2, 0)))
     assert gram == rep.gram
-    assert gram.diagonal_entries()[0] == 1  # highest-weight normalization
-    assert all(x > 0 for x in gram.diagonal_entries())
+    # by hand: l_21 = 1 and l_22 = -2, so the pattern with lambda_11 = a has
+    # norm (2 - a)! 2! / (0! a!), which is 1, 2 and 4 for a = 2, 1, 0
+    assert gram.diagonal_entries() == [1, 2, 4]
+
+
+def test_gram_forms_match_their_pins():
+    # SHA-256 of repr(gram.diagonal_entries()) for every module of m = 2..4
+    # at bound 2 and m = 5 at bound 1, and (3, 1, -1, -3) of dimension 729,
+    # taken from a solver that shares no code with the norm formula
+    pinned = json.loads((GOLDEN / "gram_sha256.json").read_text())
+    assert len(pinned) == 142
+    drifted = []
+    for text, digest in pinned.items():
+        gram = build_rep(tuple(map(int, text.split(",")))).gram
+        if hashlib.sha256(repr(gram.diagonal_entries()).encode()).hexdigest() != digest:
+            drifted.append(text)
+    assert drifted == []
+
+
+def _norms_without_second_pair(pats):
+    """The norm formula of `invariant_gram` without its second factorial pair."""
+    norms = []
+    for p in pats:
+        rows = [[x - i for i, x in enumerate(row, 1)] for row in p]
+        num = den = 1
+        for low, high in zip(rows, rows[1:]):
+            for i, j in itertools.combinations_with_replacement(range(len(low)), 2):
+                num *= math.factorial(high[i] - low[j])
+                den *= math.factorial(low[i] - low[j])
+        norms.append(F(num, den))
+    return Matrix.diagonal(norms)
+
+
+@pytest.mark.parametrize("wrong", [lambda pats: Matrix.identity(len(pats)),
+                                   _norms_without_second_pair], ids=["all-one", "first-pair"])
+def test_build_rep_rejects_a_wrong_norm_formula(monkeypatch, wrong):
+    # build_rep reads the module global, so a wrong formula meets the one
+    # adjoint check; where every norm is 1 it cannot be told apart
+    monkeypatch.setattr(gtrep, "invariant_gram", wrong)
+    assert build_rep((1, 0)).gram == Matrix.identity(2)
+    assert build_rep((1, 1, 0)).gram == Matrix.identity(3)
+    for rho in [(2, 0), (1, 0, -1)]:
+        with pytest.raises(AssertionError, match=r"unitarity fails at \(1, 2\)"):
+            build_rep(rho)
 
 
 @pytest.mark.parametrize("rho", [(2, 1, 0), (1, 0, 0, -1)])
@@ -103,15 +152,15 @@ def test_check_invariants_catches_a_doubled_gram_entry(rho):
 
 @pytest.mark.parametrize("zeroed", ["raising", "lowering"])
 def test_invariant_gram_rejects_a_one_sided_edge(zeroed):
-    # the walk's first edge: E_21 lowers the highest-weight vector 0 to x,
-    # and x is reached by no other edge
+    # E_21 lowers the highest-weight vector 0 to x; with one side of that
+    # edge zeroed and the intact Gram form, the one adjoint check fails
     model = build_rep((2, 1, 0))
     x = next(x for x in range(model.dim) if model.gen[(2, 1)][x, 0])
     key, a, b = ((1, 2), 0, x) if zeroed == "raising" else ((2, 1), x, 0)
     changed = Matrix([row[:] for row in model.gen[key].data])
     changed.data[a][b] = F(0)
-    with pytest.raises(ValueError, match="one-sided" if zeroed == "raising" else "connected"):
-        invariant_gram(model.m, {**model.gen, key: changed})
+    with pytest.raises(AssertionError, match="unitarity"):
+        replace(model, gen={**model.gen, key: changed}).check_invariants()
 
 
 def test_evaluate_examples():

@@ -6,12 +6,26 @@ of the patched names alone does not see."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 ARGS = ["verify", "--suite", "all", "--m", "2", "--bound", "1", "--q", "2", "--json"]
+# the groups a traced run of ARGS records, and the tracer's other groups,
+# which record nothing there: their patched names have no caller on the
+# verify path, which reaches block_powers, casimir_matrices,
+# lagrange_projectors and the envalg row series instead
+RECORDED = {
+    "cli.render", "cli.task", "cli.verify", "clifford.build_system",
+    "clifford.derived_representation", "clifford.verify_adjoint_pairing",
+    "clifford.verify_cross_relations", "clifford.verify_relations", "envalg.pbw_mul",
+    "envalg.verify_binomial_relations", "gtrep.build_rep", "gtrep.check_invariants",
+    "gtrep.invariant_gram", "linalg.compare", "linalg.elementwise", "linalg.gram_adjoint",
+    "linalg.kron", "linalg.matmul", "linalg.rref"}
+BLIND = {"clifford.p_star_p", "envalg.e_power", "envalg.k_central", "gtrep.casimir_matrix",
+         "gtrep.e_power_matrix", "linalg.lagrange_projector"}
 
 
 def _run(argv, cwd):
@@ -44,4 +58,10 @@ def test_traced_pool_records_what_its_workers_run(tmp_path):
         stats = json.loads(trace.read_text())["stats"]
         runs[jobs] = out.stdout, {group: calls for group, (calls, _) in stats.items()}
     assert runs["2"] == runs["1"]
-    assert runs["1"][1]["cli.task"] == 21
+    calls = runs["1"][1]
+    assert calls["cli.task"] == 21
+    assert set(calls) == RECORDED
+    # one Gram form per module built, spinor models included
+    assert calls["gtrep.invariant_gram"] == 21
+    tracing = (ROOT / "perfbench" / "tracing.py").read_text()
+    assert set(re.findall(r'"([a-z]+\.[a-z_]+)"', tracing)) == RECORDED | BLIND
