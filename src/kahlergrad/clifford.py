@@ -53,7 +53,8 @@ from .weights import (
     weyl_dimension,
 )
 from .bochner import binomial_template
-from .gtrep import Representation, block_powers, build_rep
+from . import gtrep
+from .gtrep import Representation, block_powers
 
 __all__ = [
     "TargetData",
@@ -528,7 +529,7 @@ def verify_spinor_model(m: int) -> VerificationReport:
     report = VerificationReport()
     for p in range(m + 1):
         rho = HighestWeight(tuple([1] * p + [0] * (m - p)))
-        rep_ = build_rep(rho)
+        rep_ = gtrep.build_rep(rho)
         plus = build_system(rep_, "+")
         minus = build_system(rep_, "-")
         base = {"m": m, "p": p}

@@ -7,10 +7,16 @@ within one fixed order.  Rewriting uses the commutation rule
 
     e_{ij} e_{kl} = e_{kl} e_{ij} + delta_{jk} e_{il} - delta_{li} e_{kj}.
 
-Words are built from one table of the m^2 generator pairs, so a normal form
-holds at most m^2 distinct generator tuples however many terms it has.  A
-coefficient is a Python int while every scalar that went into it is
-integral; a Fraction appears only where a non-integral scalar comes in.
+A word is normal-ordered by insertion: at its first descent the out-of-order
+letter y moves left past every larger letter x in one step, by
+x y = y x + [x, y] once per letter passed, and each commutator term, one
+letter shorter, is ordered the same way.  A product of two ordered words that
+is already ordered (the last letter of the one <= the first of the other)
+goes straight into the result.  Words are built from one table of the m^2
+generator pairs, so a normal form holds at most m^2 distinct generator
+tuples however many terms it has.  A coefficient is a Python int while every
+scalar that went into it is integral; a Fraction appears only where a
+non-integral scalar comes in.
 
 On top of the raw algebra this module builds the degree-q elements e_{kl}^q
 and their involution images, the Casimir traces c_q, the generating-function
@@ -21,8 +27,9 @@ degree, e^p_kl = sum_i e^(p-1)_ki e_il, rather than by normal-ordering each of
 the m^(p-1) index-path words.  The verifier builds the series of every row
 once, sums its diagonal into the Casimir elements, which give the K_n by
 recursion, and checks each relation in the order it reports them.  Each
-checked difference is collected in one dict, however many scaled elements and
-products it sums.
+product sum T_s(l,k) = sum_p K_{s-p} e^p_lk is formed once and read by every
+relation that needs it.  Each checked difference is collected in one dict,
+however many scaled elements and products it sums.
 """
 
 from __future__ import annotations
@@ -180,44 +187,64 @@ def _generators(m: int):
     return [()] + [[()] + [(k, l) for l in range(1, m + 1)] for k in range(1, m + 1)]
 
 
-def _accumulate(out: Dict[Monomial, Coefficient], word, coeff, gens, start: int = 0):
-    """Normal-order one word into ``out`` by adjacent-swap rewriting.
+def _add(out: Dict[Monomial, Coefficient], w: Monomial, c: Coefficient):
+    """out[w] += c for an ordered word w, dropping w when it cancels."""
+    c += out.get(w, 0)
+    if c:
+        out[w] = c
+    else:
+        out.pop(w, None)
 
-    ``word[:start + 1]`` must be ordered, so the scan for a descent begins at
-    ``start``; a rewrite at i can only make a new descent at i - 1.  A swap
-    reuses the two generator objects; a commutator term takes its generator
-    from the table ``gens`` of `_generators`.
+
+def _accumulate(out: Dict[Monomial, Coefficient], word: Monomial, coeff, gens, start: int = 0):
+    """Normal-order the word ``word`` into ``out`` by insertion.
+
+    ``word[:start + 1]`` must be ordered (start >= 0), so the scan for the
+    first descent x_i > y begins at ``start``.  The letter y then moves left
+    past every larger letter x_j .. x_i in one step, by x y = y x + [x, y]
+    once per letter it passes:
+
+        u x_j .. x_i y r = u y x_j .. x_i r
+                           + sum_{t=j..i} u x_j .. x_{t-1} [x_t, y] x_{t+1} .. x_i r,
+
+    with [e_ab, e_kl] = delta_bk e_al - delta_la e_kb.  Each commutator term
+    is one letter shorter and goes on the stack, its scan starting one
+    position before the new letter; the moved word is ordered through y's
+    old position, and its scan goes on at the next one.  Words stay tuples;
+    a moved letter keeps its generator object, and a commutator term takes
+    its generator from the table ``gens`` of `_generators`.
     """
-    stack = [(list(word), coeff, max(start, 0))]
+    stack = [(word, coeff, start)]
     while stack:
         w, c, i = stack.pop()
-        for i in range(i, len(w) - 1):
-            x, y = w[i], w[i + 1]
-            if x > y:
-                (a, b), (k, l) = x, y
-                j = i - 1 if i else 0
-                stack.append((w[:i] + [y, x] + w[i + 2:], c, j))
-                if b == k:
-                    stack.append((w[:i] + [gens[a][l]] + w[i + 2:], c, j))
-                if l == a:
-                    stack.append((w[:i] + [gens[k][b]] + w[i + 2:], -c, j))
+        last = len(w) - 1
+        while True:
+            while i < last and w[i] <= w[i + 1]:
+                i += 1
+            if i >= last:
+                _add(out, w, c)
                 break
-        else:
-            key = tuple(w)
-            old = out.get(key)
-            if old is None:
-                out[key] = c
-            else:
-                new = old + c
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
+            y = w[i + 1]
+            k, l = y
+            tail = w[i + 2:]
+            j = i
+            while j >= 0 and w[j] > y:
+                a, b = w[j]
+                if b == k or l == a:
+                    head, rest, back = w[:j], w[j + 1:i + 1] + tail, j - 1 if j else 0
+                    if b == k:
+                        stack.append((head + (gens[a][l],) + rest, c, back))
+                    if l == a:
+                        stack.append((head + (gens[k][b],) + rest, -c, back))
+                j -= 1
+            w = w[:j + 1] + (y,) + w[j + 1:i + 1] + tail
+            i += 1
 
 
 def _combine(m: int, parts=(), products=()) -> PBWElement:
     """sum s*x over (s, x) in ``parts`` plus sum s*a*b over (s, a, b) in
-    ``products``, collected in one dict and validated once."""
+    ``products``, collected in one dict and validated once.  A product of two
+    words that is already ordered goes straight into the dict."""
     gens = _generators(m)
     out: Dict[Monomial, Coefficient] = {}
     for s, x in parts:
@@ -228,8 +255,12 @@ def _combine(m: int, parts=(), products=()) -> PBWElement:
     for s, a, b in products:
         s = _exact(s)
         for w1, c1 in a.terms.items():
+            sc1 = s * c1
             for w2, c2 in b.terms.items():
-                _accumulate(out, w1 + w2, s * c1 * c2, gens, len(w1) - 1)
+                if w1 and w2 and w1[-1] > w2[0]:
+                    _accumulate(out, w1 + w2, sc1 * c2, gens, len(w1) - 1)
+                else:
+                    _add(out, w1 + w2, sc1 * c2)
     return PBWElement(m, out)
 
 
@@ -270,7 +301,10 @@ def _rows(k: int, q: int, m: int, budget: int, tilde: bool,
             for i in cols:
                 g = gens[j][i] if tilde else gens[i][j]
                 for w, c in prev[i].items():
-                    _accumulate(out, w + (g,), sign * c, gens, len(w) - 1)
+                    if w and w[-1] > g:
+                        _accumulate(out, w + (g,), sign * c, gens, len(w) - 1)
+                    else:
+                        _add(out, w + (g,), sign * c)
             step[j] = out
         rows.append(step)
     return rows
@@ -373,10 +407,14 @@ def _shifted(q, m, family) -> list:
     return [(binomial_shift(q, p, m), family[p]) for p in range(q + 1)]
 
 
-def _binomial_diff(q, m, family, dual, ks) -> PBWElement:
-    """sum_p C(q,p) (-m)^(q-p) family[p] - (-1)^q sum_p ks[q-p] * dual[p]."""
-    return _combine(m, _shifted(q, m, family),
-                    [(-(-1) ** q, ks[q - p], dual[p]) for p in range(q + 1)])
+def _k_products(q, m, ks, dual) -> PBWElement:
+    """T_q = sum_{p<=q} ks[q-p] * dual[p], the products of one binomial item."""
+    return _combine(m, products=[(1, ks[q - p], dual[p]) for p in range(q + 1)])
+
+
+def _binomial_diff(q, m, family, t) -> PBWElement:
+    """sum_p C(q,p) (-m)^(q-p) family[p] - (-1)^q t, t = T_q of `_k_products`."""
+    return _combine(m, _shifted(q, m, family) + [(-(-1) ** q, t)])
 
 
 def verify_binomial_relations(m: int, q_max: int,
@@ -390,6 +428,18 @@ def verify_binomial_relations(m: int, q_max: int,
     elements sum to the Casimir elements, which give K_0 .. K_{q_max+1}.
     Each relation is then checked where it is reported: degree by degree, in
     the fixed order of the tags.
+
+    The products T_s(l,k) = sum_{p<=s} K_{s-p} e^p_lk are formed once per
+    (s, l, k), for the binomial-tilde-to-plain item of degree s.  The solved
+    form of ~e^q_kl has the coefficient sum_{s=p..q} C(q,s) (-m)^(q-s) K_{s-p}
+    at e^p_lk; by distributivity its products sum to
+
+        sum_p sum_{s>=p} C(q,s) (-m)^(q-s) K_{s-p} e^p_lk
+            = sum_s C(q,s) (-m)^(q-s) T_s(l,k),
+
+    so the solved-tilde-elements item checks
+    ~e^q_kl - (-1)^q sum_s C(q,s) (-m)^(q-s) T_s(l,k), a linear combination
+    with no products.
     """
     if m < 1 or q_max < 0:
         raise ValueError("need m >= 1 and q_max >= 0")
@@ -411,26 +461,25 @@ def verify_binomial_relations(m: int, q_max: int,
     cas, cas_t = ([_combine(m, [(1, fam[k, k][p]) for k in cols]) for p in degrees]
                   for fam in (plain, tilde))
     kc, kct = (_k_series(c, PBWElement.one(m)) for c in (cas, cas_t))
-    # solved[q][p] = sum_{s=p}^{q} C(q,s) (-m)^(q-s) K_{s-p}, the coefficient
-    # of e^p_lk in the solved form of ~e^q_kl
-    solved = [[_combine(m, [(binomial_shift(q, s, m), kc[s - p]) for s in range(p, q + 1)])
-               for p in range(q + 1)] for q in degrees]
     rep = VerificationReport()
     pairs = [(k, l) for k in cols for l in cols]
+    ts = {pair: [] for pair in pairs}   # ts[l, k][s] = T_s(l,k) = sum_p K_{s-p} e^p_lk
     for q in degrees:
         sign, at = (-1) ** q, {"m": m, "q": q}
         for k, l in pairs:
+            ts[l, k].append(_k_products(q, m, kc, plain[l, k]))
             for tag, diff in (
-                    ("binomial-tilde-to-plain", _binomial_diff(q, m, tilde[k, l], plain[l, k], kc)),
-                    ("binomial-plain-to-tilde", _binomial_diff(q, m, plain[k, l], tilde[l, k], kct))):
+                    ("binomial-tilde-to-plain", _binomial_diff(q, m, tilde[k, l], ts[l, k][q])),
+                    ("binomial-plain-to-tilde",
+                     _binomial_diff(q, m, plain[k, l], _k_products(q, m, kct, tilde[l, k])))):
                 rep.check(tag, {**at, "k": k, "l": l}, diff.is_zero(), witness=repr(diff))
         for tag, diff in (
                 ("casimir-binomial-tilde", _combine(m, _shifted(q, m, cas_t) + [(-sign, kc[q + 1])])),
                 ("casimir-binomial-plain", _combine(m, _shifted(q, m, cas) + [(-sign, kct[q + 1])]))):
             rep.check(tag, at, diff.is_zero(), witness=repr(diff))
         for k, l in pairs:
-            diff = _combine(m, [(1, tilde[k, l][q])],
-                            [(-sign, solved[q][p], plain[l, k][p]) for p in range(q + 1)])
+            diff = _combine(m, [(1, tilde[k, l][q])]
+                            + [(-sign * s, t) for s, t in _shifted(q, m, ts[l, k])])
             rep.check("solved-tilde-elements", {**at, "k": k, "l": l}, diff.is_zero(),
                       witness=repr(diff))
         diff = _combine(m, [(1, cas_t[q])] + [(-sign * s, x) for s, x in _shifted(q, m, kc[1:])])

@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
+from operator import gt
 
 import pytest
 from hypothesis import given, settings
@@ -478,3 +479,111 @@ def test_int_and_fraction_coefficients_agree():
     assert repr(as_ints) == "(5)*1 + (-2)*e[1,1] + (1)*e[1,2]*e[2,1] + (12)*e[2,2]*e[2,2]"
     assert as_ints * as_ints == as_fractions * as_fractions
     assert repr(as_ints - as_fractions.scale(F(1, 2))) == repr(as_fractions.scale(F(1, 2)))
+
+
+def _adjacent_swap_accumulate(out, word, coeff, gens, start=0):
+    """Normal-order one word into ``out`` one adjacent swap at a time: the
+    first descent x y at or after ``start`` becomes y x plus the terms of
+    [x, y], and each of the three words is scanned again from one position
+    before the swap.  ``word[:start + 1]`` must be ordered."""
+    stack = [(list(word), coeff, max(start, 0))]
+    while stack:
+        w, c, i = stack.pop()
+        for i in range(i, len(w) - 1):
+            x, y = w[i], w[i + 1]
+            if x > y:
+                (a, b), (k, l) = x, y
+                j = i - 1 if i else 0
+                stack.append((w[:i] + [y, x] + w[i + 2:], c, j))
+                if b == k:
+                    stack.append((w[:i] + [gens[a][l]] + w[i + 2:], c, j))
+                if l == a:
+                    stack.append((w[:i] + [gens[k][b]] + w[i + 2:], -c, j))
+                break
+        else:
+            key = tuple(w)
+            out[key] = out.get(key, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+@st.composite
+def prefixed_words(draw):
+    """(m, word, start): a word of at most 7 generators of gl(m), m <= 4,
+    whose first ``start + 1`` letters are sorted (its first n, n >= 0)."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    letter = st.tuples(st.integers(1, m), st.integers(1, m))
+    word = draw(st.lists(letter, max_size=7))
+    n = draw(st.integers(min_value=0, max_value=len(word)))
+    return m, sorted(word[:n]) + word[n:], max(n - 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefixed_words(), st.integers(min_value=-3, max_value=3).filter(bool))
+def test_insertion_kernel_matches_adjacent_swaps(case, coeff):
+    m, word, start = case
+    gens = envalg._generators(m)
+    word = tuple(gens[k][l] for k, l in word)
+    got = {}
+    envalg._accumulate(got, word, coeff, gens, start)
+    assert {w: c for w, c in got.items() if c} == _adjacent_swap_accumulate({}, word, coeff,
+                                                                            gens, start)
+    assert all(not any(map(gt, w, w[1:])) for w in got)
+
+
+def test_binomial_relations_report_a_corrupted_plain_term(monkeypatch):
+    # e^2_12 at m = 2 with the coefficient of its first word e11 e12 one too
+    # large: each item that reads e^p_12 for p >= 2 fails, and nothing else
+    real = envalg._rows
+
+    def corrupted(k, q, m, budget, tilde, l=None):
+        rows = real(k, q, m, budget, tilde, l)
+        if not tilde and k == 1 and q >= 2:
+            col = rows[2][2]
+            col[min(col)] += 1
+        return rows
+
+    monkeypatch.setattr(envalg, "_rows", corrupted)
+    rep = verify_binomial_relations(2, 4)
+    assert len(rep.items) == 75
+    failed = [(it.tag, it.params["q"], it.params["k"], it.params["l"], it.witness)
+              for it in rep.items if it.status == "fail"]
+    plain, tilde, solved = ("binomial-plain-to-tilde", "binomial-tilde-to-plain",
+                            "solved-tilde-elements")
+    assert failed == [
+        (plain, 2, 1, 2, "(1)*e[1,1]*e[1,2]"),
+        (tilde, 2, 2, 1, "(-1)*e[1,1]*e[1,2]"),
+        (solved, 2, 2, 1, "(-1)*e[1,1]*e[1,2]"),
+        (plain, 3, 1, 2, "(-6)*e[1,1]*e[1,2]"),
+        (tilde, 3, 2, 1, "(2)*e[1,1]*e[1,2]"),
+        (solved, 3, 2, 1, "(-4)*e[1,1]*e[1,2]"),
+        (plain, 4, 1, 2, "(24)*e[1,1]*e[1,2]"),
+        (tilde, 4, 2, 1,
+         "(-1)*e[1,1]*e[1,1]*e[1,2] + (-3)*e[1,1]*e[1,2] + (-1)*e[1,1]*e[1,2]*e[2,2]"),
+        (solved, 4, 2, 1,
+         "(-1)*e[1,1]*e[1,1]*e[1,2] + (-11)*e[1,1]*e[1,2] + (-1)*e[1,1]*e[1,2]*e[2,2]"),
+    ]
+
+
+def test_binomial_relations_form_each_product_once(monkeypatch):
+    # T_s(l,k) = sum_p K_{s-p} e^p_lk is formed once per (s, l, k), for the
+    # binomial-tilde-to-plain item of degree s; the solved-tilde-elements
+    # items sum the T_s with scalars and multiply nothing, so m = 4, q <= 5
+    # multiplies out 30,110 word pairs, where forming the products of each
+    # solved item anew takes 43,389.  The K series still multiply through
+    # PBWElement.__mul__, the method a traced run records as envalg.pbw_mul:
+    # 21 products and 6 zero scalings per family
+    pairs, calls = [0], []
+    combine, mul = envalg._combine, PBWElement.__mul__
+
+    def counted_combine(m, parts=(), products=()):
+        products = list(products)
+        pairs[0] += sum(len(a.terms) * len(b.terms) for _, a, b in products)
+        return combine(m, parts, products)
+
+    monkeypatch.setattr(envalg, "_combine", counted_combine)
+    monkeypatch.setattr(PBWElement, "__mul__",
+                        lambda a, b: calls.append(isinstance(b, PBWElement)) or mul(a, b))
+    rep = verify_binomial_relations(4, 5)
+    assert rep.verdict == "PASS" and len(rep.items) == 306
+    assert pairs[0] == 30_110
+    assert Counter(calls) == {True: 42, False: 12}

@@ -65,3 +65,14 @@ def test_traced_pool_records_what_its_workers_run(tmp_path):
     assert calls["gtrep.invariant_gram"] == 21
     tracing = (ROOT / "perfbench" / "tracing.py").read_text()
     assert set(re.findall(r'"([a-z]+\.[a-z_]+)"', tracing)) == RECORDED | BLIND
+
+
+def test_traced_run_sees_every_module_build(tmp_path):
+    # 18 modules for the gtrep, clifford and adjoint suites and 3 for the
+    # spinor model at m = 2: each build is made through `gtrep.build_rep`,
+    # which the tracer wraps, so each is counted once
+    trace = tmp_path / "trace.json"
+    out = _run([str(ROOT / "perfbench" / "traced_verify.py"), str(trace), *ARGS], tmp_path)
+    assert out.returncode == 0, out.stderr[-2000:]
+    stats = json.loads(trace.read_text())["stats"]
+    assert stats["gtrep.build_rep"][0] == stats["gtrep.invariant_gram"][0] == 21
