@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 from importlib import import_module
 from itertools import islice
@@ -389,6 +388,7 @@ def _run_task(task) -> tuple:
     except BudgetError as exc:
         rep.skip(suite, {"arg": str(arg)}, f"budget exceeded: {exc}")
     except Exception as exc:
+        import traceback
         traceback.print_exc()
         rep.check(suite, {"arg": str(arg)}, False,
                   witness=f"{type(exc).__name__}: {exc}")

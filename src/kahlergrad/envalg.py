@@ -103,6 +103,15 @@ class PBWElement:
             if any(map(gt, w, w[1:])):
                 raise ValueError(f"monomial {w} is not normal ordered")
 
+    @classmethod
+    def _ordered(cls, m: int, terms: Dict[Monomial, Coefficient]) -> "PBWElement":
+        """The element of ``terms``, whose words the normal-ordering kernels
+        have just ordered, so their order is not checked again."""
+        x = cls.__new__(cls)
+        x.m = m
+        x.terms = {w: c for w, c in terms.items() if c}
+        return x
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -261,7 +270,7 @@ def _combine(m: int, parts=(), products=()) -> PBWElement:
                     _accumulate(out, w1 + w2, sc1 * c2, gens, len(w1) - 1)
                 else:
                     _add(out, w1 + w2, sc1 * c2)
-    return PBWElement(m, out)
+    return PBWElement._ordered(m, out)
 
 
 def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
@@ -272,7 +281,7 @@ def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
     gens = _generators(m)
     out: Dict[Monomial, Coefficient] = {}
     _accumulate(out, tuple(gens[k][l] for k, l in word), _exact(coeff), gens)
-    return PBWElement(m, out)
+    return PBWElement._ordered(m, out)
 
 
 def _rows(k: int, q: int, m: int, budget: int, tilde: bool,
@@ -320,7 +329,7 @@ def _element(k: int, l: int, q: int, m: int, budget: int, tilde: bool) -> PBWEle
     if q:
         name = "tilde_e_power" if tilde else "e_power"
         _guard(m ** (q - 1), budget, f"{name}({k},{l},{q}) at rank {m}")
-    return PBWElement(m, _rows(k, q, m, budget, tilde, l)[q][l])
+    return PBWElement._ordered(m, _rows(k, q, m, budget, tilde, l)[q][l])
 
 
 def e_power(k: int, l: int, q: int, m: int, budget: int = DEFAULT_TERM_BUDGET) -> PBWElement:
@@ -388,7 +397,7 @@ def k_central(n: int, m: int, variant: str = "plain",
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
     rows = [_rows(k, n - 1, m, budget, variant == "tilde", k) for k in range(1, m + 1)] if n else []
-    cs = [_combine(m, [(1, PBWElement(m, row[p][k])) for k, row in enumerate(rows, 1)])
+    cs = [_combine(m, [(1, PBWElement._ordered(m, row[p][k])) for k, row in enumerate(rows, 1)])
           for p in range(n)]
     return _k_series(cs, PBWElement.one(m))[n]
 
@@ -452,7 +461,8 @@ def verify_binomial_relations(m: int, q_max: int,
         for k in cols:
             rows = _rows(k, q_max, m, budget, tilde)
             for l in cols:
-                fam[k, l] = [PBWElement(m, {words.setdefault(w, w): c for w, c in rows[p][l].items()})
+                fam[k, l] = [PBWElement._ordered(m, {words.setdefault(w, w): c
+                                                     for w, c in rows[p][l].items()})
                              for p in degrees]
         return fam
 

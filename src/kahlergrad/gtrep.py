@@ -17,10 +17,14 @@ l_{k,j} = lambda_{k,j} - j:
         prod_{i<=k-1} (l_{k-1,i} - l_{k,j}) / prod_{i != j} (l_{k,i} - l_{k,j})
 
 Terms whose target array is not a pattern are dropped (the classical
-convention); every build is then machine-checked, in one place, against the
-weight grading, the adjoint condition and the commutation relations, one
-relation per class of the pairs the Gram adjoint maps onto each other, so a
-transcription error in the formulas cannot survive construction.
+convention).  The other raising units are commutators of these, and each
+other lowering unit is the Gram adjoint of its raising unit.  Every build is
+then machine-checked, in one place, against the weight grading, the adjoint
+condition and Serre's presentation of gl(m): the relations of the simple
+units and the commutator closure of the others, which together imply every
+commutation relation, so a transcription error in the formulas cannot
+survive construction.  The Casimir matrices are block traces of the block
+powers up to half their degree and of products of two of them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial
+from math import factorial, lcm
+from operator import mul, sub
 from typing import Dict, List, Tuple
 
 from .linalg import Matrix, gram_adjoint, linear_combination
@@ -85,35 +90,73 @@ class Representation:
     def check_invariants(self):
         """Weight grading, unitarity, commutation; raises on violation.
 
-        Unitarity is checked as e_kl* = e_lk for k < l, where X* = G^-1 X^T G;
-        since ** = id and G and each e_kk are diagonal, that gives e_ij* = e_ji
-        for all i, j.  The anti-automorphism * then maps the relation
-        [e_ij, e_kl] = d_jk e_il - d_li e_kj onto that of (l,k), (j,i).  As a
-        relation is trivial at (i,j) = (k,l) and odd under swapping the pair,
-        one pair per class {{(i,j), (k,l)}, {(l,k), (j,i)}} carries them all;
-        one with no d term reads ab == ba."""
-        m, n = self.m, self.dim
+        The checks, with e_k = e_{k,k+1}, f_k = e_{k+1,k} and
+        X* = G^-1 X^T G:
+          (a) each e_kk is diagonal and sum_k e_kk = |rho|;
+          (b) unitarity: e_kl* = e_lk for k < l;
+          (c) weights: every stored entry (r, c) of e_k has
+              weight(r) - weight(c) = eps_k - eps_{k+1};
+          (d) [e_k, f_l] = d_kl (e_kk - e_{k+1,k+1}) for k <= l;
+          (e) Serre: [e_k, e_l] = 0 for |k - l| >= 2 and
+              [e_k, e_{k,k+2}] = [e_{k+1}, e_{k,k+2}] = 0;
+          (f) closure: e_kl = [e_{k,l-1}, e_{l-1,l}] for l - k >= 2.
+        Beside (a) and (b), they hold exactly when every relation
+        [e_ij, e_kl] = d_jk e_il - d_li e_kj does.  Each is such a relation,
+        (c) as [e_ii, e_k] = (d_ik - d_{i,k+1}) e_k for a diagonal e_ii.
+        Conversely, G and each e_kk are diagonal, so e_kk* = e_kk; * is an
+        anti-automorphism with ** = id, so by (b) f_k* = e_k, and * maps
+        (c), (d) and (e) onto the relations of the f_k and of the pairs
+        k > l in (d).  With (f) at l = k + 2, (e) reads [e_k, e_l] = 0 for
+        |k - l| >= 2 and [e_k, [e_k, e_{k+1}]] = [e_{k+1}, [e_{k+1}, e_k]] = 0.
+        These are the relations of Serre's presentation of gl(m) by the
+        e_kk, e_k and f_k (J.-P. Serre, Algebres de Lie semi-simples
+        complexes, 1966, ch. VI), so a Lie homomorphism phi on gl(m) takes
+        the units E_kk, E_{k,k+1} and E_{k+1,k} to e_kk, e_k and f_k, and by
+        (f) and induction on l - k, E_kl to e_kl for every k < l.  The map
+        X -> phi(X^T)* is a Lie homomorphism too, and by (b) it agrees with
+        phi on the generators, so the two are equal and
+        phi(E_lk) = phi(E_kl)* = e_kl* = e_lk: every gen matrix is phi of its
+        unit, and every relation holds.
+
+        The trace and the weights are read from the integer diagonals, with
+        no product; each relation of (d), (e) and (f) costs two products."""
+        m, n, gen = self.m, self.dim, self.gen
         for k in range(1, m + 1):
-            if not self.gen[(k, k)].is_diagonal():
+            if not gen[(k, k)].is_diagonal():
                 raise AssertionError(f"gen[{k},{k}] not diagonal")
-        total = linear_combination([(1, self.gen[(k, k)]) for k in range(1, m + 1)], n, n)
-        expected = Fraction(sum(self.rho.entries))
-        if any(x != expected for x in total.diagonal_entries()):
+        # weight[r][k - 1]: the numerator of e_kk[r, r] over the denominator units[k - 1]
+        units, diagonals = zip(*(gen[(k, k)].integer_entries() for k in range(1, m + 1)))
+        weight = [[0] * m for _ in range(n)]
+        for k, entries in enumerate(diagonals):
+            for r, _, x in entries:
+                weight[r][k] = x
+        common = lcm(*units)
+        scale = [common // d for d in units]
+        if any(sum(map(mul, w, scale)) != common * sum(self.rho.entries) for w in weight):
             raise AssertionError("weight grading: trace of diagonal action wrong")
         for k, l in combinations(range(1, m + 1), 2):
-            if gram_adjoint(self.gen[(k, l)], self.gram, self.gram) != self.gen[(l, k)]:
+            if gram_adjoint(gen[(k, l)], self.gram, self.gram) != gen[(l, k)]:
                 raise AssertionError(f"unitarity fails at {(k,l)}")
-        for (i, j), (k, l) in combinations(product(range(1, m + 1), repeat=2), 2):
-            if sorted([(l, k), (j, i)]) < [(i, j), (k, l)]:
-                continue  # the class is checked at its least pair
-            ab, ba = self.gen[(i, j)] * self.gen[(k, l)], self.gen[(k, l)] * self.gen[(i, j)]
-            terms = [(1, ab), (-1, ba)]
-            if j == k:
-                terms.append((-1, self.gen[(i, l)]))
-            if l == i:
-                terms.append((1, self.gen[(k, j)]))
-            if not (ab == ba if j != k and l != i else linear_combination(terms, n, n).is_zero()):
-                raise AssertionError(f"commutation fails at {(i,j,k,l)}")
+        for k in range(1, m):
+            step = [d * ((i == k) - (i == k + 1)) for i, d in enumerate(units, 1)]
+            for r, c, _ in gen[(k, k + 1)].integer_entries()[1]:
+                if list(map(sub, weight[r], weight[c])) != step:
+                    raise AssertionError(f"commutation fails at the weight of "
+                                         f"e_{(k, k + 1)} entry {(r, c)}")
+        # (a, b, rhs): [gen[a], gen[b]] = sum of c * gen[x] over (c, x) in rhs
+        relations = [((k, k + 1), (l + 1, l), [] if k < l else [(1, (k, k)), (-1, (k + 1, k + 1))])
+                     for k, l in combinations_with_replacement(range(1, m), 2)]
+        relations += [((k, k + 1), (l, l + 1), []) for k, l in combinations(range(1, m), 2)
+                      if l - k >= 2]
+        for k in range(1, m - 1):
+            relations += [((k, k + 1), (k, k + 2), []), ((k + 1, k + 2), (k, k + 2), [])]
+        relations += [((k, l - 1), (l - 1, l), [(1, (k, l))])
+                      for k, l in combinations(range(1, m + 1), 2) if l - k >= 2]
+        for a, b, rhs in relations:
+            ab, ba = gen[a] * gen[b], gen[b] * gen[a]
+            terms = [(1, ab), (-1, ba)] + [(-c, gen[x]) for c, x in rhs]
+            if not (linear_combination(terms, n, n).is_zero() if rhs else ab == ba):
+                raise AssertionError(f"commutation fails at {a + b}")
 
 
 def _ladder(pats, index, k, step):
@@ -135,12 +178,12 @@ def _ladder(pats, index, k, step):
             for i in range(k):
                 if i != j:
                     den *= lk[i] - lk[j]
-            rows = [list(r) for r in p]
-            rows[k - 1][j] += step
-            # index holds every pattern with this top row, which a step keeps
-            r = index.get(tuple(map(tuple, rows)))
+            row = p[k - 1]
+            # index holds every pattern with this top row, which a step keeps;
+            # distinct j reach distinct patterns, so entry (r, c) is written once
+            r = index.get(p[:k - 1] + (row[:j] + (row[j] + step,) + row[j + 1:],) + p[k:])
             if r is not None:
-                out[r][c] = out[r].get(c, 0) + Fraction(num, den)
+                out[r][c] = Fraction(num, den)
     return Matrix.from_rows(out, len(pats))
 
 
@@ -193,15 +236,15 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
     for k in range(1, m):
         gen[(k, k + 1)] = _ladder(pats, index, k, 1)
         gen[(k + 1, k)] = _ladder(pats, index, k, -1)
-    # remaining units by commutator closure e_{kl} = [e_{k,l-1}, e_{l-1,l}]
+    gram = invariant_gram(pats)
+    # the remaining raising units by closure, e_kl = [e_{k,l-1}, e_{l-1,l}],
+    # and each lowering unit as the Gram adjoint e_lk = e_kl*
     for d in range(2, m):
         for k in range(1, m + 1 - d):
             l = k + d
             gen[(k, l)] = (gen[(k, l - 1)] * gen[(l - 1, l)]
                            - gen[(l - 1, l)] * gen[(k, l - 1)])
-            gen[(l, k)] = (gen[(l, l - 1)] * gen[(l - 1, k)]
-                           - gen[(l - 1, k)] * gen[(l, l - 1)])
-    gram = invariant_gram(pats)
+            gen[(l, k)] = gram_adjoint(gen[(k, l)], gram, gram)
     rep = Representation(rho=rho, dim=dim, gen=gen, gram=gram)
     rep.check_invariants()
     return rep
@@ -239,8 +282,14 @@ def e_power_matrix(rep: Representation, q: int, variant: str = "plain") -> Dict[
 
 def casimir_matrices(rep: Representation, q_max: int, variant: str = "plain") -> List[Matrix]:
     """Matrices of c_0 .. c_q_max (plain) or of their involution images
-    (tilde), the block traces of one run of block powers."""
-    return [power.block_trace(rep.dim) for power in block_powers(rep, q_max, variant)]
+    (tilde): the block traces of the block powers P^0 .. P^h, h = ceil(q_max / 2),
+    and for p > h the block trace of P^h P^(p-h), which
+    `Matrix.block_trace_product` forms without the off-diagonal blocks."""
+    h = (q_max + 1) // 2
+    powers = block_powers(rep, min(h, q_max), variant)   # a negative q_max raises
+    n = rep.dim
+    return ([power.block_trace(n) for power in powers]
+            + [powers[h].block_trace_product(powers[p - h], n) for p in range(h + 1, q_max + 1)])
 
 
 def casimir_matrix(rep: Representation, q: int, variant: str = "plain") -> Matrix:

@@ -10,7 +10,8 @@ gcd of the denominator and all numerators is 1 (so the zero matrix has
 denominator 1), and ``==``, ``is_zero``, ``is_diagonal`` and
 ``nonzero_count`` are tests on the storage.  The layout is private to this
 module: other code reads Fractions with ``m[i, j]``, ``nonzero_entries()``
-and ``diagonal_entries()`` and writes any rational with ``m[i, j] = x``.
+and ``diagonal_entries()``, or integer numerators over the one denominator
+with ``integer_entries()``, and writes any rational with ``m[i, j] = x``.
 ``Matrix.data`` is a dense view on that reader and writer: ``m.data[i][j]``
 reads or writes one entry, and a row iterates over all its entries.
 
@@ -18,8 +19,10 @@ The kernels work on the numerators, make no Fraction and end with at most
 one division by gcd(denominator, numerators): ``matmul`` over the product of
 the denominators, :func:`linear_combination` (``+``, ``-`` and ``scale`` are
 its one- and two-term cases) in one pass over one lcm, ``kron``, ``submatrix``,
-``block_trace`` and :func:`gram_adjoint` in integers; ``Matrix.block`` (over
-the lcm of its blocks) and ``block_transpose`` need no division.
+``block_trace``, ``block_trace_product`` (the block trace of a product,
+formed without its off-diagonal blocks) and :func:`gram_adjoint` in
+integers; ``Matrix.block`` (over the lcm of its blocks) and
+``block_transpose`` need no division.
 :func:`lagrange_projectors` forms the powers of a matrix once by sparse
 ``matmul`` and gives the completeness residual and every spectral projector
 as one ``linear_combination`` of them.  ``rref`` is a fraction-free
@@ -146,6 +149,28 @@ class Matrix:
                     acc[c - lo] = acc.get(c - lo, 0) + x
         return _canonical(n, n, [{b: x for b, x in acc.items() if x} for acc in nums], self._den)
 
+    def block_trace_product(self, other: "Matrix", n: int) -> "Matrix":
+        """``(self * other).block_trace(n)`` without the off-diagonal blocks of
+        the product: the sum over k and j of the block products A_kj B_jk,
+        each product term outside them skipped before its multiplication."""
+        self._check_grid(n)
+        other._check_grid(n)
+        if self.cols != other.rows:
+            raise ValueError(f"dimension mismatch in product: {self.rows}x{self.cols} by "
+                             f"{other.rows}x{other.cols}")
+        bnums = other._nums
+        nums = [{} for _ in range(n)]
+        for r, row in enumerate(self._nums):
+            # the diagonal block of row r has the columns lo .. hi - 1
+            lo, acc = r - r % n, nums[r % n]
+            hi = lo + n
+            for c, x in row.items():
+                for j, y in bnums[c].items():
+                    if lo <= j < hi:
+                        acc[j - lo] = acc.get(j - lo, 0) + x * y
+        return _canonical(n, n, [{b: x for b, x in acc.items() if x} for acc in nums],
+                          self._den * other._den)
+
     def _check_grid(self, n: int):
         if self.rows != self.cols or self.rows % n:
             raise ValueError(f"{self.rows}x{self.cols} matrix is no square grid of {n}x{n} blocks")
@@ -181,6 +206,11 @@ class Matrix:
         """(i, j, x) for every nonzero entry, row by row."""
         d = self._den
         return [(i, j, Fraction(x, d)) for i, row in enumerate(self._nums) for j, x in row.items()]
+
+    def integer_entries(self) -> tuple:
+        """(d, entries): the one positive denominator d and (i, j, x) for every
+        nonzero entry, row by row, x its integer numerator over d."""
+        return self._den, [(i, j, x) for i, row in enumerate(self._nums) for j, x in row.items()]
 
     @property
     def data(self) -> list:

@@ -419,6 +419,33 @@ def test_unsorted_monomial_rejected():
         PBWElement(2, {((2, 1), (1, 2)): F(1)})
 
 
+def test_kernel_results_pass_the_check_they_skip(monkeypatch):
+    # the kernels build their results with PBWElement._ordered, which skips
+    # the public constructor's order check; routed through that check, every
+    # result of each kernel and of the verifier's families passes it
+    checked = []
+
+    def checking(cls, m, terms):
+        checked.append(1)
+        return PBWElement(m, terms)
+
+    monkeypatch.setattr(PBWElement, "_ordered", classmethod(checking))
+    m = 3
+    for x in [e_power(1, 3, 3, m), tilde_e_power(3, 2, 3, m), casimir_element(3, m, "tilde"),
+              k_central(3, m), pbw_normalize([(3, 1), (2, 3), (1, 2)], m, F(1, 2)),
+              commutator(gen(m, 3, 1), gen(m, 1, 3)) * gen(m, 2, 1)]:
+        assert not x.is_zero()
+    assert verify_binomial_relations(m, 3).passed
+    assert len(checked) > 100
+
+
+def test_the_public_constructor_rejects_an_unordered_word():
+    with pytest.raises(ValueError, match=r"monomial \(\(3, 1\), \(1, 1\)\) is not normal"):
+        PBWElement(3, {(): 1, ((1, 2),): 2, ((3, 1), (1, 1)): F(1, 2)})
+    # a word whose coefficient is zero is dropped before the check
+    assert PBWElement(3, {((3, 1), (1, 1)): 0}).is_zero()
+
+
 def test_binomial_relations_reject_a_wrong_shift(monkeypatch):
     # C(2,1)(-m) one too large breaks every degree-2 item that reads it: the
     # two binomial sums, the solved coefficients and the three trace forms

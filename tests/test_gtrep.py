@@ -16,12 +16,13 @@ from kahlergrad.gtrep import (
     DimensionBudgetError,
     block_powers,
     build_rep,
+    casimir_matrices,
     casimir_matrix,
     e_power_matrix,
     gt_patterns,
     invariant_gram,
 )
-from kahlergrad.linalg import Matrix, linear_combination
+from kahlergrad.linalg import Matrix, gram_adjoint, linear_combination
 from kahlergrad.weights import (
     casimir_eigenvalue,
     casimir_quadratic_closed_form,
@@ -259,6 +260,48 @@ def _changed(g: Matrix, a: int, b: int, by) -> Matrix:
     return changed
 
 
+def _mirror_class_rejects(model) -> bool:
+    """The oracle: the build check that the Serre presentation replaced.
+    Diagonal and trace checks, unitarity per pair k < l, then the relation
+    [e_ij, e_kl] = d_jk e_il - d_li e_kj at the least pair of each class
+    {{(i,j), (k,l)}, {(l,k), (j,i)}}: 66 relations at m = 4.  True when any
+    of them is broken."""
+    m, n, gen = model.m, model.dim, model.gen
+    keys = range(1, m + 1)
+    if not all(gen[(k, k)].is_diagonal() for k in keys):
+        return True
+    total = linear_combination([(1, gen[(k, k)]) for k in keys], n, n)
+    if total != Matrix.identity(n).scale(sum(model.rho.entries)):
+        return True
+    if any(gram_adjoint(gen[(k, l)], model.gram, model.gram) != gen[(l, k)]
+           for k, l in itertools.combinations(keys, 2)):
+        return True
+    for (i, j), (k, l) in itertools.combinations(itertools.product(keys, repeat=2), 2):
+        if sorted([(l, k), (j, i)]) < [(i, j), (k, l)]:
+            continue
+        terms = [(1, gen[(i, j)] * gen[(k, l)]), (-1, gen[(k, l)] * gen[(i, j)])]
+        if j == k:
+            terms.append((-1, gen[(i, l)]))
+        if l == i:
+            terms.append((1, gen[(k, j)]))
+        if not linear_combination(terms, n, n).is_zero():
+            return True
+    return False
+
+
+def _agrees_with_the_oracle(model, match: str = "") -> bool:
+    """check_invariants raises (with ``match`` in its message) exactly when
+    the mirror-class oracle finds a broken relation; returns whether it did."""
+    try:
+        model.check_invariants()
+    except AssertionError as exc:
+        assert _mirror_class_rejects(model), exc
+        assert match in str(exc)
+        return True
+    assert not _mirror_class_rejects(model)
+    return False
+
+
 def test_check_invariants_catches_every_single_entry_change():
     # every generator entry of an 8- and a 15-dimensional model changed by
     # one, in turn
@@ -268,15 +311,14 @@ def test_check_invariants_catches_every_single_entry_change():
             for a in range(model.dim):
                 for b in range(model.dim):
                     bad = replace(model, gen={**model.gen, key: _changed(g, a, b, 1)})
-                    with pytest.raises(AssertionError):
-                        bad.check_invariants()
+                    assert _agrees_with_the_oracle(bad)
 
 
 @pytest.mark.parametrize("rho, sample", [((1, 0, -1), None), ((2, 1, 0), None),
                                          ((1, 0, 0, -1), 1000)])
 def test_check_invariants_catches_adjoint_consistent_changes(rho, sample):
     # e_kl[a,b] changed by 1 and e_lk[b,a] by G_a / G_b keep e_kl* = e_lk, so
-    # only the commutation relations, one per mirror class, can see the change
+    # only the checks after the unitarity check can see the change
     model = build_rep(rho)
     g = model.gram.diagonal_entries()
     units = [(k, l) for k in range(1, model.m + 1) for l in range(1, model.m + 1) if k != l]
@@ -286,18 +328,90 @@ def test_check_invariants_catches_adjoint_consistent_changes(rho, sample):
     for (k, l), a, b in cases:
         gen = {**model.gen, (k, l): _changed(model.gen[(k, l)], a, b, 1),
                (l, k): _changed(model.gen[(l, k)], b, a, g[a] / g[b])}
-        with pytest.raises(AssertionError, match="commutation"):
-            replace(model, gen=gen).check_invariants()
+        assert _agrees_with_the_oracle(replace(model, gen=gen), "commutation")
+
+
+@pytest.mark.parametrize("rho", [(1, 0, -1), (2, 1, -1), (1, 0, 0, -1), (1, 1, 0, 0),
+                                 (2, 2, 2, 2)])
+def test_check_invariants_catches_a_changed_non_simple_unit(rho):
+    # a non-simple unit e_kl replaced, and e_lk with it by its Gram adjoint:
+    # unitarity holds, and the closure rejects every replacement that changes
+    # e_kl; on the one-dimensional module e_kl is 0, so 2 e_kl, -e_kl and 0
+    # change nothing
+    model = build_rep(rho)
+    m, n = model.m, model.dim
+    for k, l in itertools.combinations(range(1, m + 1), 2):
+        if l - k < 2:
+            continue
+        e = model.gen[(k, l)]
+        changes = [e.scale(2), -e, Matrix.zeros(n, n)]
+        changes += [_changed(e, r, c, 1) for r, c, _ in e.nonzero_entries()]
+        changes += [_changed(e, r, c, 1) for r in range(n) for c in range(n)
+                    if not e[r, c] and (r + c) % 3 == 0]
+        for x in changes:
+            gen = {**model.gen, (k, l): x, (l, k): gram_adjoint(x, model.gram, model.gram)}
+            assert _agrees_with_the_oracle(replace(model, gen=gen), "commutation") == (x != e)
+
+
+@pytest.mark.parametrize("rho", [(2, 0), (1, 0, -1), (2, 1, 0), (1, 0, 0, -1)])
+def test_check_invariants_catches_a_changed_simple_unit(rho):
+    # e_k[a,b] changed by 1 at a stored entry, f_k[b,a] by G_a / G_b, and
+    # the non-simple units rebuilt from them as build_rep builds them: the
+    # weights, unitarity and closure hold, as after a transcription error in
+    # both ladder formulas, and only [e_k, f_l] and Serre can see the change
+    model = build_rep(rho)
+    m, g = model.m, model.gram.diagonal_entries()
+    for k in range(1, m):
+        for a, b, _ in model.gen[(k, k + 1)].nonzero_entries():
+            gen = {**model.gen, (k, k + 1): _changed(model.gen[(k, k + 1)], a, b, 1),
+                   (k + 1, k): _changed(model.gen[(k + 1, k)], b, a, g[a] / g[b])}
+            for d in range(2, m):
+                for i in range(1, m + 1 - d):
+                    j = i + d
+                    x, y = gen[(i, j - 1)], gen[(j - 1, j)]
+                    gen[(i, j)] = x * y - y * x
+                    gen[(j, i)] = gram_adjoint(gen[(i, j)], model.gram, model.gram)
+            assert _agrees_with_the_oracle(replace(model, gen=gen), "commutation")
+
+
+@pytest.mark.parametrize("rho", [(1, 0), (2, 0), (3, 1)])
+def test_check_invariants_reads_the_weights(rho):
+    # e = 2 e_12 and f = 2 e_21 with h = [e, f] and e_11, e_22 = (|rho| +- h) / 2
+    # keep the diagonal, trace, unitarity and [e, f] = e_11 - e_22 checks;
+    # only the weights see that [e_11, e] = 4 e, not e
+    model = build_rep(rho)
+    n, size = model.dim, sum(rho)
+    e, f = model.gen[(1, 2)].scale(2), model.gen[(2, 1)].scale(2)
+    h = e * f - f * e
+    one = Matrix.identity(n).scale(size)
+    gen = {(1, 1): (one + h).scale(F(1, 2)), (2, 2): (one - h).scale(F(1, 2)),
+           (1, 2): e, (2, 1): f}
+    assert _agrees_with_the_oracle(replace(model, gen=gen), "commutation fails at the weight")
+
+
+@pytest.mark.parametrize("rho", [(1, 0, -1), (1, 0, 0, -1)])
+def test_check_invariants_accepts_a_rescaled_basis(rho):
+    # basis vector a scaled by t: every e_kl becomes T^-1 e_kl T and G
+    # becomes T G T, another model of the same module, which both checks accept
+    model = build_rep(rho)
+    for a in range(model.dim):
+        t = [F(1)] * model.dim
+        t[a] = F(3, 2)
+        scale, unscale = Matrix.diagonal(t), Matrix.diagonal([1 / x for x in t])
+        gen = {key: unscale * e * scale for key, e in model.gen.items()}
+        gram = Matrix.diagonal([x * x * y for x, y in zip(t, model.gram.diagonal_entries())])
+        assert not _agrees_with_the_oracle(replace(model, gen=gen, gram=gram))
 
 
 @pytest.mark.parametrize("rho, products, comparisons", [
-    ((1, 0), 8, 1 + 1), ((1, 0, -1), 42, 3 + 9), ((1, 0, 0, -1), 132, 6 + 36),
-    ((1, 0, 0, 0, 0), 320, 10 + 100)])
-def test_check_invariants_forms_one_relation_per_mirror_class(monkeypatch, rho, products,
-                                                              comparisons):
-    # two products per class {{(i,j), (k,l)}, {(l,k), (j,i)}}: 4, 21, 66 and
-    # 160 classes at m = 2..5, of the 6, 36, 120 and 300 relations; a matrix
-    # comparison per unitarity pair k < l and per class with no d term
+    ((1, 0), 2, 1), ((1, 0, -1), 12, 3 + 3), ((1, 0, 0, -1), 28, 6 + 8),
+    ((1, 0, 0, 0, 0), 50, 10 + 15)])
+def test_check_invariants_forms_two_products_per_serre_relation(monkeypatch, rho, products,
+                                                                comparisons):
+    # two products per relation: [e_k, f_l] for k <= l (1, 3, 6 and 10 at
+    # m = 2..5), the Serre relations of the raising units (0, 2, 5 and 9) and
+    # the closure of the non-simple ones (0, 1, 3 and 6); a matrix comparison
+    # per unitarity pair k < l and per relation with no right-hand side
     model = build_rep(rho)
     products_made, compared = [], []
     matmul, eq = Matrix.matmul, Matrix.__eq__
@@ -305,6 +419,43 @@ def test_check_invariants_forms_one_relation_per_mirror_class(monkeypatch, rho, 
     monkeypatch.setattr(Matrix, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
     model.check_invariants()
     assert (len(products_made), len(compared)) == (products, comparisons)
+
+
+def test_build_rep_forms_the_lowering_units_as_adjoints(monkeypatch):
+    # at m = 4 the three non-simple raising units take two products each,
+    # and their lowering units one Gram adjoint each, beside the check
+    products_made = []
+    matmul = Matrix.matmul
+    monkeypatch.setattr(Matrix, "matmul", lambda a, b: products_made.append(1) or matmul(a, b))
+    monkeypatch.setattr(gtrep.Representation, "check_invariants", lambda self: None)
+    model = build_rep((1, 0, 0, -1))
+    assert len(products_made) == 6
+    for k, l in itertools.combinations(range(1, 5), 2):
+        assert gram_adjoint(model.gen[(k, l)], model.gram, model.gram) == model.gen[(l, k)]
+
+
+@pytest.mark.parametrize("rho", [(1, 0, -1), (2, 0, 0, -1)])
+def test_casimir_matrices_form_half_the_full_powers(monkeypatch, rho):
+    # degree q forms the full block powers up to h = ceil(q/2), h - 1
+    # products, and each c_p, p > h, as the block trace of P^h P^(p-h)
+    model = build_rep(rho)
+    n = model.dim
+    for variant in ("plain", "tilde"):
+        whole = [p.block_trace(n) for p in block_powers(model, 7, variant)]
+        for q in range(8):
+            calls = Counter()
+            matmul, btp = Matrix.matmul, Matrix.block_trace_product
+            monkeypatch.setattr(Matrix, "matmul",
+                                lambda a, b: calls.update(["full"]) or matmul(a, b))
+            monkeypatch.setattr(Matrix, "block_trace_product",
+                                lambda a, b, n: calls.update(["traced"]) or btp(a, b, n))
+            got = casimir_matrices(model, q, variant)
+            monkeypatch.undo()
+            h = (q + 1) // 2
+            assert (calls["full"], calls["traced"]) == (max(h - 1, 0), q - h), q
+            assert got == whole[:q + 1]
+    with pytest.raises(ValueError, match="nonnegative"):
+        casimir_matrices(model, -1)
 
 
 def _complete_symmetric(k: int, m: int) -> dict:

@@ -355,6 +355,7 @@ def test_every_result_is_canonical(pair, c, s, data):
         Matrix.block([[a, doubled], [doubled.scale(F(1, 3)), a.scale(s)]]),
         square.block_transpose(n), square.scale(6).block_transpose(n),
         square.block_trace(n), square.scale(6).block_trace(n),
+        square.block_trace_product(square, n), square.scale(6).block_trace_product(square, n),
         doubled.submatrix(range(a.rows), range(0, a.cols, 2)),
         a.rref()[0], doubled.rref()[0], gram_adjoint(doubled, *grams),
         Matrix.from_rows([{j: 2 * x for j, x in enumerate(row)} for row in a.data], a.cols),
@@ -660,11 +661,15 @@ def test_block_transpose_moves_blocks(m, n, data):
 
 
 def test_block_transpose_rejects_a_bad_grid():
-    # and so does block_trace, on the same shapes
+    # and so do block_trace and block_trace_product, on the same shapes
     for a, n in ((Matrix.zeros(4, 2), 2), (Matrix.zeros(2, 4), 2), (Matrix.identity(4), 3)):
-        for kernel in (a.block_transpose, a.block_trace):
+        for kernel in (a.block_transpose, a.block_trace,
+                       lambda n: a.block_trace_product(Matrix.identity(4), n),
+                       lambda n: Matrix.identity(4).block_trace_product(a, n)):
             with pytest.raises(ValueError, match="square grid"):
                 kernel(n)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Matrix.identity(4).block_trace_product(Matrix.identity(2), 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -675,6 +680,25 @@ def test_block_trace_sums_the_diagonal_blocks(m, n, data):
     assert _is_canonical(trace) and _stores_no_zero(trace)
     assert trace == linear_combination([(1, _block(a, n, k, k)) for k in range(1, m + 1)], n, n)
     assert a.block_trace(m * n) == a and a.block_transpose(n).block_trace(n) == trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(entries=WIDE_ENTRY))
+def test_integer_entries_are_the_numerators_over_one_denominator(a):
+    d, entries = a.integer_entries()
+    assert [(i, j, F(x, d)) for i, j, x in entries] == a.nonzero_entries()
+    assert d > 0 and gcd(d, *(x for _, _, x in entries)) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_block_trace_product_matches_the_block_trace_of_the_product(m, n, data):
+    a = data.draw(sparse_matrices(m * n, m * n, WIDE_ENTRY))
+    b = data.draw(sparse_matrices(m * n, m * n, WIDE_ENTRY))
+    traced = a.block_trace_product(b, n)
+    assert _is_canonical(traced) and _stores_no_zero(traced)
+    assert traced == a.matmul(b).block_trace(n)
+    assert a.block_trace_product(b, m * n) == a.matmul(b)
 
 
 def test_from_rows_keeps_the_storage_rules():

@@ -1,7 +1,8 @@
 """What a fresh process loads: `import kahlergrad` loads no submodule, and
-the CLI loads only the library modules its command runs (and the process
-pool only under --jobs N > 1).  Each case runs in its own interpreter, since
-this one has loaded every module already."""
+the CLI loads only the library modules its command runs (the process pool
+only under --jobs N > 1, and `traceback` only for a task that raised).
+Each case runs in its own interpreter, since this one has loaded every
+module already."""
 
 import os
 import subprocess
@@ -14,7 +15,8 @@ import kahlergrad
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = ("import sys\n{}\n"
-         "print(' '.join(sorted(k for k in sys.modules if k.startswith(('kahlergrad', 'concurrent')))))")
+         "print(' '.join(sorted(k for k in sys.modules\n"
+         "                      if k.startswith(('kahlergrad', 'concurrent', 'traceback')))))")
 LIBRARY = {"bochner", "clifford", "envalg", "gtrep", "linalg", "report", "weights"}
 MAIN = "import kahlergrad.cli as cli; cli.main({})"
 
@@ -30,11 +32,12 @@ def _loaded(code: str) -> set:
     ("import kahlergrad", {f"kahlergrad.{name}" for name in LIBRARY | {"cli"}}),
     ("import kahlergrad.cli as cli; cli.build_parser()",
      {"kahlergrad.clifford", "kahlergrad.bochner", "kahlergrad.envalg", "kahlergrad.gtrep",
-      "kahlergrad.linalg", "concurrent.futures"}),
+      "kahlergrad.linalg", "concurrent.futures", "traceback"}),
     (MAIN.format(["verify", "--suite", "envalg", "--m", "2", "--q", "1"]),
      {"kahlergrad.linalg", "kahlergrad.gtrep", "kahlergrad.clifford", "kahlergrad.bochner"}),
     (MAIN.format(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1", "--q", "1"]),
-     {"kahlergrad.clifford", "kahlergrad.bochner", "kahlergrad.envalg", "concurrent.futures"}),
+     {"kahlergrad.clifford", "kahlergrad.bochner", "kahlergrad.envalg", "concurrent.futures",
+      "traceback"}),
 ], ids=["package", "parser", "envalg-suite", "gtrep-suite"])
 def test_a_process_loads_only_what_it_runs(code, absent):
     loaded = _loaded(code)
