@@ -320,7 +320,7 @@ def _task_gtrep(rho_entries, bound: int, q_max: int, budget) -> VerificationRepo
         for variant in ("plain", "tilde"):
             mat = casimirs[variant][q]
             expected = tables[variant].casimir(q)
-            ok = mat.is_scalar() and mat.diagonal_entries()[0] == expected
+            ok = mat.is_scalar() and mat[0, 0] == expected
             rep.check("casimir-matrix", {**base, "q": q, "variant": variant}, ok,
                       witness=f"expected scalar {expected}")
     c2 = casimirs["plain"][2]

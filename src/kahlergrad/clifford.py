@@ -129,9 +129,7 @@ class CliffordSystem:
     def p_star_p(self, i: int, k: int, l: int) -> Matrix:
         """p_i(basis_k)^* p_i(basis_l) on the source module, block (k, l) of
         `p_star_p_matrix`; zero matrix when the component vanishes."""
-        n = self.rep.dim
-        return self.p_star_p_matrix(i).submatrix(range((k - 1) * n, k * n),
-                                                 range((l - 1) * n, l * n))
+        return gtrep._block(self.p_star_p_matrix(i), self.rep.dim, k, l)
 
 
 def _aux_generator(m: int, sign: str, k: int, l: int) -> Matrix:
@@ -172,19 +170,15 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
         proj = projectors[i - 1]
         if shifted is None:
             if not proj.is_zero():
-                raise AssertionError(
-                    f"projector at invalid shift i={i} is nonzero (rank "
-                    f"{proj.rank()}, expected 0)"
-                )
+                raise AssertionError(f"projector at invalid shift i={i} is nonzero (rank "
+                                     f"{proj.rank()}, expected 0)")
             targets.append(None)
             continue
         expected_dim = weyl_dimension(shifted)
         _, pivots = proj.submatrix(by_a, by_a).rref()
         if len(pivots) != expected_dim:
-            raise AssertionError(
-                f"projector rank {len(pivots)} != Weyl dimension {expected_dim} "
-                f"at i={i} for {rep.rho} sign {sign}"
-            )
+            raise AssertionError(f"projector rank {len(pivots)} != Weyl dimension "
+                                 f"{expected_dim} at i={i} for {rep.rho} sign {sign}")
         # orthogonalize the pivot columns against the tensor form; a column
         # is (v, dv, nv): integers {tensor index: nonzero entry} over the
         # denominator dv, and nv = dg dv^2 |v|^2.  Subtracting the projection
@@ -244,17 +238,17 @@ def target_generator(sys: CliffordSystem, i: int, k: int, l: int) -> Matrix:
 
 
 def derived_representation(sys: CliffordSystem, i: int) -> Representation:
-    """The component at i packaged as a standalone matrix model, so that a
-    further system can be built on top of it with consistent bases.  Its
-    invariants are not checked here; call `check_invariants` for that."""
+    """The component at i as a standalone matrix model, so that a further
+    system can be built on it with consistent bases: `gtrep.complete_module`
+    completes and checks the compressed e_kk and simple units C_i e A_i.  It
+    equals the compression of every unit: S_i = A_i C_i commutes with the
+    tensor action and C_i S_i = C_i, so [C_i x A_i, C_i y A_i] = C_i [x, y] A_i,
+    and C_i is the adjoint of A_i for the induced form."""
+    keys = range(1, sys.m + 1)
     # target_generator raises when there is no component at i
-    gen = {
-        (k, l): target_generator(sys, i, k, l)
-        for k in range(1, sys.m + 1)
-        for l in range(1, sys.m + 1)
-    }
+    gen = {(k, l): target_generator(sys, i, k, l) for k in keys for l in keys if abs(k - l) <= 1}
     t = sys.target(i)
-    return Representation(rho=t.weight, dim=t.dim, gen=gen, gram=t.gram)
+    return gtrep.complete_module(t.weight, gen, t.gram)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +414,9 @@ def verify_cross_relations(
     # rho).  On the valid plus columns the plus-side rows are the Vandermonde
     # matrix ((w_{+i} - m)^q) for q <= q_max, whose nodes are distinct since
     # the w_{+i} are, so the rank is at least min(c, q_max + 1).  The minus-
-    # side rows add nothing to it on every family scanned (m <= 4 at bound 2
-    # and m = 5 at bound 1, q_max <= 3), and this item checks that.
+    # side rows add nothing to it, and this item checks that: on the valid
+    # columns a row is fixed by its far part and a closed-form recoupling
+    # matrix, see test_recoupling_matrix_solves_the_cross_sign_templates.
     c = sum(plus.table.valid)
     expected = min(c, q_max + 1)
     report.check(

@@ -17,14 +17,14 @@ l_{k,j} = lambda_{k,j} - j:
         prod_{i<=k-1} (l_{k-1,i} - l_{k,j}) / prod_{i != j} (l_{k,i} - l_{k,j})
 
 Terms whose target array is not a pattern are dropped (the classical
-convention).  The other raising units are commutators of these, and each
-other lowering unit is the Gram adjoint of its raising unit.  Every build is
-then machine-checked, in one place, against the weight grading, the adjoint
-condition and Serre's presentation of gl(m): the relations of the simple
-units and the commutator closure of the others, which together imply every
-commutation relation, so a transcription error in the formulas cannot
-survive construction.  The Casimir matrices are block traces of the block
-powers up to half their degree and of products of two of them.
+convention).  From the e_kk and these simple units, `complete_module` forms
+the other raising units as commutators and each other lowering unit as a
+Gram adjoint, then checks the module against the weight grading, the adjoint
+condition and Serre's presentation of gl(m), which imply every commutation
+relation.  Every model the library hands out, `clifford.derived_representation`'s
+too, is completed and checked there, in one place.  The Casimir matrices are
+block traces of the block powers up to half their degree and of products of
+two of them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "Representation",
     "gt_patterns",
     "build_rep",
+    "complete_module",
     "invariant_gram",
     "block_powers",
     "e_power_matrix",
@@ -219,14 +220,11 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
     m = rho.m
     dim = weyl_dimension(rho)
     if dim > dim_budget:
-        raise DimensionBudgetError(
-            f"dimension {dim} exceeds budget {dim_budget} for {rho}"
-        )
+        raise DimensionBudgetError(f"dimension {dim} exceeds budget {dim_budget} "
+                                   f"for {rho}")
     pats = gt_patterns(rho)
     if len(pats) != dim:
-        raise AssertionError(
-            f"pattern count {len(pats)} != Weyl dimension {dim} for {rho}"
-        )
+        raise AssertionError(f"pattern count {len(pats)} != Weyl dimension {dim} for {rho}")
     index = {p: i for i, p in enumerate(pats)}
     gen: Dict[Tuple[int, int], Matrix] = {}
     # the weight of a pattern: the differences of its row sums, bottom-up
@@ -236,16 +234,22 @@ def build_rep(rho, dim_budget: int = DEFAULT_DIMENSION_BUDGET) -> Representation
     for k in range(1, m):
         gen[(k, k + 1)] = _ladder(pats, index, k, 1)
         gen[(k + 1, k)] = _ladder(pats, index, k, -1)
-    gram = invariant_gram(pats)
-    # the remaining raising units by closure, e_kl = [e_{k,l-1}, e_{l-1,l}],
-    # and each lowering unit as the Gram adjoint e_lk = e_kl*
+    return complete_module(rho, gen, invariant_gram(pats))
+
+
+def complete_module(rho: HighestWeight, gen: dict, gram: Matrix) -> Representation:
+    """The checked module labelled rho from its e_kk and simple units, in
+    ``gen``, and its invariant diagonal Gram form: adds each other raising
+    unit by closure, e_kl = [e_{k,l-1}, e_{l-1,l}], and each other lowering
+    unit as the Gram adjoint e_lk = e_kl*, then runs `check_invariants`."""
+    m = rho.m
     for d in range(2, m):
         for k in range(1, m + 1 - d):
             l = k + d
             gen[(k, l)] = (gen[(k, l - 1)] * gen[(l - 1, l)]
                            - gen[(l - 1, l)] * gen[(k, l - 1)])
             gen[(l, k)] = gram_adjoint(gen[(k, l)], gram, gram)
-    rep = Representation(rho=rho, dim=dim, gen=gen, gram=gram)
+    rep = Representation(rho=rho, dim=gram.rows, gen=gen, gram=gram)
     rep.check_invariants()
     return rep
 

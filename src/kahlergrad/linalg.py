@@ -428,10 +428,11 @@ def gram_adjoint(a: Matrix, gram_source: Matrix, gram_target: Matrix) -> Matrix:
 
     ``a`` maps the source space (cols) to the target space (rows); the result
     is ``G_source^-1 . a^T . G_target`` mapping target back to source.  All
-    data is real rational, so conjugation is trivial.
+    data is real rational, so conjugation is trivial.  A form passed twice is checked once.
     """
     _check_gram(gram_source, "source")
-    _check_gram(gram_target, "target")
+    if gram_target is not gram_source:
+        _check_gram(gram_target, "target")
     if a.cols != gram_source.rows or a.rows != gram_target.rows:
         raise ValueError(
             f"adjoint dimension mismatch: map is {a.rows}x{a.cols}, grams are "

@@ -23,7 +23,13 @@ from kahlergrad.linalg import (
     lagrange_projectors,
     linear_combination,
 )
-from kahlergrad.weights import FAMILY, HighestWeight, weyl_dimension
+from kahlergrad.weights import (
+    FAMILY,
+    HighestWeight,
+    conformal_table,
+    dominant_weights,
+    weyl_dimension,
+)
 
 
 def test_trivial_module_plus_side():
@@ -123,6 +129,67 @@ def test_cross_sign_rank_fails_on_a_corrupted_coefficient_row(monkeypatch):
     assert bochner.bochner_identity((1, 0, 0), 2) != emitted
 
 
+def _recoupling(w):
+    """M_ij = prod_{k != j} (w_i - w_k - 1) / prod_{k != i} (w_i - w_k), by
+    (i, j) from 1, for the far sign's conformal weights w: the scalar by
+    which the far sign's S_i with its blocks swapped acts on the near sign's
+    component j."""
+    w = [F(x) for x in w]
+    idx = range(len(w))
+    out = {}
+    for i in idx:
+        den = F(1)
+        for k in idx:
+            if k != i:
+                den *= w[i] - w[k]
+        for j in idx:
+            num = F(1)
+            for k in idx:
+                if k != j:
+                    num *= w[i] - w[k] - 1
+            out[(i + 1, j + 1)] = num / den
+    return out
+
+
+RECOUPLING_WEIGHTS = [(2, 0, -1), (1, 1, 0), (2, 2, 0), (1, 0, -1), (2, 1, 0, -1), (1, 0),
+                      (0, 0)]
+
+
+def test_recoupling_matrix_on_the_maps():
+    # the swapped far S_i times each near map A_j is M_ij A_j
+    pairs = 0
+    for rho in RECOUPLING_WEIGHTS:
+        rep = build_rep(rho)
+        systems = {sign: build_system(rep, sign) for sign in "+-"}
+        n, m = rep.dim, rep.m
+        for near, far in (("+", "-"), ("-", "+")):
+            M = _recoupling(conformal_table(rho, far).w)
+            for i in range(1, m + 1):
+                swapped = systems[far].p_star_p_matrix(i).block_transpose(n)
+                for t in filter(None, systems[near].targets):
+                    assert swapped * t.basis == t.basis.scale(M[(i, t.index)]), (rho, near, i)
+                    pairs += 1
+    assert pairs == 104
+
+
+def test_recoupling_matrix_solves_the_cross_sign_templates():
+    # near_j + sum_i far_i M_ij = 0 for every valid near component j: the
+    # cross-sign relation applied to the near map A_j
+    cases = 0
+    for m, bound in ((2, 4), (3, 2), (4, 1)):
+        for rho in dominant_weights(m, bound):
+            for near, far in (("+", "-"), ("-", "+")):
+                tables = conformal_table(rho, near), conformal_table(rho, far)
+                M = _recoupling(tables[1].w)
+                for near_c, far_c in bochner.binomial_template(*tables, 6):
+                    for j in range(1, m + 1):
+                        if tables[0].valid[j - 1]:
+                            assert near_c[j - 1] + sum(
+                                c * M[(i, j)] for i, c in enumerate(far_c, 1)) == 0, (rho, near, j)
+                            cases += 1
+    assert cases == 2604
+
+
 def _aux(m, sign, k, l):
     """e_kl on the natural module (sign +) or its conjugate (sign -)."""
     out = Matrix.zeros(m, m)
@@ -216,14 +283,56 @@ def test_adjoint_pairing_rejects_mismatched_system():
         verify_adjoint_pairing(plus, wrong, 1)
 
 
+DERIVED_WEIGHTS = [(1, 0), (2, 1, 0), (2, 0, -1), (1, 0, 0, -1)]
+
+
+def _components(rho):
+    """Each system on rho, both signs, with each of its components."""
+    rep = build_rep(rho)
+    for sign in "+-":
+        sys = build_system(rep, sign)
+        for t in filter(None, sys.targets):
+            yield sys, t
+
+
 def test_derived_representation_is_a_module():
-    rep = build_rep((1, 0, 0))
-    plus = build_system(rep, "+")
-    raised = derived_representation(plus, 2)  # (1,1,0)
-    raised.check_invariants()  # raises on violation
-    assert raised.dim == weyl_dimension((1, 1, 0))
+    for rho in DERIVED_WEIGHTS:
+        for sys, t in _components(rho):
+            derived = derived_representation(sys, t.index)  # raises on a violation
+            derived.check_invariants()
+            assert derived.rho == t.weight and derived.gram is t.gram
+            assert derived.dim == weyl_dimension(t.weight)
+    plus = build_system(build_rep((1, 0, 0)), "+")
     with pytest.raises(ValueError, match="no component at i=3"):
         derived_representation(plus, 3)  # (1,0,1) is not dominant
+
+
+@pytest.mark.parametrize("rho", DERIVED_WEIGHTS)
+def test_derived_representation_equals_the_compression_of_every_unit(rho):
+    # the completion from the simple units against C_i e A_i for all m^2 units
+    for sys, t in _components(rho):
+        derived = derived_representation(sys, t.index)
+        units = [(k, l) for k in range(1, sys.m + 1) for l in range(1, sys.m + 1)]
+        assert derived.gen == {u: t.coords * sys.tensor_generator(*u) * t.basis for u in units}
+        assert derived.gram == t.gram
+
+
+@pytest.mark.parametrize("rho", [(1, 0, -1), (2, 1, 0), (1, 0, 0)])
+def test_derived_representation_rejects_a_corrupted_map(rho):
+    # each of the first six stored entries of a plus map raised by one, its
+    # adjoint entry in the basis changed to match: the completed module must
+    # fail its invariants
+    rep = build_rep(rho)
+    n = rep.dim
+    for i in [t.index for t in build_system(rep, "+").targets if t]:
+        for entry in range(6):
+            plus = build_system(rep, "+")
+            t = plus.target(i)
+            r, a, x = t.coords.nonzero_entries()[entry]
+            t.coords[r, a] = x + 1
+            t.basis[a, r] = (x + 1) * t.gram[r, r] / rep.gram[a % n, a % n]
+            with pytest.raises(AssertionError):
+                derived_representation(plus, i)
 
 
 def test_component_index_outside_1_to_m_raises():

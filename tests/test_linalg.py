@@ -51,6 +51,19 @@ def test_gram_adjoint_rejects_bad_inputs():
         gram_adjoint(a, Matrix([[1, 1], [0, 1]]), Matrix.diagonal([1]))
 
 
+@pytest.mark.parametrize("bad", [Matrix([[1, 0]]), Matrix([[1, 1], [0, 1]]),
+                                 Matrix.diagonal([1, 0])])
+def test_gram_adjoint_checks_a_distinct_target_form(bad):
+    # a form passed as both source and target is checked once; a target form
+    # that is another object is checked on its own
+    a, good = Matrix([[1, 2], [0, 3]]), Matrix.diagonal([1, 2])
+    with pytest.raises(ValueError, match="target gram"):
+        gram_adjoint(a, good, bad)
+    with pytest.raises(ValueError, match="source gram"):
+        gram_adjoint(a, bad, bad)
+    assert gram_adjoint(a, good, Matrix.diagonal([1, 2])) == gram_adjoint(a, good, good)
+
+
 def test_lagrange_projector_diagonal():
     a = Matrix.diagonal([2, 0])
     assert lagrange_projector(a, [2, 0], 0) == Matrix.diagonal([1, 0])

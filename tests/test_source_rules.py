@@ -8,6 +8,8 @@
   `ZERO` or a storage attribute (the integer rows and their denominator).
 - The library reads no environment: no module names `os.environ`,
   `os.environb` or `os.getenv`, so every setting is an argument.
+- Every module model is made by `gtrep.complete_module`, which checks its
+  invariants: no other function calls `Representation`.
 """
 
 import ast
@@ -80,6 +82,18 @@ def _environment_reads(tree) -> list:
     return sorted(lines)
 
 
+def _module_constructions(tree, allowed=None) -> list:
+    """Lines that call `Representation` outside the function ``allowed``."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            inside.update(map(id, ast.walk(node)))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and "Representation" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None)))
+
+
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -117,6 +131,12 @@ def test_no_environment_read(path):
     assert _environment_reads(_parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_modules_are_made_by_the_checked_completion(path):
+    allowed = "complete_module" if path.name == "gtrep.py" else None
+    assert _module_constructions(_parse(path), allowed) == []
+
+
 def test_rules_flag_a_module_that_breaks_them():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -137,9 +157,15 @@ def test_rules_flag_a_module_that_breaks_them():
         "from os import environ, path\n"
         "def e(os):\n"
         "    return os.environ.get('X'), os.getenv('Y', os.environb), os.sep\n"
+        "def complete_module(rho, gen, gram):\n"
+        "    return Representation(rho, 1, gen, gram)\n"
+        "def derived(t):\n"
+        "    return gtrep.Representation(t.weight, t.dim, {}, t.gram), Representation\n"
     )
     assert _asserts(tree) == [8]
     assert _outside_stdlib(tree) == ["numpy", "sympy.core", "hypothesis"]
     assert _undefined_exports(tree) == ["Rational"]
     assert _layout_names(tree) == [12, 13, 13, 13, 15, 15]
     assert _environment_reads(tree) == [16, 18, 18, 18]
+    assert _module_constructions(tree, "complete_module") == [22]
+    assert _module_constructions(tree) == [20, 22]
