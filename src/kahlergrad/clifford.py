@@ -278,16 +278,17 @@ def _by_unit(params: dict, m: int) -> Iterator[dict]:
 
 
 def _check_projection_formula(report: VerificationReport, tag: str, params: dict,
-                              sys: CliffordSystem):
+                              sys: CliffordSystem, formed: Dict[int, Matrix]):
     """One item per valid i and per l: P_i E_l = sum_k E_k p_i(basis_k)^*
     p_i(basis_l), with E_k the N x n matrix of phi |-> phi (x) basis_k, the
     identity at row block k.  So P_i is S_i, and the item of l is column
-    block l of the difference."""
+    block l of S_i - P_i, taken from ``formed`` where it holds i."""
     m, n = sys.m, sys.rep.dim
     for i in range(1, m + 1):
         if sys.targets[i - 1] is not None:
+            diff = formed[i] if i in formed else sys.p_star_p_matrix(i) - sys.projectors[i - 1]
             _check_blocks(report, tag, ({**params, "i": i, "l": l} for l in range(1, m + 1)),
-                          sys.projectors[i - 1] - sys.p_star_p_matrix(i), m * n, n)
+                          diff, m * n, n)
 
 
 def _check_moments(report: VerificationReport, tag: str, params: dict,
@@ -351,10 +352,16 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
                                          maps.rows, N), maps.rows, n)
 
     # Vandermonde-solved form: p_i^* p_i is the Lagrange basis polynomial of
-    # w_i in P, the projector build_system formed from degrees < m
+    # w_i in P, the projector build_system formed from degrees < m.  The
+    # projection formula reads the same difference by column block: a
+    # vanishing one stores no entry and is kept for it, any other is formed
+    # again there rather than held across the checks in between
+    vanished = {}
     for i in valid:
-        _check_blocks(report, "vandermonde-solved", _by_unit({**base, "i": i}, m),
-                      sys.p_star_p_matrix(i) - sys.projectors[i - 1], n, n)
+        diff = sys.p_star_p_matrix(i) - sys.projectors[i - 1]
+        _check_blocks(report, "vandermonde-solved", _by_unit({**base, "i": i}, m), diff, n, n)
+        if diff.is_zero():
+            vanished[i] = diff
 
     # trace constants
     for i in range(1, m + 1):
@@ -370,7 +377,7 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
         _check_zero(report, "target-completeness", {**base, "i": i},
                     t.coords * t.basis - Matrix.identity(t.dim))
 
-    _check_projection_formula(report, "projection-formula", base, sys)
+    _check_projection_formula(report, "projection-formula", base, sys, vanished)
     return report
 
 
@@ -449,45 +456,31 @@ def verify_equivariance(sys: CliffordSystem) -> VerificationReport:
     return report
 
 
-def verify_adjoint_pairing(
-    sys_plus: CliffordSystem, sys_minus_on_target: CliffordSystem, i: int
-) -> VerificationReport:
+def verify_adjoint_pairing(sys_plus: CliffordSystem, i: int) -> VerificationReport:
     """Phase-free comparison of the two maps between a module and its raised
     neighbour.
 
     With P_k the raising maps of ``sys_plus`` at i and M_k the lowering maps
-    of the minus system built on the raised module (whose source basis must
-    be the raised component of ``sys_plus``), a single intertwiner T with
-    M_k = T P_k^* for every k is solved for explicitly; the squared-norm
-    statement is T^* T = (1/gamma_{+i}) id together with
+    of the minus system built here on the raised component, a single
+    intertwiner T with M_k = T P_k^* for every k is solved for explicitly;
+    the squared-norm statement is T^* T = (1/gamma_{+i}) id together with
     M_k^* M_l = (1/gamma_{+i}) P_k P_l^* on the raised module.  Phases are
-    never compared.
+    never compared.  The minus system's source is `derived_representation`,
+    whose Gram form is the plus component's, so its component i descends
+    back to rho in the basis of ``sys_plus``.
     """
+    if sys_plus.sign != "+":
+        raise ValueError("the adjoint pairing starts from the plus system")
     report = VerificationReport()
     m = sys_plus.m
     rho = sys_plus.rep.rho
     base = {"rho": str(rho), "i": i}
-    raised = shift(rho, "+", i)
-    if raised is None:
+    if shift(rho, "+", i) is None:  # raises when i lies outside 1..m
         report.skip("raise-lower", base, "shift not dominant")
         return report
-    if sys_minus_on_target is None:
-        raise ValueError(
-            f"shift at i={i} is dominant; the minus system on {raised} is required"
-        )
-    if sys_minus_on_target.sign != "-" or sys_minus_on_target.rep.rho != raised:
-        raise ValueError(
-            "second system must be the minus system on the raised module "
-            f"{raised}, got sign {sys_minus_on_target.sign} on "
-            f"{sys_minus_on_target.rep.rho}"
-        )
+    sys_minus = build_system(derived_representation(sys_plus, i), "-")
     t_plus = sys_plus.targets[i - 1]
-    t_minus = sys_minus_on_target.targets[i - 1]
-    if t_minus is None or t_minus.weight != rho:
-        raise ValueError("minus system does not descend back to the source module")
-    if sys_minus_on_target.rep.gram != t_plus.gram:
-        raise ValueError("bases are not shared: build the minus system on the "
-                         "derived representation of the plus target")
+    t_minus = sys_minus.targets[i - 1]
 
     # with the maps P_k stacked by rows and the M_k and P_k^* side by side,
     # T = (1/gamma) sum_k M_k P_k is one product, and each family one sum;
@@ -508,7 +501,7 @@ def verify_adjoint_pairing(
                 linear_combination([(1, T_star * T), (-inv_gamma, Matrix.identity(n))], n, n))
 
     _check_blocks(report, "raise-lower-squared", _by_unit(base, m),
-                  linear_combination([(1, sys_minus_on_target.p_star_p_matrix(i)),
+                  linear_combination([(1, sys_minus.p_star_p_matrix(i)),
                                       (-inv_gamma, raising * raising_star)], m * d, m * d), d, d)
     return report
 
@@ -570,5 +563,5 @@ def verify_spinor_model(m: int) -> VerificationReport:
         for sysx in (plus, minus):
             params = {**base, "sign": sysx.sign}
             _check_moments(report, "spinor-completeness", params, sysx, 0, Matrix.identity(N))
-            _check_projection_formula(report, "spinor-projection-formula", params, sysx)
+            _check_projection_formula(report, "spinor-projection-formula", params, sysx, {})
     return report

@@ -211,11 +211,12 @@ def test_criterion_8_cli_contract():
 
 
 def test_verify_output_is_pinned():
-    """The stdout of eighteen ``verify --json`` runs (among them the commands
+    """The stdout of nineteen ``verify --json`` runs (among them the commands
     of the four benchmark workloads: the clifford suite at m = 3, bound 2,
     q = 3, the gtrep suite at m = 4, q = 4, the envalg suite at m = 4,
     q = 5 and the adjoint suite at m = 3; also the spinor suite at
-    m = 2..5, the adjoint suite at m = 4, the clifford suite at q = 5,
+    m = 2..5, the adjoint suite at m = 4 and at m = 3, bound 2 (derived
+    modules of the raised bound-2 weights), the clifford suite at q = 5,
     above m = 3, the clifford suite at m = 4, q = 0, below m - 1, the
     gtrep suite at m = 4, bound 2 (modules of dimension up to 175), at
     m = 5, bound 1, at m = 3, q = 7 (an odd degree, whose Casimir

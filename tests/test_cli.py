@@ -320,6 +320,34 @@ def test_dimension_budget_task_is_not_applicable():
     assert "dimension 9261 exceeds budget" in rep.items[0].witness
 
 
+@pytest.mark.parametrize("rho, raised", [
+    ((2, 0, -1), {1: (3, 0, -1), 2: (2, 1, -1), 3: (2, 0, 0)}),
+    ((1, 1, 0), {1: (2, 1, 0), 3: (1, 1, 1)}),  # (1,2,0) is not dominant
+])
+def test_adjoint_task_builds_one_minus_system_per_valid_shift(monkeypatch, rho, raised):
+    # the plus system once, then per dominant shift one derived module and
+    # one minus system on it, each built inside the pairing
+    from kahlergrad import clifford
+    calls = []
+    build, derive = clifford.build_system, clifford.derived_representation
+
+    def recording_build(rep, sign):
+        calls.append(("build_system", rep.rho.entries, sign))
+        return build(rep, sign)
+
+    def recording_derive(sys, i):
+        calls.append(("derived_representation", i))
+        return derive(sys, i)
+
+    monkeypatch.setattr(clifford, "build_system", recording_build)
+    monkeypatch.setattr(clifford, "derived_representation", recording_derive)
+    report = cli._task_adjoint(rho, 1, 2, None)
+    assert report.passed
+    assert calls == [("build_system", rho, "+")] + [
+        call for i, up in raised.items()
+        for call in (("derived_representation", i), ("build_system", up, "-"))]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failing_task_does_not_abort_the_batch(monkeypatch, capsys, jobs):
     if jobs != "1" and multiprocessing.get_start_method() != "fork":

@@ -237,25 +237,20 @@ def test_equivariance(rho):
 
 
 def test_adjoint_pairing_trivial_module():
-    m = 2
     rep = build_rep((0, 0))
     plus = build_system(rep, "+")
     raised = derived_representation(plus, 1)
     raised.check_invariants()  # raises on violation
     assert raised.rho == HighestWeight((1, 0))
-    minus_on_target = build_system(raised, "-")
-    out = verify_adjoint_pairing(plus, minus_on_target, 1)
+    out = verify_adjoint_pairing(plus, 1)
     assert out.passed, [it.describe() for it in out.failures()]
     ratio = [it for it in out.items if it.tag == "raise-lower-ratio-squared"][0]
     assert ratio.params["ratio_squared"] == F(1, 2)  # 1/gamma_{+1} = 1/m
 
 
 def test_adjoint_pairing_natural_module():
-    rep = build_rep((1, 0))
-    plus = build_system(rep, "+")
-    raised = derived_representation(plus, 1)
-    minus_on_target = build_system(raised, "-")
-    out = verify_adjoint_pairing(plus, minus_on_target, 1)
+    plus = build_system(build_rep((1, 0)), "+")
+    out = verify_adjoint_pairing(plus, 1)
     assert out.passed, [it.describe() for it in out.failures()]
     ratio = [it for it in out.items if it.tag == "raise-lower-ratio-squared"][0]
     # gamma_{+1} = 1 - 1/(w_{+1} - w_{+2}) = 3/2
@@ -265,22 +260,22 @@ def test_adjoint_pairing_natural_module():
 def test_adjoint_pairing_invalid_shift_is_skipped():
     rep = build_rep((1, 0, 0))
     plus = build_system(rep, "+")
-    out = verify_adjoint_pairing(plus, None, 3)  # (1,0,1) is not dominant
+    out = verify_adjoint_pairing(plus, 3)  # (1,0,1) is not dominant
     assert out.passed
     assert out.items[0].status == "not-applicable"
 
 
-def test_adjoint_pairing_rejects_mismatched_system():
-    rep = build_rep((1, 0))
-    plus = build_system(rep, "+")
-    with pytest.raises(ValueError):
-        verify_adjoint_pairing(plus, plus, 1)
-    wrong = build_system(build_rep((2, 0)), "-")
-    with pytest.raises(ValueError):
-        verify_adjoint_pairing(plus, wrong, 2)  # raised weight is (1,1), not (2,0)
-    # the right weight and dimension, but the GT basis instead of the derived one
-    with pytest.raises(ValueError, match="bases are not shared"):
-        verify_adjoint_pairing(plus, wrong, 1)
+def test_adjoint_pairing_index_outside_1_to_m_raises():
+    plus = build_system(build_rep((1, 0, -1)), "+")
+    for i in (0, 4):
+        with pytest.raises(ValueError, match=f"index i={i} out of range 1..3"):
+            verify_adjoint_pairing(plus, i)
+
+
+def test_adjoint_pairing_rejects_a_minus_system():
+    minus = build_system(build_rep((1, 0, -1)), "-")
+    with pytest.raises(ValueError, match="starts from the plus system"):
+        verify_adjoint_pairing(minus, 1)
 
 
 DERIVED_WEIGHTS = [(1, 0), (2, 1, 0), (2, 0, -1), (1, 0, 0, -1)]
@@ -438,6 +433,25 @@ def test_projectors_are_lagrange_polynomials_of_the_block_powers(rho, sign):
     for i in range(1, m + 1):
         assert sys.projectors[i - 1] == linear_combination(
             zip(lagrange_coefficients(sys.table.w, i - 1), powers), N, N), i
+
+
+@pytest.mark.parametrize("rho, sign, i, k, l", [((2, 0, -1), "+", 1, 1, 1),
+                                                ((2, 0, -1), "-", 2, 1, 3),
+                                                ((1, 0, -1), "+", 3, 1, 2)])
+def test_changed_projector_entry_fails_both_readings_of_one_difference(rho, sign, i, k, l):
+    # the sixth stored entry of P_i, raised by 1/3 after the build, lies in
+    # block (k, l): vandermonde-solved reads S_i - P_i by n x n block and
+    # projection-formula by column block, and each fails there alone
+    sys = build_system(build_rep(rho), sign)
+    proj = sys.projectors[i - 1]
+    r, c, x = proj.nonzero_entries()[5]
+    proj[r, c] = x + F(1, 3)
+    base = {"rho": str(HighestWeight(rho)), "sign": sign, "i": i}
+    failed = [(it.tag, it.params, it.witness) for it in verify_relations(sys, 1).failures()
+              if it.tag in ("vandermonde-solved", "projection-formula")]
+    witness = "1 nonzero entries in difference"
+    assert failed == [("vandermonde-solved", {**base, "k": k, "l": l}, witness),
+                      ("projection-formula", {**base, "l": l}, witness)]
 
 
 # Gram diagonals of every target, as SHA-256 of their "p/q" strings: the
