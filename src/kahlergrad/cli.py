@@ -13,6 +13,7 @@ reader before the output was written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -393,14 +394,20 @@ def _run_task(task) -> tuple:
 
 
 def _load_pool(suites) -> None:
-    """Import the pool, and the modules of ``suites`` for its forked workers to inherit."""
+    """Import the pool, and the modules of ``suites`` for its forked workers
+    to inherit, then freeze the heap: the workers' collections never walk
+    the parent's objects, so they neither spend time on them nor copy their
+    pages on write."""
     global ProcessPoolExecutor, BrokenProcessPool
     # suites first: after the pool modules they left a larger peak RSS
     for suite in suites:    # spinor and adjoint run clifford, the others their namesakes
         import_module(f".{'clifford' if suite in ('spinor', 'adjoint') else suite}", __package__)
+        if suite == "clifford":     # its cross relations load bochner on first use
+            import_module(".bochner", __package__)
     from concurrent.futures.process import BrokenProcessPool
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
+    gc.freeze()
 
 
 def _run_alone(task) -> tuple:

@@ -52,7 +52,6 @@ from .weights import (
     shift,
     weyl_dimension,
 )
-from .bochner import binomial_template
 from . import gtrep
 from .gtrep import Representation, block_powers
 
@@ -143,10 +142,21 @@ def _aux_generator(m: int, sign: str, k: int, l: int) -> Matrix:
     return Matrix.from_rows(rows, m)
 
 
-def build_system(rep: Representation, sign: str) -> CliffordSystem:
+def build_system(rep: Representation, sign: str, only: Optional[int] = None) -> CliffordSystem:
+    """The Clifford system of ``rep`` for ``sign``: P, its projectors and the
+    component of every valid shift, each checked against its Weyl dimension.
+
+    With ``only`` = i in 1..m, the build is restricted to component i: the
+    rref, the rank check and the orthogonalization run for i alone, and
+    every other target is None, so the system is fit for reading component
+    i and no other.  P and all the projectors are still formed, and the
+    build still raises `SpectralCompletenessError` on a wrong spectrum and
+    `AssertionError` on a nonzero projector at an invalid shift."""
     table = conformal_table(rep.rho, sign)  # raises on a bad sign
     m, n = rep.m, rep.dim
     N = n * m
+    if only is not None and not 1 <= only <= m:
+        raise ValueError(f"component index only={only} outside 1..{m}")
 
     # Chat = -2 P acts as -2 w_i on component i: the projectors of P at the
     # w_i are those of Chat, as Lagrange interpolation is scale invariant
@@ -168,10 +178,10 @@ def build_system(rep: Representation, sign: str) -> CliffordSystem:
     for i in range(1, m + 1):
         shifted = shift(rep.rho, sign, i)
         proj = projectors[i - 1]
-        if shifted is None:
-            if not proj.is_zero():
-                raise AssertionError(f"projector at invalid shift i={i} is nonzero (rank "
-                                     f"{proj.rank()}, expected 0)")
+        if shifted is None and not proj.is_zero():
+            raise AssertionError(f"projector at invalid shift i={i} is nonzero (rank "
+                                 f"{proj.rank()}, expected 0)")
+        if shifted is None or only not in (None, i):
             targets.append(None)
             continue
         expected_dim = weyl_dimension(shifted)
@@ -392,6 +402,7 @@ def verify_cross_relations(
     min(c, q_max + 1), with c the number of valid components of each sign."""
     if plus.sign != "+" or minus.sign != "-" or plus.rep is not minus.rep:
         raise ValueError("cross relations need the plus and the minus system of one module")
+    from .bochner import binomial_template  # loads envalg, which no other check here needs
     m, n = plus.m, plus.rep.dim
     N = m * n
     rho = plus.rep.rho
@@ -467,7 +478,8 @@ def verify_adjoint_pairing(sys_plus: CliffordSystem, i: int) -> VerificationRepo
     M_k^* M_l = (1/gamma_{+i}) P_k P_l^* on the raised module.  Phases are
     never compared.  The minus system's source is `derived_representation`,
     whose Gram form is the plus component's, so its component i descends
-    back to rho in the basis of ``sys_plus``.
+    back to rho in the basis of ``sys_plus``; it is the one component read
+    here, and the only one the minus build constructs.
     """
     if sys_plus.sign != "+":
         raise ValueError("the adjoint pairing starts from the plus system")
@@ -478,7 +490,7 @@ def verify_adjoint_pairing(sys_plus: CliffordSystem, i: int) -> VerificationRepo
     if shift(rho, "+", i) is None:  # raises when i lies outside 1..m
         report.skip("raise-lower", base, "shift not dominant")
         return report
-    sys_minus = build_system(derived_representation(sys_plus, i), "-")
+    sys_minus = build_system(derived_representation(sys_plus, i), "-", only=i)
     t_plus = sys_plus.targets[i - 1]
     t_minus = sys_minus.targets[i - 1]
 

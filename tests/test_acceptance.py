@@ -242,3 +242,15 @@ def test_verify_output_is_pinned():
         if hashlib.sha256(out.stdout).hexdigest() != digest:
             drifted.append(command)
     assert not drifted, f"verify output drifted from its pinned digest: {drifted}"
+
+
+def test_pooled_verify_output_equals_the_serial_pin():
+    """The benchmark's pooled adjoint run, whose parent freezes its heap
+    before the workers fork, writes the bytes of the pinned serial run.  It
+    runs in its own interpreter, so this one's heap stays unfrozen."""
+    serial = "verify --suite adjoint --m 3 --bound 1 --q 2 --json"
+    digest = json.loads((GOLDEN / "verify_sha256.json").read_text())[serial]
+    pooled = serial.replace(" --json", " --jobs 2 --json")
+    out = subprocess.run(CLI + pooled.split(), capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert hashlib.sha256(out.stdout).hexdigest() == digest

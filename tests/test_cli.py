@@ -325,15 +325,16 @@ def test_dimension_budget_task_is_not_applicable():
     ((1, 1, 0), {1: (2, 1, 0), 3: (1, 1, 1)}),  # (1,2,0) is not dominant
 ])
 def test_adjoint_task_builds_one_minus_system_per_valid_shift(monkeypatch, rho, raised):
-    # the plus system once, then per dominant shift one derived module and
-    # one minus system on it, each built inside the pairing
+    # the plus system once, in full, then per dominant shift one derived
+    # module and one minus system on it restricted to component i, each
+    # built inside the pairing
     from kahlergrad import clifford
     calls = []
     build, derive = clifford.build_system, clifford.derived_representation
 
-    def recording_build(rep, sign):
-        calls.append(("build_system", rep.rho.entries, sign))
-        return build(rep, sign)
+    def recording_build(rep, sign, **kwargs):
+        calls.append(("build_system", rep.rho.entries, sign, kwargs))
+        return build(rep, sign, **kwargs)
 
     def recording_derive(sys, i):
         calls.append(("derived_representation", i))
@@ -343,9 +344,9 @@ def test_adjoint_task_builds_one_minus_system_per_valid_shift(monkeypatch, rho, 
     monkeypatch.setattr(clifford, "derived_representation", recording_derive)
     report = cli._task_adjoint(rho, 1, 2, None)
     assert report.passed
-    assert calls == [("build_system", rho, "+")] + [
+    assert calls == [("build_system", rho, "+", {})] + [
         call for i, up in raised.items()
-        for call in (("derived_representation", i), ("build_system", up, "-"))]
+        for call in (("derived_representation", i), ("build_system", up, "-", {"only": i}))]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -369,6 +370,35 @@ def test_failing_task_does_not_abort_the_batch(monkeypatch, capsys, jobs):
                        "status": "fail", "witness": "RuntimeError: boom"}]
     others = {it["params"]["rho"] for it in payload["items"] if it["status"] == "pass"}
     assert len(others) == 5 and "(1,0)" not in others
+
+
+@pytest.mark.parametrize("jobs, events", [("2", ["freeze", "pool"]), ("1", [])])
+def test_a_pooled_run_freezes_the_heap_once_before_the_pool_starts(monkeypatch, capsys,
+                                                                    jobs, events):
+    # in-process stand-ins for gc.freeze and the pool record their order;
+    # this process's heap is left unfrozen and no worker starts
+    import gc
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append("pool")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append("freeze"))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli.main(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1", "--q", "1",
+                     "--jobs", jobs]) == 0
+    assert "TOTAL PASS" in capsys.readouterr().out
+    assert seen == events
 
 
 def test_dead_worker_fails_only_its_task(monkeypatch, capsys):

@@ -495,6 +495,52 @@ def test_build_system_rejects_bad_sign():
         build_system(rep, "x")
 
 
+def _restricted_build_modules():
+    """(2,0,-1), (2,1,0,-1) and one raised module of (2,0,-1)."""
+    yield build_rep((2, 0, -1))
+    yield build_rep((2, 1, 0, -1))
+    yield derived_representation(build_system(build_rep((2, 0, -1)), "+"), 1)
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_a_restricted_build_equals_the_full_builds_component(sign):
+    for rep in _restricted_build_modules():
+        full = build_system(rep, sign)
+        for i in range(1, rep.m + 1):
+            part = build_system(rep, sign, only=i)
+            assert part.p == full.p and part.projectors == full.projectors
+            assert part.targets[:i - 1] + part.targets[i:] == [None] * (rep.m - 1)
+            t, u = part.targets[i - 1], full.targets[i - 1]
+            assert (t is None) == (u is None)
+            if t is not None:
+                assert (t.weight, t.dim) == (u.weight, u.dim)
+                assert t.basis == u.basis and t.coords == u.coords and t.gram == u.gram
+
+
+def test_a_restricted_build_rejects_an_index_outside_1_to_m():
+    rep = build_rep((1, 0, -1))
+    for only in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"only={only} outside 1..3"):
+            build_system(rep, "+", only=only)
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_a_restricted_build_still_checks_the_spectrum(monkeypatch, sign):
+    from dataclasses import replace
+    from kahlergrad import clifford
+    from kahlergrad.linalg import SpectralCompletenessError
+
+    def shifted_table(rho, sign):
+        tab = conformal_table(rho, sign)
+        return replace(tab, w=tab.w[:-1] + (tab.w[-1] + 100,))
+
+    monkeypatch.setattr(clifford, "conformal_table", shifted_table)
+    rep = build_rep((2, 0, -1))
+    for i in range(1, rep.m + 1):
+        with pytest.raises(SpectralCompletenessError):
+            build_system(rep, sign, only=i)
+
+
 # ---------------------------------------------------------------------------
 # failing items and their witnesses, against dense references
 # ---------------------------------------------------------------------------

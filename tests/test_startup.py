@@ -38,7 +38,11 @@ def _loaded(code: str) -> set:
     (MAIN.format(["verify", "--suite", "gtrep", "--m", "2", "--bound", "1", "--q", "1"]),
      {"kahlergrad.clifford", "kahlergrad.bochner", "kahlergrad.envalg", "concurrent.futures",
       "traceback"}),
-], ids=["package", "parser", "envalg-suite", "gtrep-suite"])
+    (MAIN.format(["verify", "--suite", "adjoint", "--m", "2", "--bound", "1", "--q", "1"]),
+     {"kahlergrad.bochner", "kahlergrad.envalg", "concurrent.futures", "traceback"}),
+    (MAIN.format(["verify", "--suite", "spinor", "--m", "2-3"]),
+     {"kahlergrad.bochner", "kahlergrad.envalg", "concurrent.futures", "traceback"}),
+], ids=["package", "parser", "envalg-suite", "gtrep-suite", "adjoint-suite", "spinor-suite"])
 def test_a_process_loads_only_what_it_runs(code, absent):
     loaded = _loaded(code)
     assert "kahlergrad" in loaded
@@ -50,6 +54,12 @@ def test_a_pooled_run_loads_its_suite_modules_before_the_workers_fork():
                                   "--q", "1", "--jobs", "2"]))
     assert {"concurrent.futures", "kahlergrad.gtrep", "kahlergrad.linalg"} <= loaded
     assert "kahlergrad.clifford" not in loaded
+    # the cross relations load bochner on first use, in the parent here, so
+    # no clifford worker compiles it again
+    loaded = _loaded(MAIN.format(["verify", "--suite", "clifford", "--m", "2", "--bound", "0",
+                                  "--q", "1", "--jobs", "2"]))
+    assert {"concurrent.futures", "kahlergrad.clifford", "kahlergrad.bochner",
+            "kahlergrad.envalg"} <= loaded
 
 
 # the 37 names `kahlergrad` re-exports, by the submodule that defines them
