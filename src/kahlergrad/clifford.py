@@ -13,8 +13,8 @@ family.  P acts as the constant w_{+-i} on the component labelled
 rho +- mu_i, the predicted constants are pairwise distinct, and Lagrange
 interpolation gives the projectors without ever leaving Q.  The
 construction doubles as a proof that the predicted spectrum is right:
-spectral completeness and the rank of every projector against the Weyl
-dimension are checked during the build.
+spectral completeness is checked during the build, and the rank of each
+projector against the Weyl dimension when its component is first read.
 
 The maps p_{+i}(eps_k) (resp. p_{-i}(eps_bar_k)) are the compositions
 phi |-> projection of (phi (x) basis vector k), written in a basis A_i of
@@ -87,7 +87,7 @@ class CliffordSystem:
     table: ConformalWeightTable
     p: Matrix                     # P, degree 1 of the sign's family in `block_powers`
     projectors: List[Matrix]
-    targets: List[Optional[TargetData]]
+    _targets: Dict[int, TargetData] = field(default_factory=dict, repr=False)
     _pp_cache: dict = field(default_factory=dict, repr=False)
     _tensor_gen: Dict[Tuple[int, int], Matrix] = field(default_factory=dict, repr=False)
 
@@ -110,11 +110,20 @@ class CliffordSystem:
             self._tensor_gen[(k, l)] = out
         return out
 
+    @property
+    def targets(self) -> List[Optional[TargetData]]:
+        """Every component, in order, each read through `target`."""
+        return [self.target(i) for i in range(1, self.m + 1)]
+
     def target(self, i: int) -> Optional[TargetData]:
-        """The component at i, None where it vanishes; i must lie in 1..m."""
+        """The component at i, None where the shift is invalid; i must lie
+        in 1..m.  A component is built by `_component` on its first read,
+        from the projector stored then, and kept."""
         if not 1 <= i <= self.m:
             raise ValueError(f"component index i={i} outside 1..{self.m}")
-        return self.targets[i - 1]
+        if self.table.valid[i - 1] and i not in self._targets:
+            self._targets[i] = _component(self, i)
+        return self._targets.get(i)
 
     def p_star_p_matrix(self, i: int) -> Matrix:
         """S_i = A_i C_i, the basis times the coordinate map, whose block
@@ -142,101 +151,90 @@ def _aux_generator(m: int, sign: str, k: int, l: int) -> Matrix:
     return Matrix.from_rows(rows, m)
 
 
-def build_system(rep: Representation, sign: str, only: Optional[int] = None) -> CliffordSystem:
-    """The Clifford system of ``rep`` for ``sign``: P, its projectors and the
-    component of every valid shift, each checked against its Weyl dimension.
-
-    With ``only`` = i in 1..m, the build is restricted to component i: the
-    rref, the rank check and the orthogonalization run for i alone, and
-    every other target is None, so the system is fit for reading component
-    i and no other.  P and all the projectors are still formed, and the
-    build still raises `SpectralCompletenessError` on a wrong spectrum and
-    `AssertionError` on a nonzero projector at an invalid shift."""
+def build_system(rep: Representation, sign: str) -> CliffordSystem:
+    """The Clifford system of ``rep`` for ``sign``: P and its projectors.
+    Raises `SpectralCompletenessError` on a wrong spectrum and
+    `AssertionError` on a nonzero projector at an invalid shift; each
+    component is built, and its rank checked, when `CliffordSystem.target`
+    first reads it."""
     table = conformal_table(rep.rho, sign)  # raises on a bad sign
-    m, n = rep.m, rep.dim
-    N = n * m
-    if only is not None and not 1 <= only <= m:
-        raise ValueError(f"component index only={only} outside 1..{m}")
-
     # Chat = -2 P acts as -2 w_i on component i: the projectors of P at the
     # w_i are those of Chat, as Lagrange interpolation is scale invariant
     p = block_powers(rep, 1, FAMILY[sign])[1]
     projectors = lagrange_projectors(p, table.w)
+    for i, (valid, proj) in enumerate(zip(table.valid, projectors), 1):
+        if not valid and not proj.is_zero():
+            raise AssertionError(f"projector at invalid shift i={i} is nonzero (rank "
+                                 f"{proj.rank()}, expected 0)")
+    return CliffordSystem(rep=rep, sign=sign, table=table, p=p, projectors=projectors)
 
+
+def _component(sys: CliffordSystem, i: int) -> TargetData:
+    """The component at the valid shift i, from the pivot columns of P_i
+    orthogonalized against the tensor form, its rank checked against the
+    Weyl dimension."""
+    rep, proj = sys.rep, sys.projectors[i - 1]
+    m, n, N = rep.m, rep.dim, proj.rows
     # tensor Gram form: source form on the module factor, unit form on the
-    # auxiliary factor (both bases are unitary), as integers g over one dg
-    source_diag = rep.gram.diagonal_entries()
-    dg = lcm(*(x.denominator for x in source_diag))
-    g = [x.numerator * (dg // x.denominator) for _ in range(m) for x in source_diag]
+    # auxiliary factor (both bases are unitary), as integers g over one dg;
+    # the source form is diagonal and positive, so its entries are its diagonal
+    dg, source_diag = rep.gram.integer_entries()
+    g = [x for _, _, x in source_diag] * m
     # the one place the (a, k) order a m + k-1 stays: rref picks each
     # projector's pivot columns from the projector read in that order, as
     # k-major pivots give a far denser basis (rho = (3,1,-1,-3), sign +:
     # 39,275 nonzeros over 2,580-bit denominators, against 19,613 over 27-bit)
     by_a = [k * n + a for a in range(n) for k in range(m)]
-
-    targets: List[Optional[TargetData]] = []
-    for i in range(1, m + 1):
-        shifted = shift(rep.rho, sign, i)
-        proj = projectors[i - 1]
-        if shifted is None and not proj.is_zero():
-            raise AssertionError(f"projector at invalid shift i={i} is nonzero (rank "
-                                 f"{proj.rank()}, expected 0)")
-        if shifted is None or only not in (None, i):
-            targets.append(None)
-            continue
-        expected_dim = weyl_dimension(shifted)
-        _, pivots = proj.submatrix(by_a, by_a).rref()
-        if len(pivots) != expected_dim:
-            raise AssertionError(f"projector rank {len(pivots)} != Weyl dimension "
-                                 f"{expected_dim} at i={i} for {rep.rho} sign {sign}")
-        # orthogonalize the pivot columns against the tensor form; a column
-        # is (v, dv, nv): integers {tensor index: nonzero entry} over the
-        # denominator dv, and nv = dg dv^2 |v|^2.  Subtracting the projection
-        # onto (u, du, nu) gives (nu v - <g u, v> u) / (nu dv).  Only the
-        # earlier columns in `near`, those sharing an index with v, can have a
-        # nonzero product with it; holders[a] lists the columns nonzero at a.
-        columns = {by_a[c]: {} for c in pivots}
-        for a, c, x in proj.nonzero_entries():
-            if c in columns:
-                columns[c][a] = x
-        ortho: List[tuple] = []
-        holders: List[List[int]] = [[] for _ in range(N)]
-        for col in columns.values():
-            dv = lcm(*(x.denominator for x in col.values()))
-            v = {a: x.numerator * (dv // x.denominator) for a, x in col.items()}
-            near = set().union(*(holders[a] for a in v))
-            for j, (u, _, nu) in enumerate(ortho):
-                if j not in near:
-                    continue
-                dot = sum(g[a] * y * v[a] for a, y in u.items() if a in v)
-                if dot:
-                    near.update(*(holders[a] for a in u.keys() - v.keys()))
-                    w = {a: nu * v.get(a, 0) - dot * u.get(a, 0) for a in v.keys() | u.keys()}
-                    h = gcd(dv * nu, *w.values())
-                    v = {a: x // h for a, x in w.items() if x}
-                    dv = dv * nu // h
-            nv = sum(g[a] * x * x for a, x in v.items())
-            if nv <= 0:
-                raise AssertionError("pivot columns not independent")
-            for a in v:
-                holders[a].append(len(ortho))
-            ortho.append((v, dv, nv))
-        d = len(ortho)
-        basis_rows = [{} for _ in range(N)]
-        for r, (v, dv, _) in enumerate(ortho):
-            for a, x in v.items():
-                basis_rows[a][r] = Fraction(x, dv)
-        basis = Matrix.from_rows(basis_rows, d)
-        # coords[r, a] = basis[a, r] G_a / |v_r|^2, and G is the source form on
-        # each block: row block k of the basis is the adjoint of the k-th map
-        coords = Matrix.from_rows([{a: Fraction(x * g[a] * dv, nv) for a, x in v.items()}
-                                   for v, dv, nv in ortho], N)
-        gram = Matrix.diagonal([Fraction(nv, dg * dv * dv) for _, dv, nv in ortho])
-        targets.append(TargetData(index=i, weight=shifted, dim=d, basis=basis, gram=gram,
-                                  coords=coords))
-
-    return CliffordSystem(rep=rep, sign=sign, table=table, p=p, projectors=projectors,
-                          targets=targets)
+    shifted = shift(rep.rho, sys.sign, i)
+    expected_dim = weyl_dimension(shifted)
+    _, pivots = proj.submatrix(by_a, by_a).rref()
+    if len(pivots) != expected_dim:
+        raise AssertionError(f"projector rank {len(pivots)} != Weyl dimension "
+                             f"{expected_dim} at i={i} for {rep.rho} sign {sys.sign}")
+    # orthogonalize the pivot columns against the tensor form; a column
+    # is (v, dv, nv): integers {tensor index: nonzero entry} over the
+    # denominator dv, and nv = dg dv^2 |v|^2.  Subtracting the projection
+    # onto (u, du, nu) gives (nu v - <g u, v> u) / (nu dv).  Only the
+    # earlier columns in `near`, those sharing an index with v, can have a
+    # nonzero product with it; holders[a] lists the columns nonzero at a.
+    columns = {by_a[c]: {} for c in pivots}
+    for a, c, x in proj.nonzero_entries():
+        if c in columns:
+            columns[c][a] = x
+    ortho: List[tuple] = []
+    holders: List[List[int]] = [[] for _ in range(N)]
+    for col in columns.values():
+        dv = lcm(*(x.denominator for x in col.values()))
+        v = {a: x.numerator * (dv // x.denominator) for a, x in col.items()}
+        near = set().union(*(holders[a] for a in v))
+        for j, (u, _, nu) in enumerate(ortho):
+            if j not in near:
+                continue
+            dot = sum(g[a] * y * v[a] for a, y in u.items() if a in v)
+            if dot:
+                near.update(*(holders[a] for a in u.keys() - v.keys()))
+                w = {a: nu * v.get(a, 0) - dot * u.get(a, 0) for a in v.keys() | u.keys()}
+                h = gcd(dv * nu, *w.values())
+                v = {a: x // h for a, x in w.items() if x}
+                dv = dv * nu // h
+        nv = sum(g[a] * x * x for a, x in v.items())
+        if nv <= 0:
+            raise AssertionError("pivot columns not independent")
+        for a in v:
+            holders[a].append(len(ortho))
+        ortho.append((v, dv, nv))
+    d = len(ortho)
+    basis_rows = [{} for _ in range(N)]
+    for r, (v, dv, _) in enumerate(ortho):
+        for a, x in v.items():
+            basis_rows[a][r] = Fraction(x, dv)
+    basis = Matrix.from_rows(basis_rows, d)
+    # coords[r, a] = basis[a, r] G_a / |v_r|^2, and G is the source form on
+    # each block: row block k of the basis is the adjoint of the k-th map
+    coords = Matrix.from_rows([{a: Fraction(x * g[a] * dv, nv) for a, x in v.items()}
+                               for v, dv, nv in ortho], N)
+    gram = Matrix.diagonal([Fraction(nv, dg * dv * dv) for _, dv, nv in ortho])
+    return TargetData(index=i, weight=shifted, dim=d, basis=basis, gram=gram, coords=coords)
 
 
 def target_generator(sys: CliffordSystem, i: int, k: int, l: int) -> Matrix:
@@ -295,7 +293,7 @@ def _check_projection_formula(report: VerificationReport, tag: str, params: dict
     block l of S_i - P_i, taken from ``formed`` where it holds i."""
     m, n = sys.m, sys.rep.dim
     for i in range(1, m + 1):
-        if sys.targets[i - 1] is not None:
+        if sys.table.valid[i - 1]:
             diff = formed[i] if i in formed else sys.p_star_p_matrix(i) - sys.projectors[i - 1]
             _check_blocks(report, tag, ({**params, "i": i, "l": l} for l in range(1, m + 1)),
                           diff, m * n, n)
@@ -308,7 +306,7 @@ def _check_moments(report: VerificationReport, tag: str, params: dict,
     system's sign (tilde for +, plain for -).  At q = 0 this is
     completeness."""
     terms = [(Fraction(w) ** q, sys.p_star_p_matrix(i)) for i, w in enumerate(sys.table.w, 1)
-             if sys.targets[i - 1] is not None]
+             if sys.table.valid[i - 1]]
     terms.append((-1, power))
     _check_blocks(report, tag, _by_unit(params, sys.m),
                   linear_combination(terms, power.rows, power.cols), sys.rep.dim, sys.rep.dim)
@@ -332,16 +330,16 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
     report = VerificationReport()
     base = {"rho": str(rho), "sign": sys.sign}
     gammas = sys.table.gamma
-    valid = [i for i in range(1, m + 1) if sys.targets[i - 1] is not None]
+    valid = [i for i in range(1, m + 1) if sys.table.valid[i - 1]]
 
     for i in range(1, m + 1):
         proj = sys.projectors[i - 1]
         report.check("projector-idempotent", {**base, "i": i},
                      proj * proj == proj)
         expected = weyl_dimension(shift(rho, sys.sign, i)) if sys.table.valid[i - 1] else 0
-        # the rank build_system found with its one rref: the component's
-        # dimension, or 0 where it checked that the projector vanishes
-        t = sys.targets[i - 1]
+        # the rank the component's first read found with its one rref: its
+        # dimension, or 0 where build_system checked that the projector vanishes
+        t = sys.target(i)
         report.check("projector-rank", {**base, "i": i, "expected": expected},
                      (t.dim if t else 0) == expected)
         for j in range(i + 1, m + 1):
@@ -356,7 +354,7 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
 
     # intertwining: the maps shuffle the source action into the weight factor
     for i in valid:
-        maps = sys.targets[i - 1].coords
+        maps = sys.target(i).coords
         _check_blocks(report, "intertwining", ({**base, "i": i, "k": k} for k in range(1, m + 1)),
                       linear_combination([(sys.table.w[i - 1], maps), (-1, maps * sys.p)],
                                          maps.rows, N), maps.rows, n)
@@ -380,7 +378,7 @@ def verify_relations(sys: CliffordSystem, q_max: int) -> VerificationReport:
 
     # completeness on each component
     for i in range(1, m + 1):
-        t = sys.targets[i - 1]
+        t = sys.target(i)
         if t is None:
             report.skip("target-completeness", {**base, "i": i}, "component vanishes")
             continue
@@ -455,7 +453,7 @@ def verify_equivariance(sys: CliffordSystem) -> VerificationReport:
     report = VerificationReport()
     base = {"rho": str(sys.rep.rho), "sign": sys.sign}
     for i in range(1, m + 1):
-        t = sys.targets[i - 1]
+        t = sys.target(i)
         if t is None:
             continue
         for s in range(1, m + 1):
@@ -478,21 +476,20 @@ def verify_adjoint_pairing(sys_plus: CliffordSystem, i: int) -> VerificationRepo
     M_k^* M_l = (1/gamma_{+i}) P_k P_l^* on the raised module.  Phases are
     never compared.  The minus system's source is `derived_representation`,
     whose Gram form is the plus component's, so its component i descends
-    back to rho in the basis of ``sys_plus``; it is the one component read
-    here, and the only one the minus build constructs.
+    back to rho in the basis of ``sys_plus``; it is the one component of
+    the minus system read here, so the only one built.
     """
     if sys_plus.sign != "+":
         raise ValueError("the adjoint pairing starts from the plus system")
     report = VerificationReport()
     m = sys_plus.m
-    rho = sys_plus.rep.rho
-    base = {"rho": str(rho), "i": i}
-    if shift(rho, "+", i) is None:  # raises when i lies outside 1..m
+    base = {"rho": str(sys_plus.rep.rho), "i": i}
+    t_plus = sys_plus.target(i)  # raises when i lies outside 1..m
+    if t_plus is None:
         report.skip("raise-lower", base, "shift not dominant")
         return report
-    sys_minus = build_system(derived_representation(sys_plus, i), "-", only=i)
-    t_plus = sys_plus.targets[i - 1]
-    t_minus = sys_minus.targets[i - 1]
+    sys_minus = build_system(derived_representation(sys_plus, i), "-")
+    t_minus = sys_minus.target(i)
 
     # with the maps P_k stacked by rows and the M_k and P_k^* side by side,
     # T = (1/gamma) sum_k M_k P_k is one product, and each family one sum;

@@ -325,28 +325,55 @@ def test_dimension_budget_task_is_not_applicable():
     ((1, 1, 0), {1: (2, 1, 0), 3: (1, 1, 1)}),  # (1,2,0) is not dominant
 ])
 def test_adjoint_task_builds_one_minus_system_per_valid_shift(monkeypatch, rho, raised):
-    # the plus system once, in full, then per dominant shift one derived
-    # module and one minus system on it restricted to component i, each
-    # built inside the pairing
+    # the plus system once, then per dominant shift its component i, one
+    # derived module and one minus system on it, of which component i alone
+    # is read and so built, each inside the pairing
     from kahlergrad import clifford
     calls = []
-    build, derive = clifford.build_system, clifford.derived_representation
+    build, derive, component = (clifford.build_system, clifford.derived_representation,
+                                clifford._component)
 
-    def recording_build(rep, sign, **kwargs):
-        calls.append(("build_system", rep.rho.entries, sign, kwargs))
-        return build(rep, sign, **kwargs)
+    def recording_build(rep, sign):
+        calls.append(("build_system", rep.rho.entries, sign))
+        return build(rep, sign)
 
     def recording_derive(sys, i):
         calls.append(("derived_representation", i))
         return derive(sys, i)
 
+    def recording_component(sys, i):
+        calls.append(("component", sys.sign, i))
+        return component(sys, i)
+
     monkeypatch.setattr(clifford, "build_system", recording_build)
     monkeypatch.setattr(clifford, "derived_representation", recording_derive)
+    monkeypatch.setattr(clifford, "_component", recording_component)
     report = cli._task_adjoint(rho, 1, 2, None)
     assert report.passed
-    assert calls == [("build_system", rho, "+", {})] + [
+    assert calls == [("build_system", rho, "+")] + [
         call for i, up in raised.items()
-        for call in (("derived_representation", i), ("build_system", up, "-", {"only": i}))]
+        for call in (("component", "+", i), ("derived_representation", i),
+                     ("build_system", up, "-"), ("component", "-", i))]
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["--suite", "adjoint", "--m", "3", "--bound", "1", "--q", "2"], 36),
+    (["--suite", "clifford", "--m", "3", "--bound", "2", "--q", "3"], 185),
+    (["--suite", "spinor", "--m", "2-4", "--q", "2"], 36),
+])
+def test_rref_calls_per_batch(monkeypatch, capsys, argv, calls):
+    # one rref per component built: a pin of the work each batch does
+    from kahlergrad.linalg import Matrix
+    count, rref = [0], Matrix.rref
+
+    def counted(self):
+        count[0] += 1
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    assert cli.main(["verify", *argv, "--jobs", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert count[0] == calls
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -15,7 +15,7 @@ from kahlergrad.clifford import (
     verify_spinor_model,
 )
 from kahlergrad.envalg import k_of_casimirs
-from kahlergrad.gtrep import block_powers, build_rep, e_power_matrix
+from kahlergrad.gtrep import block_powers, build_rep, e_power_matrix, gt_patterns
 from kahlergrad.linalg import (
     Matrix,
     gram_adjoint,
@@ -28,6 +28,7 @@ from kahlergrad.weights import (
     HighestWeight,
     conformal_table,
     dominant_weights,
+    transpose_weight,
     weyl_dimension,
 )
 
@@ -190,6 +191,83 @@ def test_recoupling_matrix_solves_the_cross_sign_templates():
     assert cases == 2604
 
 
+def _dual_index(rho):
+    """pi[x]: the index of p*, pattern x of rho with each row negated and
+    reversed, among the patterns of rho* = transpose_weight(rho)."""
+    index = {p: x for x, p in enumerate(gt_patterns(transpose_weight(rho)))}
+    return [index[tuple(tuple(-e for e in reversed(row)) for row in p)] for p in gt_patterns(rho)]
+
+
+def _is_contragredient(rep, dual, minus, plus_dual):
+    """Whether ``dual``, built on rho*, is the contragredient of ``rep`` in
+    the pattern bases up to a diagonal d, solved from the units with d = 1
+    at the highest-weight pattern: dual(e_kl)[pi x, pi y] = (d_x / d_y)
+    (-rep(e_kl)[y, x]); and whether the projectors of ``minus`` on rep are
+    those of ``plus_dual`` on rho* transposed in the same bases:
+    P-_i[(k-1)n + a, (l-1)n + b] = (d_a / d_b) P+_{m+1-i}[(l-1)n + pi b, (k-1)n + pi a]."""
+    m, n = rep.m, rep.dim
+    pi = _dual_index(rep.rho)
+    ratios = [[] for _ in range(n)]      # (x, d_x / d_y) by y, from each stored entry
+    for key, g in rep.gen.items():
+        for y, x, v in g.nonzero_entries():
+            ratios[y].append((x, dual.gen[key][pi[x], pi[y]] / -v))
+    d, todo = {0: F(1)}, [0]
+    while todo:
+        y = todo.pop()
+        for x, ratio in ratios[y]:
+            if x not in d:
+                d[x] = d[y] * ratio
+                todo.append(x)
+    if len(d) < n or 0 in d.values():
+        return False
+    big = [k * n + x for k in range(m) for x in pi]
+    return all(
+        {(x, y): v for x, y, v in dual.gen[key].submatrix(pi, pi).nonzero_entries()}
+        == {(x, y): d[x] / d[y] * -v for y, x, v in g.nonzero_entries()}
+        for key, g in rep.gen.items()) and all(
+        {(r, c): v for r, c, v in minus.projectors[i].nonzero_entries()}
+        == {(c, r): d[c % n] / d[r % n] * v for r, c, v
+            in plus_dual.projectors[m - 1 - i].submatrix(big, big).nonzero_entries()}
+        for i in range(m))
+
+
+DUAL_WEIGHTS = [(1, 0), (3, 0), (0, 0), (2, 0, -1), (1, 1, 0), (2, 2, -1), (1, 0, -1),
+                (2, 0, -2), (2, 1, 0, -1), (3, 1, 0, -2), (1, 1, -1, -1), (2, 1, -1, -2)]
+
+
+def _dual_systems(rho):
+    rep, dual = build_rep(rho), build_rep(transpose_weight(rho))
+    return rep, dual, build_system(rep, "-"), build_system(dual, "+")
+
+
+@pytest.mark.parametrize("rho", DUAL_WEIGHTS)
+def test_contragredient_duality(rho):
+    # the library uses this duality nowhere: the pattern basis of rho* is
+    # the dual basis of rho's, rescaled, so the sign - branch of the tensor
+    # action and the minus table's Lagrange nodes are checked against the
+    # plus side (self-dual where rho* = rho: (1,0,-1) and (2,1,-1,-2))
+    assert _is_contragredient(*_dual_systems(rho))
+
+
+def test_contragredient_duality_fails_on_one_changed_entry():
+    from dataclasses import replace
+    rep, dual, minus, plus_dual = _dual_systems((2, 0, -1))
+    for key in ((1, 2), (3, 1), (2, 2)):
+        g = rep.gen[key]
+        r, c, x = g.nonzero_entries()[1]
+        changed = Matrix([row[:] for row in g.data])
+        changed[r, c] = x + 1
+        assert not _is_contragredient(replace(rep, gen={**rep.gen, key: changed}), dual,
+                                      minus, plus_dual), key
+    for i in range(3):
+        proj = minus.projectors[i]
+        r, c, x = proj.nonzero_entries()[5]
+        proj[r, c] = x + F(1, 3)
+        assert not _is_contragredient(rep, dual, minus, plus_dual), i
+        proj[r, c] = x
+    assert _is_contragredient(rep, dual, minus, plus_dual)
+
+
 def _aux(m, sign, k, l):
     """e_kl on the natural module (sign +) or its conjugate (sign -)."""
     out = Matrix.zeros(m, m)
@@ -268,7 +346,7 @@ def test_adjoint_pairing_invalid_shift_is_skipped():
 def test_adjoint_pairing_index_outside_1_to_m_raises():
     plus = build_system(build_rep((1, 0, -1)), "+")
     for i in (0, 4):
-        with pytest.raises(ValueError, match=f"index i={i} out of range 1..3"):
+        with pytest.raises(ValueError, match=f"component index i={i} outside 1..3"):
             verify_adjoint_pairing(plus, i)
 
 
@@ -439,10 +517,12 @@ def test_projectors_are_lagrange_polynomials_of_the_block_powers(rho, sign):
                                                 ((2, 0, -1), "-", 2, 1, 3),
                                                 ((1, 0, -1), "+", 3, 1, 2)])
 def test_changed_projector_entry_fails_both_readings_of_one_difference(rho, sign, i, k, l):
-    # the sixth stored entry of P_i, raised by 1/3 after the build, lies in
-    # block (k, l): vandermonde-solved reads S_i - P_i by n x n block and
-    # projection-formula by column block, and each fails there alone
+    # the sixth stored entry of P_i, raised by 1/3 after every component is
+    # built, lies in block (k, l): vandermonde-solved reads S_i - P_i by
+    # n x n block and projection-formula by column block, and each fails
+    # there alone
     sys = build_system(build_rep(rho), sign)
+    assert all(sys.targets)  # each component is built from the projector stored at its first read
     proj = sys.projectors[i - 1]
     r, c, x = proj.nonzero_entries()[5]
     proj[r, c] = x + F(1, 3)
@@ -502,30 +582,41 @@ def _restricted_build_modules():
     yield derived_representation(build_system(build_rep((2, 0, -1)), "+"), 1)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The (sign, i) of every component built, in order."""
+    from kahlergrad import clifford
+    component, out = clifford._component, []
+
+    def recording(sys, i):
+        out.append((sys.sign, i))
+        return component(sys, i)
+
+    monkeypatch.setattr(clifford, "_component", recording)
+    return out
+
+
 @pytest.mark.parametrize("sign", "+-")
-def test_a_restricted_build_equals_the_full_builds_component(sign):
+def test_a_restricted_build_equals_the_full_builds_component(built, sign):
+    # a restricted build, a system of which only component i is read, builds
+    # that component alone, equal to component i of a system read in full
     for rep in _restricted_build_modules():
-        full = build_system(rep, sign)
+        full = build_system(rep, sign).targets
         for i in range(1, rep.m + 1):
-            part = build_system(rep, sign, only=i)
-            assert part.p == full.p and part.projectors == full.projectors
-            assert part.targets[:i - 1] + part.targets[i:] == [None] * (rep.m - 1)
-            t, u = part.targets[i - 1], full.targets[i - 1]
+            part = build_system(rep, sign)
+            built.clear()
+            t, u = part.target(i), full[i - 1]
             assert (t is None) == (u is None)
+            assert built == ([] if t is None else [(sign, i)])
             if t is not None:
                 assert (t.weight, t.dim) == (u.weight, u.dim)
                 assert t.basis == u.basis and t.coords == u.coords and t.gram == u.gram
-
-
-def test_a_restricted_build_rejects_an_index_outside_1_to_m():
-    rep = build_rep((1, 0, -1))
-    for only in (0, 4, -1):
-        with pytest.raises(ValueError, match=f"only={only} outside 1..3"):
-            build_system(rep, "+", only=only)
+            assert part.target(i) is t and len(built) == (t is not None)  # kept, not rebuilt
 
 
 @pytest.mark.parametrize("sign", "+-")
-def test_a_restricted_build_still_checks_the_spectrum(monkeypatch, sign):
+def test_a_restricted_build_still_checks_the_spectrum(monkeypatch, built, sign):
+    # build_system checks the spectrum before any component is read
     from dataclasses import replace
     from kahlergrad import clifford
     from kahlergrad.linalg import SpectralCompletenessError
@@ -535,10 +626,24 @@ def test_a_restricted_build_still_checks_the_spectrum(monkeypatch, sign):
         return replace(tab, w=tab.w[:-1] + (tab.w[-1] + 100,))
 
     monkeypatch.setattr(clifford, "conformal_table", shifted_table)
-    rep = build_rep((2, 0, -1))
-    for i in range(1, rep.m + 1):
-        with pytest.raises(SpectralCompletenessError):
-            build_system(rep, sign, only=i)
+    with pytest.raises(SpectralCompletenessError):
+        build_system(build_rep((2, 0, -1)), sign)
+    assert built == []
+
+
+def test_a_wrong_rank_raises_when_its_component_is_first_read(monkeypatch):
+    # the rank is checked on a component's first read, not by build_system;
+    # in a verify task the raise is the task's one failed item
+    from kahlergrad import cli, clifford
+    monkeypatch.setattr(clifford, "weyl_dimension", lambda rho: weyl_dimension(rho) + 1)
+    rho = (2, 0, -1)
+    sys = build_system(build_rep(rho), "+")
+    for i in range(1, 4):
+        with pytest.raises(AssertionError, match="projector rank"):
+            sys.target(i)
+    _, report = cli._run_task(("clifford", rho, 2, 1, None))
+    assert report.counts() == {"pass": 0, "fail": 1, "not-applicable": 0}
+    assert "projector rank" in report.items[0].witness
 
 
 # ---------------------------------------------------------------------------
