@@ -7,16 +7,18 @@ within one fixed order.  Rewriting uses the commutation rule
 
     e_{ij} e_{kl} = e_{kl} e_{ij} + delta_{jk} e_{il} - delta_{li} e_{kj}.
 
-A word is normal-ordered by insertion: at its first descent the out-of-order
+A letter is an int: e_{kl} is (k - 1) m + (l - 1), whose order is the
+lexicographic order on (k, l), and a word is a tuple of letters.  The
+commutator of two letters is read from one table per rank, built once.  A
+word is normal-ordered by insertion: at its first descent the out-of-order
 letter y moves left past every larger letter x in one step, by
 x y = y x + [x, y] once per letter passed, and each commutator term, one
 letter shorter, is ordered the same way.  A product of two ordered words that
 is already ordered (the last letter of the one <= the first of the other)
-goes straight into the result.  Words are built from one table of the m^2
-generator pairs, so a normal form holds at most m^2 distinct generator
-tuples however many terms it has.  A coefficient is a Python int while every
-scalar that went into it is integral; a Fraction appears only where a
-non-integral scalar comes in.
+goes straight into the result.  The public face of an element, its
+constructor, `terms` and repr, speaks (k, l) pairs.  A coefficient is a
+Python int while every scalar that went into it is integral; a Fraction
+appears only where a non-integral scalar comes in.
 
 On top of the raw algebra this module builds the degree-q elements e_{kl}^q
 and their involution images, the Casimir traces c_q, the generating-function
@@ -35,6 +37,7 @@ however many scaled elements and products it sums.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import gt
 from math import comb
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -44,6 +47,7 @@ from .weights import family_table
 
 Generator = Tuple[int, int]          # (k, l), 1-based
 Monomial = Tuple[Generator, ...]     # nondecreasing in the fixed order
+Word = Tuple[int, ...]               # the letters (k - 1) m + (l - 1) of a monomial
 Coefficient = Union[int, Fraction]   # an int while every input is integral
 
 __all__ = [
@@ -53,7 +57,6 @@ __all__ = [
     "e_power",
     "tilde_e_power",
     "casimir_element",
-    "commutator",
     "k_series",
     "k_of_casimirs",
     "k_central",
@@ -87,29 +90,40 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _encode(word: Sequence[Generator], m: int) -> Word:
+    """The letters of a word of (k, l) pairs, each index checked."""
+    for k, l in word:
+        _check_index(k, m)
+        _check_index(l, m)
+    return tuple((k - 1) * m + l - 1 for k, l in word)
+
+
 class PBWElement:
     """Element of U(gl(m)) in normal-ordered form.
 
-    terms maps ordered monomials to nonzero rational coefficients, ints or
-    Fractions; the zero element has an empty map.  Instances are immutable.
+    ``terms`` maps ordered monomials, words of (k, l) pairs, to nonzero
+    rational coefficients, ints or Fractions; the zero element has an empty
+    map.  The element stores the same map over int words.  Instances are
+    immutable.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "_words")
 
     def __init__(self, m: int, terms: Dict[Monomial, Coefficient]):
         self.m = m
-        self.terms = {w: c for w, c in terms.items() if c}
-        for w in self.terms:
+        terms = {w: c for w, c in terms.items() if c}
+        for w in terms:
             if any(map(gt, w, w[1:])):
                 raise ValueError(f"monomial {w} is not normal ordered")
+        self._words = {_encode(w, m): c for w, c in terms.items()}
 
     @classmethod
-    def _ordered(cls, m: int, terms: Dict[Monomial, Coefficient]) -> "PBWElement":
-        """The element of ``terms``, whose words the normal-ordering kernels
-        have just ordered, so their order is not checked again."""
+    def _ordered(cls, m: int, words: Dict[Word, Coefficient]) -> "PBWElement":
+        """The element of ``words``, int words that the normal-ordering
+        kernels have just ordered, so their order is not checked again."""
         x = cls.__new__(cls)
         x.m = m
-        x.terms = {w: c for w, c in terms.items() if c}
+        x._words = {w: c for w, c in words.items() if c}
         return x
 
     # -- constructors ------------------------------------------------------
@@ -122,34 +136,26 @@ class PBWElement:
     def one(cls, m: int) -> "PBWElement":
         return cls(m, {(): 1})
 
-    @classmethod
-    def scalar(cls, m: int, value) -> "PBWElement":
-        return cls(m, {(): _exact(value)})
-
-    @classmethod
-    def generator(cls, m: int, k: int, l: int) -> "PBWElement":
-        _check_index(k, m)
-        _check_index(l, m)
-        return cls(m, {((k, l),): 1})
-
     # -- protocol ----------------------------------------------------------
+
+    @property
+    def terms(self) -> Dict[Monomial, Coefficient]:
+        """A new dict of the normal form over words of (k, l) pairs."""
+        m = self.m
+        return {tuple((x // m + 1, x % m + 1) for x in w): c for w, c in self._words.items()}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PBWElement)
             and self.m == other.m
-            and self.terms == other.terms
+            and self._words == other._words
         )
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Filtration degree of the normal form (0 for scalars and zero)."""
-        return max((len(w) for w in self.terms), default=0)
+        return not self._words
 
     def __repr__(self):
-        if not self.terms:
+        if not self._words:
             return "0"
         bits = []
         for w, c in sorted(self.terms.items()):
@@ -167,9 +173,6 @@ class PBWElement:
         self._same_rank(other)
         return _combine(self.m, [(1, self), (-1, other)])
 
-    def __neg__(self) -> "PBWElement":
-        return self.scale(-1)
-
     def scale(self, s) -> "PBWElement":
         return _combine(self.m, [(s, self)])
 
@@ -179,34 +182,30 @@ class PBWElement:
         self._same_rank(other)
         return _combine(self.m, products=[(1, self, other)])
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def _same_rank(self, other: "PBWElement"):
         if self.m != other.m:
             raise ValueError(f"rank mismatch: {self.m} vs {other.m}")
 
 
-def _generators(m: int):
-    """The m^2 generator pairs, gens[k][l] = (k, l) for 1 <= k, l <= m.
+@lru_cache(maxsize=None)
+def _commutators(m: int) -> tuple:
+    """The commutator table of rank m: comm[x][y] is [x, y] for letters
+    x, y < m^2, as a tuple of (letter, sign) pairs by
 
-    Words built from one table share these objects, so a normal form holds
-    at most m^2 distinct generator tuples however many terms it has.
-    """
-    return [()] + [[()] + [(k, l) for l in range(1, m + 1)] for k in range(1, m + 1)]
+        [e_ab, e_kl] = delta_bk e_al - delta_la e_kb,
 
-
-def _add(out: Dict[Monomial, Coefficient], w: Monomial, c: Coefficient):
-    """out[w] += c for an ordered word w, dropping w when it cancels."""
-    c += out.get(w, 0)
-    if c:
-        out[w] = c
-    else:
-        out.pop(w, None)
+    the e_al term first; it is () where the commutator vanishes."""
+    def bracket(a, b, k, l):     # 0-based indices
+        if (a, b) == (k, l):
+            return ()
+        return (((a * m + l, 1),) if b == k else ()) + (((k * m + b, -1),) if l == a else ())
+    units = [divmod(x, m) for x in range(m * m)]
+    return tuple(tuple(bracket(a, b, k, l) for k, l in units) for a, b in units)
 
 
-def _accumulate(out: Dict[Monomial, Coefficient], word: Monomial, coeff, gens, start: int = 0):
-    """Normal-order the word ``word`` into ``out`` by insertion.
+def _accumulate(out: Dict[Word, Coefficient], word: Word, coeff, comm, start: int = 0):
+    """Normal-order the word ``word`` into ``out`` by insertion, dropping a
+    word whose coefficient cancels.
 
     ``word[:start + 1]`` must be ordered (start >= 0), so the scan for the
     first descent x_i > y begins at ``start``.  The letter y then moves left
@@ -216,12 +215,10 @@ def _accumulate(out: Dict[Monomial, Coefficient], word: Monomial, coeff, gens, s
         u x_j .. x_i y r = u y x_j .. x_i r
                            + sum_{t=j..i} u x_j .. x_{t-1} [x_t, y] x_{t+1} .. x_i r,
 
-    with [e_ab, e_kl] = delta_bk e_al - delta_la e_kb.  Each commutator term
-    is one letter shorter and goes on the stack, its scan starting one
-    position before the new letter; the moved word is ordered through y's
-    old position, and its scan goes on at the next one.  Words stay tuples;
-    a moved letter keeps its generator object, and a commutator term takes
-    its generator from the table ``gens`` of `_generators`.
+    with [x_t, y] read from the table ``comm`` of `_commutators`.  Each
+    commutator term is one letter shorter and goes on the stack, its scan
+    starting one position before the new letter; the moved word is ordered
+    through y's old position, and its scan goes on at the next one.
     """
     stack = [(word, coeff, start)]
     while stack:
@@ -231,20 +228,21 @@ def _accumulate(out: Dict[Monomial, Coefficient], word: Monomial, coeff, gens, s
             while i < last and w[i] <= w[i + 1]:
                 i += 1
             if i >= last:
-                _add(out, w, c)
+                c += out.get(w, 0)
+                if c:
+                    out[w] = c
+                else:
+                    out.pop(w, None)
                 break
             y = w[i + 1]
-            k, l = y
             tail = w[i + 2:]
             j = i
             while j >= 0 and w[j] > y:
-                a, b = w[j]
-                if b == k or l == a:
+                bracket = comm[w[j]][y]
+                if bracket:
                     head, rest, back = w[:j], w[j + 1:i + 1] + tail, j - 1 if j else 0
-                    if b == k:
-                        stack.append((head + (gens[a][l],) + rest, c, back))
-                    if l == a:
-                        stack.append((head + (gens[k][b],) + rest, -c, back))
+                    for g, s in bracket:
+                        stack.append((head + (g,) + rest, s * c, back))
                 j -= 1
             w = w[:j + 1] + (y,) + w[j + 1:i + 1] + tail
             i += 1
@@ -254,33 +252,34 @@ def _combine(m: int, parts=(), products=()) -> PBWElement:
     """sum s*x over (s, x) in ``parts`` plus sum s*a*b over (s, a, b) in
     ``products``, collected in one dict and validated once.  A product of two
     words that is already ordered goes straight into the dict."""
-    gens = _generators(m)
-    out: Dict[Monomial, Coefficient] = {}
+    comm = _commutators(m)
+    out: Dict[Word, Coefficient] = {}
     for s, x in parts:
         s = _exact(s)
-        for w, c in x.terms.items():
+        for w, c in x._words.items():
             old = out.get(w)
             out[w] = s * c if old is None else old + s * c
     for s, a, b in products:
         s = _exact(s)
-        for w1, c1 in a.terms.items():
+        for w1, c1 in a._words.items():
             sc1 = s * c1
-            for w2, c2 in b.terms.items():
+            for w2, c2 in b._words.items():
                 if w1 and w2 and w1[-1] > w2[0]:
-                    _accumulate(out, w1 + w2, sc1 * c2, gens, len(w1) - 1)
+                    _accumulate(out, w1 + w2, sc1 * c2, comm, len(w1) - 1)
+                    continue
+                w = w1 + w2
+                c = out.get(w, 0) + sc1 * c2
+                if c:
+                    out[w] = c
                 else:
-                    _add(out, w1 + w2, sc1 * c2)
+                    out.pop(w, None)
     return PBWElement._ordered(m, out)
 
 
 def pbw_normalize(word: Sequence[Generator], m: int, coeff=1) -> PBWElement:
     """Normal form of a single word of generators with a rational coefficient."""
-    for k, l in word:
-        _check_index(k, m)
-        _check_index(l, m)
-    gens = _generators(m)
-    out: Dict[Monomial, Coefficient] = {}
-    _accumulate(out, tuple(gens[k][l] for k, l in word), _exact(coeff), gens)
+    out: Dict[Word, Coefficient] = {}
+    _accumulate(out, _encode(word, m), _exact(coeff), _commutators(m))
     return PBWElement._ordered(m, out)
 
 
@@ -298,7 +297,7 @@ def _rows(k: int, q: int, m: int, budget: int, tilde: bool,
     before it is built, named as the element (k, l, p), l defaulting to k.
     """
     name = "tilde_e_power" if tilde else "e_power"
-    gens = _generators(m)
+    comm = _commutators(m)
     cols = range(1, m + 1)
     sign = -1 if tilde else 1
     rows = [{j: {(): 1} if j == k else {} for j in cols}]
@@ -306,14 +305,19 @@ def _rows(k: int, q: int, m: int, budget: int, tilde: bool,
         _guard(m ** (p - 1), budget, f"{name}({k},{l or k},{p}) at rank {m}")
         prev, step = rows[-1], {}
         for j in (cols if p < q or l is None else (l,)):
-            out: Dict[Monomial, Coefficient] = {}
+            out: Dict[Word, Coefficient] = {}
             for i in cols:
-                g = gens[j][i] if tilde else gens[i][j]
+                g = (j - 1) * m + i - 1 if tilde else (i - 1) * m + j - 1
                 for w, c in prev[i].items():
                     if w and w[-1] > g:
-                        _accumulate(out, w + (g,), sign * c, gens, len(w) - 1)
+                        _accumulate(out, w + (g,), sign * c, comm, len(w) - 1)
+                        continue
+                    w += (g,)
+                    c = out.get(w, 0) + sign * c
+                    if c:
+                        out[w] = c
                     else:
-                        _add(out, w + (g,), sign * c)
+                        out.pop(w, None)
             step[j] = out
         rows.append(step)
     return rows
@@ -350,10 +354,6 @@ def casimir_element(q: int, m: int, variant: str = "plain",
         raise ValueError("variant must be 'plain' or 'tilde'")
     return _combine(m, [(1, _element(k, k, q, m, budget, variant == "tilde"))
                         for k in range(1, m + 1)])
-
-
-def commutator(a: PBWElement, b: PBWElement) -> PBWElement:
-    return a * b - b * a
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from kahlergrad.envalg import (
     BudgetExceededError,
     PBWElement,
     casimir_element,
-    commutator,
     e_power,
     k_central,
     k_of_casimirs,
@@ -65,7 +64,15 @@ def k_eval_table(n: int, xs) -> F:
 
 
 def gen(m, k, l):
-    return PBWElement.generator(m, k, l)
+    return PBWElement(m, {((k, l),): 1})
+
+
+def scalar(m, value):
+    return PBWElement.one(m).scale(value)
+
+
+def commutator(a, b):
+    return a * b - b * a
 
 
 def involution(x: PBWElement) -> PBWElement:
@@ -106,16 +113,16 @@ def test_e_power_base_cases():
 
 
 def test_involution_examples():
-    assert involution(gen(2, 1, 2)) == -gen(2, 2, 1)
+    assert involution(gen(2, 1, 2)) == gen(2, 2, 1).scale(-1)
     c1 = casimir_element(1, 2)
-    assert involution(c1) == -c1
+    assert involution(c1) == c1.scale(-1)
     x = pbw_normalize([(1, 2), (2, 1)], 2)
     assert involution(involution(x)) == x
 
 
 def test_tilde_e_power_examples():
-    assert tilde_e_power(1, 2, 1, 2) == -gen(2, 2, 1)
-    assert casimir_element(1, 3, "tilde") == -casimir_element(1, 3)
+    assert tilde_e_power(1, 2, 1, 2) == gen(2, 2, 1).scale(-1)
+    assert casimir_element(1, 3, "tilde") == casimir_element(1, 3).scale(-1)
     # oracle: normalize the defining word list of the degree-2 element
     raw = PBWElement.zero(2)
     for i in (1, 2):
@@ -218,12 +225,12 @@ def test_k_sign_symmetry(n, xs):
 def test_k_central_small():
     # K_2 over the Casimir family is c_0^2 + c_1 with c_0 = m
     for m in (2, 3):
-        expected = PBWElement.scalar(m, m * m) + casimir_element(1, m)
+        expected = scalar(m, m * m) + casimir_element(1, m)
         assert k_central(2, m) == expected
     # K_3: c_0^3 + 2 c_0 c_1 + c_2
     m = 2
     expected = (
-        PBWElement.scalar(m, m ** 3)
+        scalar(m, m ** 3)
         + casimir_element(1, m).scale(2 * m)
         + casimir_element(2, m)
     )
@@ -333,13 +340,13 @@ def test_degree_recursion_matches_path_sums(m, q_max):
             assert tilde_e_power(k, l, q, m) == _path_sum_oracle(k, l, q, m, True), (k, l, q)
 
 
-def test_normal_forms_share_generator_tuples():
+def test_normal_forms_store_int_letters():
+    # a stored letter is the int (k - 1) m + (l - 1) of e_kl
     m = 3
     for build in (e_power, tilde_e_power):
         x = build(1, 2, 4, m)
-        assert x.degree() == 4
-        ids = {id(g) for w in x.terms for g in w}
-        assert len(ids) <= m * m
+        assert max(map(len, x.terms)) == 4
+        assert all(type(g) is int and 0 <= g < m * m for w in x._words for g in w)
 
 
 def test_binomial_report_order():
@@ -410,8 +417,12 @@ def test_verify_binomial_relations_smoke():
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         gen(2, 1, 2) + gen(3, 1, 2)
-    with pytest.raises(ValueError):
-        PBWElement.generator(2, 3, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        gen(2, 3, 1)
+    # the constructor checks each index before it encodes the pair as the
+    # letter (k - 1) m + (l - 1), where (1, 3) would alias (2, 1) at m = 2
+    with pytest.raises(ValueError, match="index 3 out of range 1..2"):
+        PBWElement(2, {((1, 1), (1, 3)): 1})
 
 
 def test_unsorted_monomial_rejected():
@@ -421,13 +432,16 @@ def test_unsorted_monomial_rejected():
 
 def test_kernel_results_pass_the_check_they_skip(monkeypatch):
     # the kernels build their results with PBWElement._ordered, which skips
-    # the public constructor's order check; routed through that check, every
-    # result of each kernel and of the verifier's families passes it
-    checked = []
+    # the public constructor's order check; routed through that check on the
+    # int words, every result of each kernel and of the verifier's families
+    # passes it
+    checked, unordered = [], []
+    real = PBWElement._ordered.__func__
 
-    def checking(cls, m, terms):
+    def checking(cls, m, words):
         checked.append(1)
-        return PBWElement(m, terms)
+        unordered.extend(w for w, c in words.items() if c and any(map(gt, w, w[1:])))
+        return real(cls, m, words)
 
     monkeypatch.setattr(PBWElement, "_ordered", classmethod(checking))
     m = 3
@@ -436,7 +450,7 @@ def test_kernel_results_pass_the_check_they_skip(monkeypatch):
               commutator(gen(m, 3, 1), gen(m, 1, 3)) * gen(m, 2, 1)]:
         assert not x.is_zero()
     assert verify_binomial_relations(m, 3).passed
-    assert len(checked) > 100
+    assert len(checked) > 100 and unordered == []
 
 
 def test_the_public_constructor_rejects_an_unordered_word():
@@ -476,7 +490,7 @@ def test_integral_coefficients_are_ints():
     m = 3
     built = [e_power(1, 2, 4, m), tilde_e_power(2, 2, 3, m), casimir_element(3, m, "tilde"),
              k_central(3, m), pbw_normalize([(3, 1), (1, 2), (2, 3)], m, F(4, 2)),
-             gen(m, 2, 1) * gen(m, 1, 2), PBWElement.scalar(m, F(6, 3)),
+             gen(m, 2, 1) * gen(m, 1, 2), scalar(m, F(6, 3)),
              e_power(2, 1, 2, m).scale(F(-6, 2)), involution(e_power(3, 1, 2, m))]
     for x in built:
         assert x.terms and all(type(c) is int for c in x.terms.values()), x
@@ -508,24 +522,25 @@ def test_int_and_fraction_coefficients_agree():
     assert repr(as_ints - as_fractions.scale(F(1, 2))) == repr(as_fractions.scale(F(1, 2)))
 
 
-def _adjacent_swap_accumulate(out, word, coeff, gens, start=0):
+def _adjacent_swap_accumulate(out, word, coeff, m, start=0):
     """Normal-order one word into ``out`` one adjacent swap at a time: the
     first descent x y at or after ``start`` becomes y x plus the terms of
     [x, y], and each of the three words is scanned again from one position
-    before the swap.  ``word[:start + 1]`` must be ordered."""
+    before the swap.  ``word[:start + 1]`` must be ordered.  A letter is the
+    int (k - 1) m + (l - 1) of e_kl."""
     stack = [(list(word), coeff, max(start, 0))]
     while stack:
         w, c, i = stack.pop()
         for i in range(i, len(w) - 1):
             x, y = w[i], w[i + 1]
             if x > y:
-                (a, b), (k, l) = x, y
+                (a, b), (k, l) = divmod(x, m), divmod(y, m)
                 j = i - 1 if i else 0
                 stack.append((w[:i] + [y, x] + w[i + 2:], c, j))
                 if b == k:
-                    stack.append((w[:i] + [gens[a][l]] + w[i + 2:], c, j))
+                    stack.append((w[:i] + [a * m + l] + w[i + 2:], c, j))
                 if l == a:
-                    stack.append((w[:i] + [gens[k][b]] + w[i + 2:], -c, j))
+                    stack.append((w[:i] + [k * m + b] + w[i + 2:], -c, j))
                 break
         else:
             key = tuple(w)
@@ -548,12 +563,11 @@ def prefixed_words(draw):
 @given(prefixed_words(), st.integers(min_value=-3, max_value=3).filter(bool))
 def test_insertion_kernel_matches_adjacent_swaps(case, coeff):
     m, word, start = case
-    gens = envalg._generators(m)
-    word = tuple(gens[k][l] for k, l in word)
+    word = tuple((k - 1) * m + l - 1 for k, l in word)
     got = {}
-    envalg._accumulate(got, word, coeff, gens, start)
+    envalg._accumulate(got, word, coeff, envalg._commutators(m), start)
     assert {w: c for w, c in got.items() if c} == _adjacent_swap_accumulate({}, word, coeff,
-                                                                            gens, start)
+                                                                            m, start)
     assert all(not any(map(gt, w, w[1:])) for w in got)
 
 
@@ -614,3 +628,47 @@ def test_binomial_relations_form_each_product_once(monkeypatch):
     assert rep.verdict == "PASS" and len(rep.items) == 306
     assert pairs[0] == 30_110
     assert Counter(calls) == {True: 42, False: 12}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_commutator_table_matches_the_matrix_units(m):
+    # entry by entry, e_ij e_kl - e_kl e_ij = d_jk e_il - d_li e_kj, with
+    # e_kl the letter (k - 1) m + (l - 1); the table is built once per rank
+    table = envalg._commutators(m)
+    assert table is envalg._commutators(m)
+    units = list(product(range(1, m + 1), repeat=2))
+    assert len(table) == m * m and all(len(row) == m * m for row in table)
+    zeros = 0
+    for (x, (i, j)), (y, (k, l)) in product(enumerate(units), repeat=2):
+        expected = Counter()
+        if j == k:
+            expected[i, l] += 1
+        if l == i:
+            expected[k, j] -= 1
+        expected = {g: c for g, c in expected.items() if c}
+        entry = table[x][y]
+        got = {units[g]: s for g, s in entry}
+        assert len(got) == len(entry) and got == expected, (i, j, k, l)
+        assert {g: -s for g, s in table[y][x]} == dict(entry), (i, j, k, l)
+        assert (entry == ()) == (not expected)
+        zeros += not entry
+    # [e_ij, e_kl] vanishes unless j = k or l = i, and on the diagonal
+    assert zeros == sum(1 for (i, j), (k, l) in product(units, repeat=2)
+                        if (j != k and l != i) or (i, j) == (k, l))
+
+
+def test_terms_view_round_trips():
+    m = 3
+    built = [PBWElement.zero(m), PBWElement.one(m), e_power(1, 2, 3, m),
+             tilde_e_power(3, 1, 2, m).scale(F(1, 3)), k_central(3, m, "tilde"),
+             pbw_normalize([(3, 2), (1, 3), (2, 1)], m, F(-5, 2))]
+    for x in built:
+        terms = x.terms
+        assert PBWElement(m, terms) == x
+        assert repr(PBWElement(m, terms)) == repr(x)
+        assert all(1 <= k <= m and 1 <= l <= m for w in terms for k, l in w)
+        assert len(terms) == len(x._words)
+    # the view is a new dict: changing it leaves the element as it was
+    x = e_power(1, 1, 2, 2)
+    x.terms.clear()
+    assert x.terms == {((1, 1), (1, 1)): 1, ((1, 2), (2, 1)): 1}
